@@ -30,7 +30,6 @@
 #include <string>
 #include <vector>
 
-#include "coll/adaptive.h"
 #include "coll/decision.h"
 #include "common/format.h"
 #include "harness/measurement.h"
@@ -59,7 +58,6 @@ tune::ExplorerOptions smoke_grid() {
 
 double adaptive_latency_us(const std::string& table_json, std::size_t lines,
                            int iterations) {
-  coll::register_adaptive();
   harness::BcastRunSpec spec;
   spec.algorithm_name = "adaptive";
   spec.params.adaptive_table_json = table_json;
@@ -222,7 +220,6 @@ struct GridVerdict {
 GridVerdict cross_validate_grid(const std::string& label,
                                 const std::vector<Fig8Point>& points,
                                 bool higher_is_better) {
-  coll::register_adaptive();
   // Per-size best across the committed series (verified points only).
   std::map<std::size_t, std::pair<double, std::string>> best;
   for (const Fig8Point& p : points) {

@@ -14,10 +14,7 @@
 //                             traced, service) and exit 1 if any drops
 //                             below 70% of the matching entry in BASELINE
 //                             (a --json_out file); this is the
-//                             `perf-smoke` CMake target. PDES rows gate
-//                             only when this host has at least as many
-//                             hardware threads as the row used — on
-//                             smaller hosts they downgrade to advisory.
+//                             `perf-smoke` CMake target.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -29,7 +26,6 @@
 #include <thread>
 #include <vector>
 
-#include "coll/adaptive.h"
 #include "harness/fault_sweep.h"
 #include "harness/measurement.h"
 #include "noc/topology.h"
@@ -47,14 +43,12 @@ double seconds_since(Clock::time_point t0) {
 
 // ---- The fixed workload set (shared by every mode) --------------------
 
-harness::BcastRunSpec ocbcast_spec(std::size_t lines,
-                                   unsigned pdes_threads = 0) {
+harness::BcastRunSpec ocbcast_spec(std::size_t lines) {
   harness::BcastRunSpec spec;
   spec.message_bytes = lines * kCacheLineBytes;
   spec.iterations = 1;
   spec.warmup = 0;
   spec.verify = false;
-  spec.config.pdes_threads = pdes_threads;
   return spec;
 }
 
@@ -97,13 +91,6 @@ struct WorkloadRecord {
   std::uint64_t max_queue_depth = 0;
   std::uint64_t frame_allocs = 0;  ///< non-zero only under OCB_SIM_STATS
   std::uint64_t frame_reuses = 0;
-  /// Event-loop worker threads: 0 = serial reference loop, >= 1 = the
-  /// conservative-PDES window loop (sim/engine.cpp run_pdes).
-  unsigned pdes_threads = 0;
-  /// PDES window statistics; non-zero only under OCB_SIM_STATS.
-  std::uint64_t pdes_windows = 0;
-  std::uint64_t pdes_cross_events = 0;
-  sim::Duration pdes_lookahead_ns = 0;
   /// Observer-batching statistics; non-zero only under OCB_SIM_STATS.
   /// bulk_ops_observed / bulk_ops is the fast-path hit rate under an
   /// observer chain; bulk_fallback_lines counts per-line replays.
@@ -145,10 +132,6 @@ WorkloadRecord best_of(const std::string& name, int max_reps, Fn&& once) {
     w.max_queue_depth = r.max_queue_depth;
     w.frame_allocs = r.frame_allocs;
     w.frame_reuses = r.frame_reuses;
-    w.pdes_threads = r.pdes_threads;
-    w.pdes_windows = r.pdes_windows;
-    w.pdes_cross_events = r.pdes_cross_events;
-    w.pdes_lookahead_ns = r.pdes_lookahead_ns;
     w.bulk_ops = r.bulk_ops;
     w.bulk_ops_observed = r.bulk_ops_observed;
     w.bulk_quiescent_ops = r.bulk_quiescent_ops;
@@ -188,31 +171,6 @@ WorkloadRecord run_ocbcast_mesh_workload() {
     w.frame_allocs = r.frame_allocs;
     w.frame_reuses = r.frame_reuses;
     copy_bulk_stats(w, r);
-    return w;
-  });
-}
-
-// The same broadcast through the conservative-PDES window loop. The name
-// carries the thread count (`ocbcast_8192_pdes4`): events/sec here divided
-// by the matching serial row is the parallel speedup, and the event count
-// is smaller by construction (fused hop events replace the per-packet
-// entry+traversal pairs of the serial path).
-WorkloadRecord run_ocbcast_pdes_workload(std::size_t lines, unsigned threads) {
-  const int reps = lines >= 8192 ? 3 : 10;
-  const std::string name =
-      "ocbcast_" + std::to_string(lines) + "_pdes" + std::to_string(threads);
-  return best_of(name, reps, [lines, threads] {
-    const harness::BcastRunResult r =
-        run_broadcast(ocbcast_spec(lines, threads));
-    WorkloadRecord w;
-    w.events = r.events;
-    w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    w.pdes_threads = r.pdes_threads;
-    w.pdes_windows = r.pdes_windows;
-    w.pdes_cross_events = r.pdes_cross_events;
-    w.pdes_lookahead_ns = r.pdes_lookahead_ns;
     return w;
   });
 }
@@ -261,10 +219,8 @@ WorkloadRecord run_ocbcast_traced_workload() {
 // The 1024-line broadcast through coll::AdaptiveBcast: the baked decision
 // table resolves to the same OC-Bcast shape as ocbcast_1024, so the delta
 // against that row is the online dispatch overhead (table lookup + quiesce
-// bookkeeping; the adaptive wrapper also pins the serial loop). Advisory
-// in perf-smoke — it informs, never gates.
+// bookkeeping). Advisory in perf-smoke — it informs, never gates.
 WorkloadRecord run_adaptive_workload() {
-  coll::register_adaptive();
   return best_of("adaptive_1024", 10, [] {
     harness::BcastRunSpec spec = ocbcast_spec(1024);
     spec.algorithm_name = "adaptive";
@@ -332,10 +288,6 @@ void append_record(std::ostringstream& out, const WorkloadRecord& w,
       << "      \"max_queue_depth\": " << w.max_queue_depth << ",\n"
       << "      \"frame_allocs\": " << w.frame_allocs << ",\n"
       << "      \"frame_reuses\": " << w.frame_reuses << ",\n"
-      << "      \"pdes_threads\": " << w.pdes_threads << ",\n"
-      << "      \"pdes_windows\": " << w.pdes_windows << ",\n"
-      << "      \"pdes_cross_events\": " << w.pdes_cross_events << ",\n"
-      << "      \"pdes_lookahead_ns\": " << w.pdes_lookahead_ns << ",\n"
       << "      \"bulk_ops\": " << w.bulk_ops << ",\n"
       << "      \"bulk_ops_observed\": " << w.bulk_ops_observed << ",\n"
       << "      \"bulk_quiescent_ops\": " << w.bulk_quiescent_ops << ",\n"
@@ -349,10 +301,6 @@ int json_out_mode(const std::string& path) {
   for (std::size_t lines : {96, 1024, 8192}) {
     std::fprintf(stderr, "running ocbcast_%zu...\n", lines);
     records.push_back(run_ocbcast_workload(lines));
-  }
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    std::fprintf(stderr, "running ocbcast_8192_pdes%u...\n", threads);
-    records.push_back(run_ocbcast_pdes_workload(8192, threads));
   }
   std::fprintf(stderr, "running ocbcast_256core_mesh16x16...\n");
   records.push_back(run_ocbcast_mesh_workload());
@@ -370,7 +318,7 @@ int json_out_mode(const std::string& path) {
   records.push_back(run_fault_sweep_workload());
 
   std::ostringstream out;
-  out << "{\n  \"schema\": \"ocb-bench-simulator-speed-v4\",\n"
+  out << "{\n  \"schema\": \"ocb-bench-simulator-speed-v5\",\n"
       << "  \"hardware_concurrency\": " << std::thread::hardware_concurrency()
       << ",\n"
       << "  \"workloads\": [\n";
@@ -487,35 +435,6 @@ int perf_smoke_mode(const std::string& baseline_path) {
     }
   }
 
-  // PDES rows gate only where the comparison is meaningful: a host with
-  // fewer hardware threads than the row's worker count legitimately runs
-  // it slower than the committed (bigger-machine) baseline, so there the
-  // row downgrades to an advisory WARNING.
-  const unsigned hw = std::thread::hardware_concurrency();
-  for (const unsigned threads : {2u, 4u, 8u}) {
-    const std::string row = "ocbcast_8192_pdes" + std::to_string(threads);
-    const double base = baseline_rate(json, row);
-    if (base <= 0.0) continue;  // pre-v2 baseline without PDES rows
-    const WorkloadRecord pdes = run_ocbcast_pdes_workload(8192, threads);
-    const bool gating = hw >= threads;
-    std::printf("perf-smoke %s: live %.3gM events/s vs committed %.3gM (%s)\n",
-                row.c_str(), pdes.events_per_sec / 1e6, base / 1e6,
-                gating ? "gating" : "advisory");
-    if (pdes.events_per_sec < 0.7 * base) {
-      if (gating) {
-        std::fprintf(stderr,
-                     "perf-smoke FAILED: %s below the committed baseline on a "
-                     "host with %u >= %u hardware threads\n",
-                     row.c_str(), hw, threads);
-        ok = false;
-      } else {
-        std::fprintf(stderr,
-                     "perf-smoke WARNING: %s below the committed baseline; not "
-                     "gating (host has %u < %u hardware threads)\n",
-                     row.c_str(), hw, threads);
-      }
-    }
-  }
   if (!ok) return 1;
   std::printf("perf-smoke PASSED\n");
   return 0;
@@ -547,32 +466,6 @@ BENCHMARK(bench_event_loop_throughput)
     ->Arg(8192)
     ->Unit(benchmark::kMillisecond)
     ->Name("simulator/ocbcast_events");
-
-void bench_event_loop_pdes(benchmark::State& state) {
-  // The 48-core OC-Bcast through the conservative-PDES window loop;
-  // compare events_per_sec against simulator/ocbcast_events at the same
-  // size for the parallel speedup on this host.
-  const auto lines = static_cast<std::size_t>(state.range(0));
-  const auto threads = static_cast<unsigned>(state.range(1));
-  std::uint64_t events = 0;
-  harness::BcastRunResult last{};
-  for (auto _ : state) {
-    last = run_broadcast(ocbcast_spec(lines, threads));
-    events += last.events;
-  }
-  state.counters["events_per_sec"] = benchmark::Counter(
-      static_cast<double>(events), benchmark::Counter::kIsRate);
-  state.counters["pdes_threads"] = static_cast<double>(last.pdes_threads);
-  state.counters["pdes_windows"] = static_cast<double>(last.pdes_windows);
-  state.counters["pdes_cross_events"] =
-      static_cast<double>(last.pdes_cross_events);
-}
-BENCHMARK(bench_event_loop_pdes)
-    ->Args({8192, 2})
-    ->Args({8192, 4})
-    ->Args({8192, 8})
-    ->Unit(benchmark::kMillisecond)
-    ->Name("simulator/ocbcast_events_pdes");
 
 void bench_chip_construction(benchmark::State& state) {
   for (auto _ : state) {

@@ -20,7 +20,6 @@ AdaptiveBcast::AdaptiveBcast(scc::SccChip& chip, const Params& params,
   OCB_REQUIRE(params_.observed_fault_rate >= 0.0 &&
                   params_.observed_fault_rate <= 1.0,
               "observed_fault_rate out of [0,1]");
-  chip_->note_dynamic_spawning();
 }
 
 sim::Task<void> AdaptiveBcast::run(scc::Core& self, CoreId root,
@@ -54,17 +53,6 @@ sim::Task<void> AdaptiveBcast::run(scc::Core& self, CoreId root,
   ++active_;
   co_await delegate_->run(self, root, offset, bytes);
   if (--active_ == 0) quiesce_.fire();
-}
-
-void register_adaptive() {
-  if (registered("adaptive")) return;
-  register_collective("adaptive", [](scc::SccChip& chip, const Params& p) {
-    DecisionTable table = p.adaptive_table_json.empty()
-                              ? DecisionTable::baked_in()
-                              : DecisionTable::from_json(p.adaptive_table_json);
-    return std::unique_ptr<Collective>(
-        new AdaptiveBcast(chip, p, std::move(table)));
-  });
 }
 
 }  // namespace ocb::coll

@@ -9,9 +9,7 @@
 // a predecessor's MPB state — the switch waits until no call is in flight,
 // then scrubs every core's MPB before instantiating the replacement.
 //
-// Not a builtin: call register_adaptive() to install it as "adaptive"
-// (keeps the registry's all-algorithms test grids — PDES parity, race
-// checks — over protocols only).
+// A registry builtin under the name "adaptive".
 #pragma once
 
 #include <memory>
@@ -37,10 +35,7 @@ class AdaptiveBcast final : public Collective {
     Choice choice;
   };
 
-  /// The chip is pinned to the deterministic serial loop for its lifetime
-  /// (note_dynamic_spawning): delegate switching mutates shared state
-  /// (in-flight counter, delegate pointer) from every core's coroutine,
-  /// which is only safe single-threaded. Requires params.mpb_base_line == 0
+  /// Requires params.mpb_base_line == 0
   /// — the adaptive layer re-derives chunk shapes per band and therefore
   /// owns the whole MPB; it cannot live inside a service slot lease.
   AdaptiveBcast(scc::SccChip& chip, const Params& params,
@@ -65,10 +60,5 @@ class AdaptiveBcast final : public Collective {
   sim::Trigger quiesce_;    ///< fired when active_ drops to 0 or on switch
   std::vector<Selection> selections_;
 };
-
-/// Installs AdaptiveBcast in the registry as "adaptive" (idempotent). The
-/// factory reads Params::adaptive_table_json when non-empty
-/// (DecisionTable::from_json) and ships the baked-in table otherwise.
-void register_adaptive();
 
 }  // namespace ocb::coll

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 
+#include "coll/adaptive.h"
 #include "common/require.h"
 #include "core/binomial.h"
 #include "core/ft_ocbcast.h"
@@ -69,6 +70,13 @@ std::map<std::string, Factory>& table() {
       o.double_buffering = p.double_buffering;
       o.mpb_base_line = p.mpb_base_line;
       return std::unique_ptr<Collective>(new core::FtOcBcast(chip, o));
+    };
+    m["adaptive"] = [](scc::SccChip& chip, const Params& p) {
+      DecisionTable table = p.adaptive_table_json.empty()
+                                ? DecisionTable::baked_in()
+                                : DecisionTable::from_json(p.adaptive_table_json);
+      return std::unique_ptr<Collective>(
+          new AdaptiveBcast(chip, p, std::move(table)));
     };
     return m;
   }();

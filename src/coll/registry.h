@@ -66,7 +66,8 @@ void register_collective(const std::string& name, Factory factory,
 bool registered(const std::string& name);
 
 /// Registered names, sorted; builtins are "ocbcast", "binomial",
-/// "scatter-allgather", "onesided-sag", "ft-ocbcast", "hier-ocbcast".
+/// "scatter-allgather", "onesided-sag", "ft-ocbcast", "hier-ocbcast",
+/// "adaptive".
 std::vector<std::string> names();
 
 /// Instantiates `name` over `chip`. Algorithms own their MPB layout and

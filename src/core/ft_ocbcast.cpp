@@ -283,8 +283,7 @@ sim::Task<bool> FtOcBcast::follower_chunk(
         }
         self.set_wait_note("staged-wait", source,
                            static_cast<int>(staged_line(parity)));
-        // Trigger reference taken after the read (home-lane under PDES;
-        // see rma::wait_flag).
+        // Trigger reference taken after the read (see rma::wait_flag).
         sim::Trigger& trig =
             self.chip().mpb(source).line_trigger(staged_line(parity));
         const bool woken =

@@ -7,7 +7,6 @@
 #include "check/checker.h"
 #include "common/require.h"
 #include "common/rng.h"
-#include "harness/parallel.h"
 #include "noc/memctrl.h"
 #include "rma/rma.h"
 #include "sim/condition.h"
@@ -35,23 +34,10 @@ void fill_pattern(std::span<std::byte> region, std::uint64_t seed) {
   }
 }
 
-/// Applies the PDES thread-budget rules to a run spec (harness/parallel.h):
-/// an unset config picks up OCB_PDES_THREADS; inside a parallel_map worker
-/// even an explicit config drops to the serial loop (replication wins).
-/// Bit-identical results either way — only wall-clock changes.
-BcastRunSpec resolved_pdes(BcastRunSpec spec) {
-  if (in_parallel_map_worker()) {
-    spec.config.pdes_threads = 0;
-  } else if (spec.config.pdes_threads == 0) {
-    spec.config.pdes_threads = pdes_threads();
-  }
-  return spec;
-}
-
 }  // namespace
 
 BcastSession::BcastSession(const BcastRunSpec& spec)
-    : spec_(resolved_pdes(spec)),
+    : spec_(spec),
       chip_(std::make_unique<scc::SccChip>(spec_.config)),
       algo_(spec.algorithm_name.empty()
                 ? core::make_broadcast(*chip_, spec.algorithm)
@@ -106,8 +92,7 @@ BcastRunResult BcastSession::run() {
       for (int it = 0; it < total; ++it) {
         co_await rendezvous.arrive();
         // Every party resumes at the same simulated instant, so one writer
-        // suffices — and under PDES the parties resume on different host
-        // threads, where concurrent same-value stores would still race.
+        // suffices.
         if (me.id() == spec_.root) {
           start[static_cast<std::size_t>(it)] = me.now();
         }
@@ -132,10 +117,6 @@ BcastRunResult BcastSession::run() {
   out.max_queue_depth = run.max_queue_depth;
   out.frame_allocs = run.frame_allocs;
   out.frame_reuses = run.frame_reuses;
-  out.pdes_threads = run.pdes_threads;
-  out.pdes_windows = run.pdes_windows;
-  out.pdes_cross_events = run.pdes_cross_events;
-  out.pdes_lookahead_ns = run.pdes_lookahead_ns;
   out.bulk_ops = run.bulk_ops;
   out.bulk_ops_observed = run.bulk_ops_observed;
   out.bulk_quiescent_ops = run.bulk_quiescent_ops;

@@ -65,16 +65,6 @@ struct BcastRunResult {
   /// Race-checker results for this run() call (spec.check / OCB_CHECK).
   std::uint64_t race_violations = 0;
   std::string race_report{};
-  /// Worker threads the event loop actually used: 0 = serial reference
-  /// loop, >= 1 = the conservative-PDES window loop (sim::RunResult).
-  /// Stays 0 inside parallel_map workers (see harness/parallel.h).
-  unsigned pdes_threads = 0;
-  /// PDES window statistics (nonzero only in OCB_SIM_STATS builds):
-  /// windows executed, cross-lane events delivered through window-boundary
-  /// inboxes, and the safety-window width used.
-  std::uint64_t pdes_windows = 0;
-  std::uint64_t pdes_cross_events = 0;
-  sim::Duration pdes_lookahead_ns = 0;
   /// Observer-batching statistics for this run() call (nonzero only in
   /// OCB_SIM_STATS builds): coalesced ops launched, ops launched while an
   /// observer chain was installed (the fast path the capability model

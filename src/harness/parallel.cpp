@@ -6,33 +6,6 @@
 
 namespace ocb::harness {
 
-namespace {
-thread_local bool t_in_parallel_worker = false;
-
-/// Warns about a malformed env value at most once per variable per process
-/// (the getters are called once per sweep/run; a warning per call would
-/// flood stderr on large grids).
-void warn_once(bool& warned, const char* var, const char* value) {
-  if (warned) return;
-  warned = true;
-  std::fprintf(stderr,
-               "warning: ignoring malformed %s='%s' (want a nonnegative "
-               "integer); using the default\n",
-               var, value);
-}
-}  // namespace
-
-bool in_parallel_map_worker() { return t_in_parallel_worker; }
-
-detail::ParallelWorkerScope::ParallelWorkerScope()
-    : prev_(t_in_parallel_worker) {
-  t_in_parallel_worker = true;
-}
-
-detail::ParallelWorkerScope::~ParallelWorkerScope() {
-  t_in_parallel_worker = prev_;
-}
-
 detail::EnvParse detail::parse_thread_env(const char* value, unsigned& out) {
   if (value == nullptr) return EnvParse::kUnset;
   // Strict parse: the whole string must be decimal digits ("7abc", "-3",
@@ -54,25 +27,9 @@ detail::EnvParse detail::parse_thread_env(const char* value, unsigned& out) {
   return EnvParse::kValue;
 }
 
-unsigned pdes_threads() {
-  if (t_in_parallel_worker) return 0;  // replication-level parallelism wins
-  static bool warned = false;
-  const char* env = std::getenv("OCB_PDES_THREADS");
-  unsigned v = 0;
-  switch (detail::parse_thread_env(env, v)) {
-    case detail::EnvParse::kValue:
-      return v;
-    case detail::EnvParse::kMalformed:
-      warn_once(warned, "OCB_PDES_THREADS", env);
-      return 0;
-    case detail::EnvParse::kUnset:
-    case detail::EnvParse::kZero:
-      return 0;  // 0 and unset both mean "serial reference loop"
-  }
-  return 0;
-}
-
 unsigned sweep_threads() {
+  // Warn about a malformed value at most once per process: the getter runs
+  // once per sweep, and a warning per call would flood stderr on large grids.
   static bool warned = false;
   const char* env = std::getenv("OCB_SWEEP_THREADS");
   unsigned v = 0;
@@ -80,7 +37,13 @@ unsigned sweep_threads() {
     case detail::EnvParse::kValue:
       return v;
     case detail::EnvParse::kMalformed:
-      warn_once(warned, "OCB_SWEEP_THREADS", env);
+      if (!warned) {
+        warned = true;
+        std::fprintf(stderr,
+                     "warning: ignoring malformed OCB_SWEEP_THREADS='%s' (want "
+                     "a nonnegative integer); using the default\n",
+                     env);
+      }
       break;  // fall through to the hardware default, like unset
     case detail::EnvParse::kUnset:
     case detail::EnvParse::kZero:

@@ -10,23 +10,12 @@
 // order, never the completion order.
 //
 // Thread count comes from OCB_SWEEP_THREADS, else
-// std::thread::hardware_concurrency(). The two thread-count variables share
-// one grammar: unset and "0" both mean "the default" (hardware concurrency
-// for sweeps, disabled/serial for PDES), anything that is not a nonnegative
-// integer is malformed and falls back to that same default with a one-time
-// stderr warning. With one worker (or n <= 1 tasks) parallel_map
-// degenerates to a plain serial loop on the calling thread — the reference
-// behaviour the parallel path must reproduce.
-//
-// Thread-budget split vs. PDES (OCB_PDES_THREADS): the two knobs multiply,
-// so nesting them would oversubscribe the host. The rule is "replication
-// wins": chips built inside a parallel_map worker run with the serial
-// event loop (pdes_threads() returns 0 there, and BcastSession clamps even
-// explicit configs), while chips built outside — single measured runs, the
-// speed benches — get the PDES workers. Because PDES results are
-// bit-identical to serial, the clamp never changes a sweep's numbers.
-// When parallel_map itself degenerates to the serial loop (one worker or
-// n <= 1), no worker scope is entered and inner PDES stays available.
+// std::thread::hardware_concurrency(). Unset and "0" both mean the
+// hardware default; anything that is not a nonnegative integer is
+// malformed and falls back to that same default with a one-time stderr
+// warning. With one worker (or n <= 1 tasks) parallel_map degenerates to a
+// plain serial loop on the calling thread — the reference behaviour the
+// parallel path must reproduce.
 #pragma once
 
 #include <algorithm>
@@ -44,40 +33,16 @@ namespace ocb::harness {
 /// yield the hardware default (malformed warns once to stderr).
 unsigned sweep_threads();
 
-/// Worker count for conservative-PDES chip runs: OCB_PDES_THREADS if it
-/// parses to >= 1, else 0 (= the serial reference loop; "0", unset, and
-/// malformed values — the latter with a one-time warning). Returns 0 on a
-/// thread currently executing parallel_map tasks — the budget-split rule
-/// above.
-unsigned pdes_threads();
-
-/// True on a thread currently executing parallel_map tasks (including the
-/// calling thread while it participates in its own pool).
-bool in_parallel_map_worker();
-
 namespace detail {
-/// Shared grammar of the OCB_*_THREADS variables. kZero is distinct from
-/// kValue so callers can give "0" the same meaning as unset (sweeps:
-/// hardware default; PDES: disabled) instead of clamping it.
+/// Grammar of OCB_SWEEP_THREADS. kZero is distinct from kValue so the
+/// caller can give "0" the same meaning as unset (the hardware default)
+/// instead of clamping it.
 enum class EnvParse { kUnset, kZero, kValue, kMalformed };
 
 /// Strictly parses `value` (may be null = kUnset) as a nonnegative decimal
 /// integer; writes positive results to `out`. Trailing garbage, signs,
 /// empty strings, and overflow are kMalformed.
 EnvParse parse_thread_env(const char* value, unsigned& out);
-
-/// RAII worker-scope marker for parallel_map; restores the previous value
-/// so nested parallel_map calls unwind correctly.
-class ParallelWorkerScope {
- public:
-  ParallelWorkerScope();
-  ~ParallelWorkerScope();
-  ParallelWorkerScope(const ParallelWorkerScope&) = delete;
-  ParallelWorkerScope& operator=(const ParallelWorkerScope&) = delete;
-
- private:
-  bool prev_;
-};
 }  // namespace detail
 
 /// Runs fn(0..n-1) across `threads` workers (default sweep_threads());
@@ -106,7 +71,6 @@ auto parallel_map(std::size_t n, Fn&& fn, unsigned threads = 0)
   std::atomic<int> error_claim{0};
 
   auto worker = [&] {
-    const detail::ParallelWorkerScope scope;
     for (;;) {
       const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= n || failed.load(std::memory_order_relaxed)) return;

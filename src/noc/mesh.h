@@ -45,22 +45,6 @@ class Mesh {
   /// + die crossings * interposer extra latency).
   sim::Time reserve_path(sim::Time departure, TileCoord src, TileCoord dst);
 
-  /// Latency of an uncontended traversal crossing `routers` routers, all
-  /// hops on-die. Single-die topologies only have such traversals; for a
-  /// path that may cross dies use the (src, dst) overload.
-  sim::Duration uncontended_latency(int routers) const {
-    return static_cast<sim::Duration>(routers) * l_hop_;
-  }
-
-  /// Latency of an uncontended traversal from `src` to `dst`: one L_hop per
-  /// router plus the interposer extra for every die boundary crossed.
-  sim::Duration uncontended_latency(TileCoord src, TileCoord dst) const {
-    return static_cast<sim::Duration>(Topology::routers_traversed(src, dst)) *
-               l_hop_ +
-           static_cast<sim::Duration>(topology_.die_crossings(src, dst)) *
-               topology_.interposer_extra_latency();
-  }
-
   /// Awaitable: the calling coroutine "is" the packet; it resumes at the
   /// destination's arrival time.
   auto traverse(TileCoord src, TileCoord dst) {

@@ -213,18 +213,6 @@ class Topology {
   // --- links (directed edges between adjacent routers) --------------------
   int num_link_slots() const { return num_tiles_ * 4; }
 
-  // --- conservative-PDES partition ----------------------------------------
-  /// Lane of a tile for an `num_lanes`-lane PDES partition: contiguous
-  /// tile-index ranges, lane = tile·lanes/num_tiles. On the SCC (24 tiles,
-  /// 8 lanes) this is tile/3 = core/6 — the historical partition,
-  /// bit-identical. Monotone in tile index by construction, so every lane
-  /// is a contiguous tile group whatever the mesh shape.
-  unsigned pdes_lane_of_tile_index(int tile_index, unsigned num_lanes) const {
-    return static_cast<unsigned>(
-        (static_cast<std::uint64_t>(tile_index) * num_lanes) /
-        static_cast<std::uint64_t>(num_tiles_));
-  }
-
   // --- identity / serialization -------------------------------------------
   const Spec& spec() const { return spec_; }
   friend bool operator==(const Topology& a, const Topology& b) {

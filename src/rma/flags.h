@@ -116,9 +116,7 @@ sim::Task<FlagValue> read_flag(scc::Core& self, MpbAddr flag);
 /// The epoch capture (mpb_read_line's `epoch_out`) closes the
 /// read-response window: the line's value is sampled at the owner's MPB,
 /// but the poller only learns it one mesh traversal later — a store
-/// landing in between must not be lost. The trigger reference is taken
-/// AFTER the read each iteration: under PDES the chain then rests on the
-/// line's home lane, making the park below lane-local and race-free.
+/// landing in between must not be lost.
 template <typename Pred>
 sim::Task<FlagValue> wait_flag(scc::Core& self, MpbAddr flag, Pred pred) {
   note_flag_wait(self, flag);

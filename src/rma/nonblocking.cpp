@@ -112,12 +112,6 @@ sim::Task<bool> AsyncTwoSided::test(scc::Core& self, Request& request) {
 }
 
 sim::Task<void> AsyncTwoSided::wait(scc::Core& self, Request& request) {
-  // Serial-only: the probe below samples a foreign line's epoch from
-  // whatever lane the chain rests on, and test() walks multi-peer state
-  // that has no single home lane. Not reachable from the PDES-eligible
-  // workloads (registry collectives); revisit if that changes.
-  OCB_REQUIRE(!self.chip().pdes_active(),
-              "AsyncTwoSided::wait requires the serial event loop");
   for (;;) {
     // Park on the flag line the request is stalled on; the epoch capture
     // closes the probe/park window exactly as rma::wait_flag does.

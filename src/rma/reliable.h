@@ -49,8 +49,7 @@ sim::Task<std::optional<FlagValue>> wait_flag_watchdog(scc::Core& self,
     const sim::Time now = self.now();
     if (now >= deadline) co_return std::nullopt;
     self.set_wait_note("flag-watchdog", flag.owner, static_cast<int>(flag.line));
-    // Trigger reference taken after the read (home-lane under PDES; see
-    // rma::wait_flag).
+    // Trigger reference taken after the read (see rma::wait_flag).
     sim::Trigger& trigger = self.chip().mpb(flag.owner).line_trigger(flag.line);
     const bool woken = co_await trigger.wait_for(deadline - now, epoch);
     self.set_wait_note("running");

@@ -1,9 +1,6 @@
 #include "scc/chip.h"
 
-#include <algorithm>
-
 #include "common/require.h"
-#include "noc/lookahead.h"
 #include "scc/bulk.h"
 
 namespace ocb::scc {
@@ -11,18 +8,6 @@ namespace ocb::scc {
 SccChip::SccChip(const SccConfig& config) : config_(config) {
   config_.validate();
   const noc::Topology& topo = config_.topology;
-  // PDES partition invariant: the topology's lane map must cover every lane
-  // monotonically so each lane is one contiguous tile range (the event key
-  // space depends on it; see DESIGN.md §11). Guaranteed by construction of
-  // pdes_lane_of_tile_index, but cheap to pin down here — this is what the
-  // old id/6 split silently violated on non-6-column meshes.
-  for (int t = 1; t < topo.num_tiles(); ++t) {
-    OCB_ENSURE(lane_of_tile_index(t) >= lane_of_tile_index(t - 1),
-               "PDES lane map must be monotone in tile index");
-  }
-  OCB_ENSURE(lane_of_tile_index(topo.num_tiles() - 1) <
-                 sim::Engine::kMaxLanes,
-             "PDES lane map exceeds the engine's lane count");
   refresh_coalescing();
   mesh_ = std::make_unique<noc::Mesh>(engine_, topo, config_.l_hop,
                                       config_.link_occupancy);
@@ -173,37 +158,12 @@ void SccChip::spawn(CoreId id, std::function<sim::Task<void>(Core&)> program) {
   OCB_REQUIRE(static_cast<bool>(program), "empty core program");
   Core& c = core(id);
   engine_.spawn(invoke_program(std::move(program), c), &SccChip::describe_core,
-                &c, lane_of_core(id));
-}
-
-sim::Duration SccChip::pdes_lookahead() const {
-  const sim::Duration min_entry =
-      std::min({config_.o_mpb_core, config_.o_ipi_send, config_.o_mem_core_read,
-                config_.o_mem_core_write});
-  return noc::conservative_lookahead(min_entry, config_.l_hop);
-}
-
-bool SccChip::pdes_eligible(std::uint64_t max_events) const {
-  return config_.pdes_threads > 0 && config_.jitter == 0 && !observing() &&
-         !dynamic_spawning_ && max_events == UINT64_MAX &&
-         pdes_lookahead() > 0;
+                &c);
 }
 
 sim::RunResult SccChip::run(std::uint64_t max_events) {
   const BulkObserverStats before = bulk_stats_;
-  sim::RunResult result;
-  if (!pdes_eligible(max_events)) {
-    result = engine_.run(max_events);
-  } else {
-    pdes_active_ = true;
-    try {
-      result = engine_.run_pdes(config_.pdes_threads, pdes_lookahead());
-      pdes_active_ = false;
-    } catch (...) {
-      pdes_active_ = false;
-      throw;
-    }
-  }
+  sim::RunResult result = engine_.run(max_events);
   result.bulk_ops = bulk_stats_.ops - before.ops;
   result.bulk_ops_observed = bulk_stats_.ops_observed - before.ops_observed;
   result.bulk_quiescent_ops = bulk_stats_.quiescent_ops - before.quiescent_ops;

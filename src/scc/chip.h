@@ -67,52 +67,8 @@ class SccChip {
   /// safe).
   void spawn(CoreId id, std::function<sim::Task<void>(Core&)> program);
 
-  /// Runs the event loop to completion; see sim::Engine::run. When
-  /// config().pdes_threads > 0 and the run is eligible (see
-  /// pdes_eligible()), drains the chip with the conservative-PDES window
-  /// loop instead of the serial reference loop — bit-identical results at
-  /// any thread count.
+  /// Runs the event loop to completion; see sim::Engine::run.
   sim::RunResult run(std::uint64_t max_events = UINT64_MAX);
-
-  // --- conservative PDES (parallel chip runs) -----------------------------
-
-  /// Partition map: contiguous tile-index ranges over kMaxLanes lanes,
-  /// derived from the topology (on the SCC: 3 tiles = 6 cores per lane,
-  /// the historical id/6 split, bit-identical). Fixed regardless of worker
-  /// count — the partition is part of the event key space, not of the
-  /// execution policy. The monotone-contiguity invariant is OCB_REQUIREd at
-  /// chip construction.
-  unsigned lane_of_core(CoreId id) const {
-    return lane_of_tile_index(config_.topology.tile_index_of_core(id));
-  }
-  unsigned lane_of_tile_index(int tile_index) const {
-    return config_.topology.pdes_lane_of_tile_index(tile_index,
-                                                    sim::Engine::kMaxLanes);
-  }
-  unsigned lane_of_tile(noc::TileCoord tile) const {
-    return lane_of_tile_index(config_.topology.tile_index(tile));
-  }
-
-  /// True while a PDES run is draining the chip (any worker count,
-  /// including 1). Core transaction primitives branch on this to fuse
-  /// their cross-lane edges; rma keeps BulkOp coalescing off it.
-  bool pdes_active() const { return pdes_active_; }
-
-  /// Safety-window width for this chip's configuration: the cheapest
-  /// cross-partition edge (see noc/lookahead.h).
-  sim::Duration pdes_lookahead() const;
-
-  /// Whether a run with `max_events` could use the PDES loop. Serial
-  /// fallbacks (all deterministic, thread-count-independent): observers
-  /// installed (checked/traced/fault runs), nonzero jitter, a bounded
-  /// event budget, or a workload that spawns processes mid-run (the
-  /// broadcast service — see note_dynamic_spawning).
-  bool pdes_eligible(std::uint64_t max_events) const;
-
-  /// Marks the chip as hosting a workload that spawns processes while the
-  /// engine is running (svc::BroadcastService). Such workloads always use
-  /// the serial loop; the flag is sticky for the chip's lifetime.
-  void note_dynamic_spawning() { dynamic_spawning_ = true; }
 
   // --- instrumentation: the TransactionObserver chain ---------------------
 
@@ -165,11 +121,8 @@ class SccChip {
   /// DESIGN.md "Fast-path transaction coalescing" for the bypass
   /// conditions). Requires config.coalescing, zero jitter, and every
   /// installed observer to be bulk-capable (supports_bulk()); re-evaluated
-  /// whenever the observer chain changes; always off during a PDES run
-  /// (the closed-form path peeks at the global event queue, and the
-  /// event-parity chain reproduces *serial* seq allocation — both are
-  /// meaningless under lane-partitioned keys).
-  bool coalescing_active() const { return coalescing_active_ && !pdes_active_; }
+  /// whenever the observer chain changes.
+  bool coalescing_active() const { return coalescing_active_; }
 
   /// Acquires an idle fast-path engine for one multi-line RMA op, or
   /// nullptr when the op must take the per-line reference path instead:
@@ -285,8 +238,6 @@ class SccChip {
   TraceSinkObserver trace_observer_;
   std::vector<bool> crash_notified_;
   bool coalescing_active_ = false;
-  bool pdes_active_ = false;
-  bool dynamic_spawning_ = false;
 };
 
 }  // namespace ocb::scc

@@ -110,15 +110,6 @@ struct SccConfig {
   /// Seed for all per-core RNG streams (payloads, jitter).
   std::uint64_t seed = 0x5cc'0c'bca57ULL;
 
-  /// Worker threads for conservative-PDES chip runs (0 = serial reference
-  /// loop). Results are bit-identical for every value; the count is
-  /// clamped to the fixed 8-lane partition, and ineligible runs (observers,
-  /// jitter, bounded event budgets, mid-run spawns) fall back to the serial
-  /// loop deterministically. See DESIGN.md §11. Harness entry points
-  /// populate this from OCB_PDES_THREADS; nested use under parallel_map
-  /// drops to serial (replication-level parallelism wins).
-  unsigned pdes_threads = 0;
-
   /// Per-core private memory growth cap.
   std::size_t private_memory_limit = 64u << 20;
 

@@ -169,31 +169,6 @@ sim::Task<void> Core::mpb_read_line(CoreId owner, std::size_t line, CacheLine& o
                                     std::uint64_t* epoch_out) {
   const SccConfig& cfg = chip_->config();
   const noc::TileCoord owner_tile = chip_->topology().tile_of_core(owner);
-  if (chip_->pdes_active()) {
-    // Fused remote entry: core-side overhead + uncontended request
-    // traversal as ONE event, landing on the line's home lane. Same
-    // completion times as the serial path (jitter is zero under PDES and
-    // the mesh never queues a link in this regime); one event fewer per
-    // crossing; latency >= the run's lookahead by construction.
-    const sim::Duration wire = chip_->mesh().uncontended_latency(tile_, owner_tile);
-    co_await chip_->engine().hop(chip_->lane_of_tile(owner_tile),
-                                 now() + cfg.o_mpb_core + wire);
-    if (owner == id_ && !cfg.local_mpb_uses_port) {
-      co_await chip_->engine().sleep(cfg.t_mpb_port);
-    } else {
-      co_await chip_->mpb_port(chip_->topology().tile_index_of_core(owner))
-          .use(cfg.t_mpb_port, /*priority=*/id_);
-    }
-    // Epoch and value are read together at the access point, on the home
-    // lane — the chain rests here afterwards, so a subsequent park on the
-    // line's trigger is lane-local and race-free.
-    if (epoch_out != nullptr) {
-      *epoch_out = chip_->mpb(owner).line_trigger(line).epoch();
-    }
-    out = chip_->mpb(owner).load(line);
-    co_await chip_->engine().sleep(wire);  // response traversal, lane-local
-    co_return;
-  }
   if (epoch_out != nullptr) {
     *epoch_out = chip_->mpb(owner).line_trigger(line).epoch();
   }
@@ -224,23 +199,6 @@ sim::Task<void> Core::mpb_read_line(CoreId owner, std::size_t line, CacheLine& o
 sim::Task<void> Core::mpb_write_line(CoreId owner, std::size_t line, CacheLine value) {
   const SccConfig& cfg = chip_->config();
   const noc::TileCoord owner_tile = chip_->topology().tile_of_core(owner);
-  if (chip_->pdes_active()) {
-    const sim::Duration wire = chip_->mesh().uncontended_latency(tile_, owner_tile);
-    co_await chip_->engine().hop(chip_->lane_of_tile(owner_tile),
-                                 now() + cfg.o_mpb_core + wire);
-    if (owner == id_ && !cfg.local_mpb_uses_port) {
-      co_await chip_->engine().sleep(cfg.t_mpb_port);
-    } else {
-      co_await chip_->mpb_port(chip_->topology().tile_index_of_core(owner))
-          .use(cfg.t_mpb_port, /*priority=*/id_);
-    }
-    // Visibility (store + trigger fire) on the home lane, one response
-    // traversal before the writer's completion — Formula 1 vs Formula 2,
-    // same as the serial path below.
-    chip_->mpb(owner).store(line, value);
-    co_await chip_->engine().sleep(wire);
-    co_return;
-  }
   if (chip_->observing()) co_await observer_gate();
   const sim::Time t0 = now();
   co_await core_overhead(cfg.o_mpb_core);
@@ -269,24 +227,6 @@ sim::Task<void> Core::mpb_write_line(CoreId owner, std::size_t line, CacheLine v
 
 sim::Task<void> Core::mem_read_line(std::size_t offset, CacheLine& out) {
   const SccConfig& cfg = chip_->config();
-  if (chip_->pdes_active()) {
-    // Cache, LRU state, and the private memory belong to this core's one
-    // chain — safe from whichever lane the chain currently rests on. Only
-    // the shared memory-controller bank forces a hop to the MC's lane.
-    if (cfg.cache_enabled && cache_.lookup(offset)) {
-      co_await core_overhead(cfg.o_cache_hit);
-      out = chip_->memory(id_).load(offset);
-      co_return;
-    }
-    const sim::Duration wire = chip_->mesh().uncontended_latency(tile_, mc_tile_);
-    co_await chip_->engine().hop(chip_->lane_of_tile(mc_tile_),
-                                 now() + cfg.o_mem_core_read + wire);
-    co_await chip_->mc_port(mc_index_).use(cfg.t_mc_port, id_);
-    out = chip_->memory(id_).load(offset);
-    if (cfg.cache_enabled) cache_.insert(offset);
-    co_await chip_->engine().sleep(wire);
-    co_return;
-  }
   if (chip_->observing()) co_await observer_gate();
   const sim::Time t0 = now();
   if (cfg.cache_enabled && cache_.lookup(offset)) {
@@ -314,16 +254,6 @@ sim::Task<void> Core::mem_read_line(std::size_t offset, CacheLine& out) {
 
 sim::Task<void> Core::mem_write_line(std::size_t offset, CacheLine value) {
   const SccConfig& cfg = chip_->config();
-  if (chip_->pdes_active()) {
-    const sim::Duration wire = chip_->mesh().uncontended_latency(tile_, mc_tile_);
-    co_await chip_->engine().hop(chip_->lane_of_tile(mc_tile_),
-                                 now() + cfg.o_mem_core_write + wire);
-    co_await chip_->mc_port(mc_index_).use(cfg.t_mc_port, id_);
-    chip_->memory(id_).store(offset, value);
-    if (cfg.cache_enabled) cache_.insert(offset);
-    co_await chip_->engine().sleep(wire);
-    co_return;
-  }
   if (chip_->observing()) co_await observer_gate();
   const sim::Time t0 = now();
   // Write-through with allocate: the written line is warm afterwards (the
@@ -353,19 +283,6 @@ sim::Task<void> Core::core_overhead(sim::Duration d) {
 sim::Task<void> Core::send_interrupt(CoreId target) {
   chip_->topology().require_core(target);
   const SccConfig& cfg = chip_->config();
-  if (chip_->pdes_active()) {
-    // Interrupt state (pending count + trigger) is confined to the
-    // target's home lane: the send hops there, and wait/poll require the
-    // target chain to be resting there (see below).
-    const noc::TileCoord target_tile = chip_->topology().tile_of_core(target);
-    const sim::Duration wire = chip_->mesh().uncontended_latency(tile_, target_tile);
-    co_await chip_->engine().hop(chip_->lane_of_core(target),
-                                 now() + cfg.o_ipi_send + wire);
-    co_await chip_->engine().sleep(cfg.t_ipi_service);
-    chip_->core(target).raise_interrupt();
-    co_await chip_->engine().sleep(wire);
-    co_return;
-  }
   if (chip_->observing()) co_await observer_gate();
   co_await core_overhead(cfg.o_ipi_send);
   co_await chip_->mesh().traverse(tile_, chip_->topology().tile_of_core(target));
@@ -378,11 +295,6 @@ sim::Task<void> Core::send_interrupt(CoreId target) {
 }
 
 sim::Task<void> Core::wait_interrupt() {
-  if (chip_->pdes_active()) {
-    OCB_REQUIRE(chip_->engine().current_lane() == chip_->lane_of_core(id_),
-                "wait_interrupt under PDES requires the chain to rest on the "
-                "core's home lane (interrupt state is lane-confined)");
-  }
   if (chip_->observing()) co_await observer_gate();
   set_wait_note("irq-wait");
   while (irq_pending_ == 0) {
@@ -397,11 +309,6 @@ sim::Task<void> Core::wait_interrupt() {
 }
 
 sim::Task<bool> Core::poll_interrupt() {
-  if (chip_->pdes_active()) {
-    OCB_REQUIRE(chip_->engine().current_lane() == chip_->lane_of_core(id_),
-                "poll_interrupt under PDES requires the chain to rest on the "
-                "core's home lane (interrupt state is lane-confined)");
-  }
   if (chip_->observing()) co_await observer_gate();
   co_await core_overhead(chip_->config().o_irq_check);
   if (irq_pending_ == 0) co_return false;

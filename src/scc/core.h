@@ -102,14 +102,9 @@ class Core {
   /// Completion: o_mpb + 2d*L_hop (Formula 3).
   ///
   /// `epoch_out` (optional) additionally samples the line's trigger epoch
-  /// for the read-then-park flag-wait pattern (rma::wait_flag et al.). In
-  /// the serial loop it is sampled before the transaction starts — exactly
-  /// where those loops used to sample it inline. Under PDES it is sampled
-  /// at the MPB access itself, on the line's home lane: sampling a foreign
-  /// lane's trigger from the requester's lane would race, and the only
-  /// observable difference is that a store landing during the request
-  /// flight is seen by this read directly instead of via one extra retry
-  /// read (certified empirically by tests/pdes_equivalence_test.cpp).
+  /// for the read-then-park flag-wait pattern (rma::wait_flag et al.). It
+  /// is sampled before the transaction starts, so a store landing any time
+  /// after that moves the epoch and the caller's park returns at once.
   sim::Task<void> mpb_read_line(CoreId owner, std::size_t line, CacheLine& out,
                                 std::uint64_t* epoch_out = nullptr);
 

@@ -43,26 +43,6 @@ void Trigger::arm_timeout(TimedWait* tw, Duration timeout) {
 }
 
 bool Rendezvous::suspend(std::coroutine_handle<> h) {
-  if (engine_->pdes_running()) {
-    // Key and arrival time are captured on the arriving lane — both are
-    // deterministic properties of the arrival event itself. Only the
-    // bookkeeping below is cross-thread.
-    const std::uint64_t key = engine_->reserve_key();
-    const Time t = engine_->now();
-    std::lock_guard<std::mutex> lock(pdes_mu_);
-    pdes_waiters_.push_back(PdesArrival{h, key, t});
-    if (pdes_waiters_.size() == parties_) {
-      Time fire = 0;
-      for (const PdesArrival& w : pdes_waiters_) {
-        if (w.t > fire) fire = w.t;
-      }
-      for (const PdesArrival& w : pdes_waiters_) {
-        engine_->schedule_at_boundary(w.key, fire, w.h);
-      }
-      pdes_waiters_.clear();
-    }
-    return true;
-  }
   waiters_.push_back(h);
   if (waiters_.size() == parties_) {
     // Complete round: wake everyone (including this arriver).

@@ -11,7 +11,6 @@
 #include <coroutine>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "sim/engine.h"
@@ -126,16 +125,6 @@ class Trigger {
 /// measurement iterations with this instead of a real flag barrier so that
 /// barrier traffic never pollutes the measured interval (the real RMA
 /// barrier lives in rma/barrier.h).
-///
-/// Under a PDES run the arrivals execute on different lanes, so the round
-/// is completed differently: each arrival records its own deterministic
-/// event key and arrival time under a mutex, and the completing arrival
-/// defers the wakes to the window boundary (Engine::schedule_at_boundary).
-/// The fire time (max over arrival times) and every wake's key depend only
-/// on the arrivals themselves — never on which worker observed the N-th
-/// one — so the round is bit-identical at any thread count. Identical to
-/// the serial semantics: in a serial run the N-th arrival is always the
-/// latest-timed one, and wakes resume in arrival order there too.
 class Rendezvous {
  public:
   Rendezvous(Engine& engine, std::size_t parties)
@@ -159,19 +148,11 @@ class Rendezvous {
   std::size_t waiting() const { return waiters_.size(); }
 
  private:
-  struct PdesArrival {
-    std::coroutine_handle<> h;
-    std::uint64_t key;
-    Time t;
-  };
-
   bool suspend(std::coroutine_handle<> h);
 
   Engine* engine_;
   std::size_t parties_;
   std::vector<std::coroutine_handle<>> waiters_;
-  std::mutex pdes_mu_;
-  std::vector<PdesArrival> pdes_waiters_;
 };
 
 }  // namespace ocb::sim

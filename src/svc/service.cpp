@@ -165,11 +165,6 @@ BroadcastService::BroadcastService(const ServiceConfig& config)
       chip_(std::make_unique<scc::SccChip>(config.chip)),
       allocator_(0, config.slot_lines, config.slots),
       chunk_lines_(derive_chunk_lines(config)) {
-  // The dispatcher spawns participant coroutines while the engine is
-  // already draining — PDES windows cannot absorb mid-run root injection,
-  // so service chips always use the serial loop (deterministically, at
-  // every OCB_PDES_THREADS value).
-  chip_->note_dynamic_spawning();
   if (config_.check || env_check_enabled()) {
     checker_ = std::make_unique<check::RaceChecker>(*chip_);
     chip_->add_observer(checker_.get());

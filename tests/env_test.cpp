@@ -1,11 +1,9 @@
 // Thread-count environment variable semantics (harness/parallel.h).
 //
-// OCB_SWEEP_THREADS and OCB_PDES_THREADS share one grammar: unset and "0"
-// mean the default (hardware concurrency for sweeps, serial loop for PDES),
-// malformed values warn once and fall back to that same default, positive
-// integers are taken literally. Regression: "0" used to be malformed for
-// OCB_SWEEP_THREADS and silently clamped to 1 worker instead of matching
-// unset.
+// OCB_SWEEP_THREADS: unset and "0" mean the hardware default, malformed
+// values warn once and fall back to that same default, positive integers
+// are taken literally. Regression: "0" used to be malformed and silently
+// clamped to 1 worker instead of matching unset.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -26,14 +24,8 @@ unsigned hardware_default() {
 
 class EnvVars : public ::testing::Test {
  protected:
-  void SetUp() override {
-    unsetenv("OCB_SWEEP_THREADS");
-    unsetenv("OCB_PDES_THREADS");
-  }
-  void TearDown() override {
-    unsetenv("OCB_SWEEP_THREADS");
-    unsetenv("OCB_PDES_THREADS");
-  }
+  void SetUp() override { unsetenv("OCB_SWEEP_THREADS"); }
+  void TearDown() override { unsetenv("OCB_SWEEP_THREADS"); }
 };
 
 TEST(EnvParseGrammar, Classification) {
@@ -71,24 +63,6 @@ TEST_F(EnvVars, SweepMalformedFallsBackToDefault) {
 TEST_F(EnvVars, SweepExplicitValueWins) {
   ASSERT_EQ(setenv("OCB_SWEEP_THREADS", "3", /*overwrite=*/1), 0);
   EXPECT_EQ(sweep_threads(), 3u);
-}
-
-TEST_F(EnvVars, PdesZeroUnsetAndMalformedAllDisable) {
-  EXPECT_EQ(pdes_threads(), 0u);
-  ASSERT_EQ(setenv("OCB_PDES_THREADS", "0", /*overwrite=*/1), 0);
-  EXPECT_EQ(pdes_threads(), 0u);
-  ASSERT_EQ(setenv("OCB_PDES_THREADS", "4x", /*overwrite=*/1), 0);
-  EXPECT_EQ(pdes_threads(), 0u);
-  ASSERT_EQ(setenv("OCB_PDES_THREADS", "4", /*overwrite=*/1), 0);
-  EXPECT_EQ(pdes_threads(), 4u);
-}
-
-TEST_F(EnvVars, ParallelMapWorkerScopeStillWins) {
-  ASSERT_EQ(setenv("OCB_PDES_THREADS", "4", /*overwrite=*/1), 0);
-  // Inside a parallel_map worker the PDES budget is forfeited regardless of
-  // the environment (replication-level parallelism wins).
-  const detail::ParallelWorkerScope scope;
-  EXPECT_EQ(pdes_threads(), 0u);
 }
 
 }  // namespace

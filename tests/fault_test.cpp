@@ -48,10 +48,14 @@ TEST(FaultInjector, IdenticalPlanGivesBitIdenticalTimeline) {
   spec.plan.crashes.push_back({.core = 3, .at = 20 * sim::kMicrosecond});
   const harness::FaultRunOutcome a = run_fault_once(spec);
   const harness::FaultRunOutcome b = run_fault_once(spec);
+  EXPECT_TRUE(a.all_survivors_correct());
   EXPECT_EQ(a.events, b.events);
   EXPECT_EQ(a.latency_us, b.latency_us);
+  EXPECT_EQ(a.injections.total(), b.injections.total());
   EXPECT_EQ(a.injections.reads_corrupted, b.injections.reads_corrupted);
   EXPECT_EQ(a.injections.crashes_applied, b.injections.crashes_applied);
+  EXPECT_EQ(a.drained, b.drained);
+  EXPECT_EQ(a.gave_up, b.gave_up);
   EXPECT_EQ(a.correct, b.correct);
   // And a different seed perturbs the timeline (the corruption sites move).
   spec.plan.seed = 8;

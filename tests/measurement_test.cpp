@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/measurement.h"
+#include "harness/parallel.h"
 #include "harness/report.h"
 #include "harness/sweep.h"
 #include "model/primitives.h"
@@ -71,6 +72,26 @@ TEST(BcastSession, ReuseMatchesFreshChip) {
   // event counts are per-call deltas.
   EXPECT_GT(second.end_time, first.end_time);
   EXPECT_EQ(first.events, fresh.events);
+}
+
+TEST(RunBroadcast, ParallelMapMatchesSerial) {
+  // Replicated runs share no mutable state, so a run inside a parallel_map
+  // worker reproduces the same run on the calling thread exactly.
+  BcastRunSpec spec;
+  spec.algorithm_name = "binomial";
+  spec.message_bytes = 8 * 32;
+  spec.iterations = 1;
+  spec.warmup = 0;
+  const BcastRunResult serial = run_broadcast(spec);
+  const std::vector<BcastRunResult> replicated = parallel_map(
+      2, [&](std::size_t) { return run_broadcast(spec); }, /*threads=*/2);
+  for (const BcastRunResult& r : replicated) {
+    EXPECT_TRUE(r.content_ok);
+    EXPECT_EQ(r.end_time, serial.end_time);
+    EXPECT_EQ(r.events, serial.events);
+    ASSERT_EQ(r.latency_us.count(), serial.latency_us.count());
+    EXPECT_DOUBLE_EQ(r.latency_us.samples()[0], serial.latency_us.samples()[0]);
+  }
 }
 
 TEST(RunBroadcast, AllAlgorithmsVerify) {

@@ -3,21 +3,17 @@
 // Four contracts are gated here:
 //  * Topology::scc() reproduces the legacy global-constant geometry
 //    bit-for-bit: tile/core maps, the quadrant memory-controller
-//    assignment, distances, and the historical id/6 PDES lane partition.
-//    (The timeline-level half of this gate — fig4 / fault_test /
-//    trace_timeline byte-identity — runs in CI against captured
-//    baselines.)
+//    assignment, and distances. (The timeline-level half of this gate —
+//    fig4 / fault_test / trace_timeline byte-identity — runs in CI against
+//    captured baselines.)
 //  * Non-default meshes validate: out-of-range cores/tiles are rejected
-//    with the chip's own bounds, not the SCC's, and the PDES lane
-//    partition stays monotone-contiguous on meshes where the old id/6
-//    split would silently mis-partition (tile counts not divisible by the
-//    lane count).
+//    with the chip's own bounds, not the SCC's.
 //  * The "ocb-topology-v1" JSON record round-trips, and parse() accepts
 //    the bench-flag spellings.
 //  * Chips built from non-SCC topologies actually run: OC-Bcast delivers
-//    on a 16x16 mesh, serial and PDES timelines stay in parity there, and
-//    the hierarchical broadcast delivers on a multi-die chip for roots on
-//    any die.
+//    on a 16x16 mesh and on a 5x5 mesh (not 6 columns wide), and the
+//    hierarchical broadcast delivers on a multi-die chip for roots on any
+//    die.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -31,7 +27,6 @@
 #include "noc/memctrl.h"
 #include "noc/topology.h"
 #include "scc/chip.h"
-#include "sim/engine.h"
 
 namespace ocb {
 namespace {
@@ -75,13 +70,6 @@ TEST(TopologyScc, GeometryShimsForwardToScc) {
   }
 }
 
-TEST(TopologyScc, PdesLanePartitionIsTheHistoricalIdOverSix) {
-  scc::SccChip chip;
-  for (CoreId c = 0; c < kNumCores; ++c) {
-    EXPECT_EQ(chip.lane_of_core(c), static_cast<unsigned>(c / 6)) << c;
-  }
-}
-
 // --- non-default meshes ----------------------------------------------------
 
 TEST(TopologyMesh, OutOfRangeUsesTheChipsOwnBounds) {
@@ -110,29 +98,6 @@ TEST(TopologyMesh, RejectsDegenerateSpecs) {
   Topology::Spec bad_mc;
   bad_mc.mc_tiles_per_die = {TileCoord{6, 0}};  // outside the 6x4 die
   EXPECT_THROW(Topology{bad_mc}, PreconditionError);
-}
-
-TEST(TopologyMesh, LanePartitionMonotoneOnAwkwardMeshes) {
-  // The legacy id/6 split assumed 6 tile columns; a 5x5 mesh (25 tiles,
-  // not divisible by 8 lanes) must still partition into monotone
-  // contiguous lane ranges covering all lanes that get tiles.
-  for (const auto& topo :
-       {Topology::mesh(5, 5), Topology::mesh(3, 1, 1), Topology::mesh(16, 16)}) {
-    scc::SccConfig cfg;
-    cfg.topology = topo;
-    scc::SccChip chip(cfg);  // OCB_ENSUREs monotone-contiguity internally
-    unsigned prev = 0;
-    for (int tile = 0; tile < topo.num_tiles(); ++tile) {
-      const unsigned lane = chip.lane_of_tile_index(tile);
-      EXPECT_LT(lane, sim::Engine::kMaxLanes);
-      EXPECT_GE(lane, prev) << "lane map must be monotone in tile index";
-      prev = lane;
-    }
-    for (CoreId c = 0; c < topo.num_cores(); ++c) {
-      EXPECT_EQ(chip.lane_of_core(c),
-                chip.lane_of_tile_index(topo.tile_index_of_core(c)));
-    }
-  }
 }
 
 // --- dies ------------------------------------------------------------------
@@ -206,14 +171,40 @@ TEST(TopologyParse, BenchFlagSpellings) {
 
 // --- chips on non-SCC topologies ------------------------------------------
 
+void seed(scc::SccChip& chip, CoreId core, std::size_t bytes) {
+  auto w = chip.memory(core).host_bytes(0, bytes);
+  for (std::size_t i = 0; i < bytes; ++i) {
+    w[i] = static_cast<std::byte>((i * 131 + 17 + (i >> 7)) & 0xff);
+  }
+}
+
+/// Runs one `bcast` round from `root` over every core of `chip`; true when
+/// the run completes and every core holds the root's bytes.
+bool delivers(scc::SccChip& chip, coll::Collective& bcast, CoreId root,
+              std::size_t bytes) {
+  const int cores = chip.num_cores();
+  seed(chip, root, bytes);
+  for (CoreId c = 0; c < cores; ++c) {
+    chip.spawn(c, [&bcast, root, bytes](scc::Core& me) -> sim::Task<void> {
+      co_await bcast.run(me, root, 0, bytes);
+    });
+  }
+  if (!chip.run().completed()) return false;
+  const auto want = chip.memory(root).host_bytes(0, bytes);
+  for (CoreId c = 0; c < cores; ++c) {
+    if (c == root) continue;
+    const auto got = chip.memory(c).host_bytes(0, bytes);
+    if (!std::equal(want.begin(), want.end(), got.begin())) return false;
+  }
+  return true;
+}
+
 harness::BcastRunResult run_on_mesh(const std::string& algo,
-                                    const Topology& topo,
-                                    unsigned pdes_threads) {
+                                    const Topology& topo) {
   harness::BcastRunSpec spec;
   spec.algorithm_name = algo;
   spec.params.parties = 0;  // all cores of the chip
   spec.config.topology = topo;
-  spec.config.pdes_threads = pdes_threads;
   spec.message_bytes = 64 * kCacheLineBytes;
   spec.iterations = 2;
   spec.warmup = 1;
@@ -222,40 +213,23 @@ harness::BcastRunResult run_on_mesh(const std::string& algo,
 
 TEST(TopologyChips, OcBcastDeliversOn256CoreMesh) {
   const Topology t = Topology::mesh(16, 16, /*cores_per_tile=*/1);
-  const harness::BcastRunResult run = run_on_mesh("ocbcast", t, 0);
+  const harness::BcastRunResult run = run_on_mesh("ocbcast", t);
   EXPECT_TRUE(run.content_ok);
   EXPECT_GT(run.latency_us.mean(), 0.0);
 }
 
-TEST(TopologyChips, PdesParityOnNonSccMesh) {
-  // Satellite of the lane-partition fix: the 5x5 mesh is exactly the
-  // shape the old id/6 split mis-partitioned. Serial vs PDES must agree
-  // to the usual sub-1% link-serialization haircut, and pdes(N) must be
-  // bit-identical to pdes(1).
-  const Topology t = Topology::mesh(5, 5);
-  const harness::BcastRunResult serial = run_on_mesh("ocbcast", t, 0);
-  const harness::BcastRunResult one = run_on_mesh("ocbcast", t, 1);
-  const harness::BcastRunResult four = run_on_mesh("ocbcast", t, 4);
-  ASSERT_TRUE(serial.content_ok);
-  ASSERT_TRUE(one.content_ok);
-  ASSERT_TRUE(four.content_ok);
-  EXPECT_EQ(one.pdes_threads, 1u);
-  EXPECT_EQ(four.pdes_threads, 4u);
-  EXPECT_EQ(one.end_time, four.end_time);
-  EXPECT_EQ(one.events, four.events);
-  EXPECT_NEAR(static_cast<double>(one.end_time),
-              static_cast<double>(serial.end_time),
-              0.01 * static_cast<double>(serial.end_time));
+TEST(TopologyChips, OcBcastDeliversOnNonSixColumnMesh) {
+  // A 5x5 mesh: 25 tiles, no 6-column rows anywhere in the floorplan.
+  scc::SccConfig cfg;
+  cfg.topology = Topology::mesh(5, 5);
+  scc::SccChip chip(cfg);
+  coll::Params params;
+  params.parties = 0;  // all 50 cores
+  auto bcast = coll::make("ocbcast", chip, params);
+  EXPECT_TRUE(delivers(chip, *bcast, /*root=*/7, 64 * kCacheLineBytes));
 }
 
 // --- hierarchical broadcast ------------------------------------------------
-
-void seed(scc::SccChip& chip, CoreId core, std::size_t bytes) {
-  auto w = chip.memory(core).host_bytes(0, bytes);
-  for (std::size_t i = 0; i < bytes; ++i) {
-    w[i] = static_cast<std::byte>((i * 131 + 17 + (i >> 7)) & 0xff);
-  }
-}
 
 bool hier_delivers(const Topology& topo, CoreId root, std::size_t bytes,
                    int die_k = 4) {
@@ -265,20 +239,7 @@ bool hier_delivers(const Topology& topo, CoreId root, std::size_t bytes,
   core::HierarchicalBcastOptions opt;
   opt.die_k = die_k;
   core::HierarchicalBcast bcast(chip, opt);
-  seed(chip, root, bytes);
-  for (CoreId c = 0; c < topo.num_cores(); ++c) {
-    chip.spawn(c, [&bcast, root, bytes](scc::Core& me) -> sim::Task<void> {
-      co_await bcast.run(me, root, 0, bytes);
-    });
-  }
-  if (!chip.run().completed()) return false;
-  const auto want = chip.memory(root).host_bytes(0, bytes);
-  for (CoreId c = 0; c < topo.num_cores(); ++c) {
-    if (c == root) continue;
-    const auto got = chip.memory(c).host_bytes(0, bytes);
-    if (!std::equal(want.begin(), want.end(), got.begin())) return false;
-  }
-  return true;
+  return delivers(chip, bcast, root, bytes);
 }
 
 TEST(HierBcast, DeliversOnMultiDieForRootsOnEveryDie) {

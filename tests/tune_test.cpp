@@ -117,9 +117,7 @@ bool delivered(scc::SccChip& chip, CoreId root, int parties,
   return true;
 }
 
-TEST(Adaptive, RegistersAsAdaptiveIdempotently) {
-  coll::register_adaptive();
-  coll::register_adaptive();  // second call is a no-op, not a collision
+TEST(Adaptive, IsABuiltin) {
   EXPECT_TRUE(coll::registered("adaptive"));
   scc::SccChip chip;
   auto algo = coll::make("adaptive", chip);
@@ -128,7 +126,6 @@ TEST(Adaptive, RegistersAsAdaptiveIdempotently) {
 }
 
 TEST(Adaptive, DeliversViaHarnessAtSmallAndLargeSizes) {
-  coll::register_adaptive();
   for (const std::size_t bytes : {std::size_t{32}, std::size_t{8192}}) {
     harness::BcastRunSpec spec;
     spec.algorithm_name = "adaptive";
@@ -174,7 +171,6 @@ TEST(Adaptive, SwitchesDelegateAcrossSizeBandsAndRecordsSelections) {
 }
 
 TEST(Adaptive, FaultRateSteersToTheFtBand) {
-  coll::register_adaptive();
   harness::BcastRunSpec spec;
   spec.algorithm_name = "adaptive";
   spec.params.observed_fault_rate = 0.01;
@@ -185,7 +181,6 @@ TEST(Adaptive, FaultRateSteersToTheFtBand) {
 }
 
 TEST(Adaptive, CustomTableArrivesThroughParams) {
-  coll::register_adaptive();
   coll::DecisionTable table({
       coll::DecisionRule{kNoLimit, kNumCores, 1.0,
                          coll::Choice{"scatter-allgather", 7, 96, true}},
