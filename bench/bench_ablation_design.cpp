@@ -13,7 +13,7 @@
 #include <benchmark/benchmark.h>
 
 #include <cstdio>
-#include <map>
+#include <deque>
 
 #include "common/format.h"
 #include "harness/report.h"
@@ -25,42 +25,32 @@ using namespace ocb;
 
 struct Variant {
   const char* name;
-  core::BcastSpec spec;
+  std::string algorithm;  ///< registry name
+  coll::Params params;
+  std::string label;  ///< the instance's own name()
 };
 
 std::vector<Variant> variants() {
   std::vector<Variant> out;
+  auto add = [&](const char* name, const std::string& algorithm,
+                 const coll::Params& params) {
+    scc::SccChip chip;
+    out.push_back({name, algorithm, params,
+                   coll::make(algorithm, chip, params)->name()});
+  };
   for (int k : {2, 3, 5, 7, 11, 16, 24, 32, 47}) {
-    core::BcastSpec s;
-    s.k = k;
-    out.push_back({"fanout", s});
+    add("fanout", "ocbcast", {.k = k});
   }
-  {
-    core::BcastSpec s;  // double buffering (default): 2 x 96
-    out.push_back({"buffering_db96x2", s});
-    s.double_buffering = false;
-    s.chunk_lines = 192;
-    out.push_back({"buffering_single192", s});
-  }
-  {
-    core::BcastSpec s;
-    s.leaf_direct_to_memory = true;
-    out.push_back({"leaf_direct", s});
-  }
+  add("buffering_db96x2", "ocbcast", {});  // double buffering (default): 2 x 96
+  add("buffering_single192", "ocbcast",
+      {.chunk_lines = 192, .double_buffering = false});
+  add("leaf_direct", "ocbcast", {.leaf_direct_to_memory = true});
   for (int k : {7, 16, 47}) {
-    core::BcastSpec s;
-    s.k = k;
-    s.sequential_notification = true;
-    out.push_back({"seq_notify", s});
+    add("seq_notify", "ocbcast", {.k = k, .sequential_notification = true});
   }
-  {
-    // §5.4's alternative RMA design and its two-sided original.
-    core::BcastSpec s;
-    s.kind = core::BcastKind::kOneSidedScatterAllgather;
-    out.push_back({"onesided_sag", s});
-    s.kind = core::BcastKind::kScatterAllgather;
-    out.push_back({"twosided_sag", s});
-  }
+  // §5.4's alternative RMA design and its two-sided original.
+  add("onesided_sag", "onesided-sag", {});
+  add("twosided_sag", "scatter-allgather", {});
   return out;
 }
 
@@ -71,38 +61,44 @@ struct Metrics {
   double peak_mbps = 0.0;          // 8192 lines
 };
 
-const Metrics& metrics_for(const core::BcastSpec& spec) {
-  static std::map<std::string, Metrics> cache;
-  const std::string key = core::spec_label(spec) + std::to_string(spec.chunk_lines);
-  auto it = cache.find(key);
-  if (it == cache.end()) {
-    Metrics m;
-    auto run = [&](std::size_t lines) {
-      harness::BcastRunSpec r;
-      r.algorithm = spec;
-      r.message_bytes = lines * kCacheLineBytes;
-      r.iterations = harness::default_iterations(lines);
-      return run_broadcast(r);
-    };
-    m.small_latency_us = run(1).latency_us.mean();
-    m.medium_latency_us = run(96).latency_us.mean();
-    m.two_chunk_latency_us = run(192).latency_us.mean();
-    m.peak_mbps = run(8192).throughput_mbps;
-    it = cache.emplace(key, m).first;
+/// Memoized per (algorithm, params): variants sharing a configuration (the
+/// fan-out sweep's k=7 and the default-buffering row) run it once.
+const Metrics& metrics_for(const Variant& v) {
+  struct Entry {
+    std::string algorithm;
+    coll::Params params;
+    Metrics metrics;
+  };
+  static std::deque<Entry> cache;  // stable references across push_back
+  for (const Entry& e : cache) {
+    if (e.algorithm == v.algorithm && e.params == v.params) return e.metrics;
   }
-  return it->second;
+  Metrics m;
+  auto run = [&](std::size_t lines) {
+    harness::BcastRunSpec r;
+    r.algorithm_name = v.algorithm;
+    r.params = v.params;
+    r.message_bytes = lines * kCacheLineBytes;
+    r.iterations = harness::default_iterations(lines);
+    return run_broadcast(r);
+  };
+  m.small_latency_us = run(1).latency_us.mean();
+  m.medium_latency_us = run(96).latency_us.mean();
+  m.two_chunk_latency_us = run(192).latency_us.mean();
+  m.peak_mbps = run(8192).throughput_mbps;
+  return cache.emplace_back(Entry{v.algorithm, v.params, m}).metrics;
 }
 
 void bench_variant(benchmark::State& state, const Variant& v) {
   for (auto _ : state) {
-    const Metrics& m = metrics_for(v.spec);
+    const Metrics& m = metrics_for(v);
     state.SetIterationTime(m.medium_latency_us * 1e-6);
     state.counters["lat1_us"] = m.small_latency_us;
     state.counters["lat96_us"] = m.medium_latency_us;
     state.counters["lat192_us"] = m.two_chunk_latency_us;
     state.counters["peak_mbps"] = m.peak_mbps;
   }
-  state.SetLabel(std::string(v.name) + "/" + core::spec_label(v.spec));
+  state.SetLabel(std::string(v.name) + "/" + v.label);
 }
 
 void print_tables() {
@@ -110,12 +106,12 @@ void print_tables() {
                    "latency_192CL_us", "peak_MBps"});
   std::vector<std::vector<std::string>> csv;
   for (const Variant& v : variants()) {
-    const Metrics& m = metrics_for(v.spec);
-    table.add_row({v.name, core::spec_label(v.spec),
+    const Metrics& m = metrics_for(v);
+    table.add_row({v.name, v.label,
                    fmt_fixed(m.small_latency_us, 2),
                    fmt_fixed(m.medium_latency_us, 2),
                    fmt_fixed(m.two_chunk_latency_us, 2), fmt_fixed(m.peak_mbps, 2)});
-    csv.push_back({v.name, core::spec_label(v.spec),
+    csv.push_back({v.name, v.label,
                    fmt_fixed(m.small_latency_us, 4),
                    fmt_fixed(m.medium_latency_us, 4),
                    fmt_fixed(m.two_chunk_latency_us, 4), fmt_fixed(m.peak_mbps, 4)});
@@ -146,7 +142,7 @@ int main(int argc, char** argv) {
   static const std::vector<Variant> kVariants = variants();
   for (const Variant& v : kVariants) {
     benchmark::RegisterBenchmark(
-        (std::string("ablation/") + v.name + "/" + core::spec_label(v.spec)).c_str(),
+        (std::string("ablation/") + v.name + "/" + v.label).c_str(),
         [&v](benchmark::State& state) { bench_variant(state, v); })
         ->UseManualTime()
         ->Iterations(1);

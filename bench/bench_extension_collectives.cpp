@@ -28,13 +28,25 @@ using namespace ocb;
 
 // --- broadcast family: os-sag vs baselines -------------------------------
 
-const harness::BcastRunResult& bcast_result(core::BcastKind kind, std::size_t lines) {
-  static std::map<std::pair<int, std::size_t>, harness::BcastRunResult> cache;
-  const auto key = std::make_pair(static_cast<int>(kind), lines);
+struct FamilyMember {
+  const char* name;   ///< registry name
+  const char* label;  ///< table row
+};
+constexpr FamilyMember kBcastFamily[] = {
+    {"ocbcast", "oc-bcast k=7"},
+    {"scatter-allgather", "two-sided s-ag"},
+    {"onesided-sag", "one-sided s-ag"},
+};
+
+const harness::BcastRunResult& bcast_result(const std::string& name,
+                                            std::size_t lines) {
+  static std::map<std::pair<std::string, std::size_t>, harness::BcastRunResult>
+      cache;
+  const auto key = std::make_pair(name, lines);
   auto it = cache.find(key);
   if (it == cache.end()) {
     harness::BcastRunSpec spec;
-    spec.algorithm.kind = kind;
+    spec.algorithm_name = name;
     spec.message_bytes = lines * kCacheLineBytes;
     spec.iterations = harness::default_iterations(lines);
     it = cache.emplace(key, run_broadcast(spec)).first;
@@ -138,11 +150,10 @@ const AllreduceComparison& allreduce_comparison() {
 
 // --- benchmark registrations -------------------------------------------------
 
-void bench_bcast_family(benchmark::State& state) {
-  const auto kind = static_cast<core::BcastKind>(state.range(0));
-  const auto lines = static_cast<std::size_t>(state.range(1));
+void bench_bcast_family(benchmark::State& state, const char* name) {
+  const auto lines = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
-    const auto& r = bcast_result(kind, lines);
+    const auto& r = bcast_result(name, lines);
     state.SetIterationTime(r.latency_us.mean() * 1e-6);
     state.counters["throughput_mbps"] = r.throughput_mbps;
   }
@@ -162,14 +173,11 @@ void print_tables() {
   {
     TextTable table({"algorithm", "latency_96CL_us", "peak_MBps_8192CL"});
     std::vector<std::vector<std::string>> csv;
-    for (auto [kind, name] :
-         {std::pair{core::BcastKind::kOcBcast, "oc-bcast k=7"},
-          std::pair{core::BcastKind::kScatterAllgather, "two-sided s-ag"},
-          std::pair{core::BcastKind::kOneSidedScatterAllgather, "one-sided s-ag"}}) {
-      const double lat = bcast_result(kind, 96).latency_us.mean();
-      const double peak = bcast_result(kind, 8192).throughput_mbps;
-      table.add_row({name, fmt_fixed(lat, 2), fmt_fixed(peak, 2)});
-      csv.push_back({name, fmt_fixed(lat, 4), fmt_fixed(peak, 4)});
+    for (const FamilyMember& m : kBcastFamily) {
+      const double lat = bcast_result(m.name, 96).latency_us.mean();
+      const double peak = bcast_result(m.name, 8192).throughput_mbps;
+      table.add_row({m.label, fmt_fixed(lat, 2), fmt_fixed(peak, 2)});
+      csv.push_back({m.label, fmt_fixed(lat, 4), fmt_fixed(peak, 4)});
     }
     std::printf("\n=== §5.4 extension: one-sided scatter-allgather ===\n%s",
                 table.str().c_str());
@@ -208,11 +216,14 @@ void print_tables() {
 }  // namespace
 
 int main(int argc, char** argv) {
-  for (auto kind : {core::BcastKind::kOcBcast, core::BcastKind::kScatterAllgather,
-                    core::BcastKind::kOneSidedScatterAllgather}) {
+  for (const FamilyMember& m : kBcastFamily) {
     for (long lines : {96L, 8192L}) {
-      benchmark::RegisterBenchmark("extension/bcast_family", &bench_bcast_family)
-          ->Args({static_cast<long>(kind), lines})
+      benchmark::RegisterBenchmark(
+          (std::string("extension/bcast_family/") + m.name).c_str(),
+          [name = m.name](benchmark::State& state) {
+            bench_bcast_family(state, name);
+          })
+          ->Args({lines})
           ->UseManualTime()
           ->Iterations(1);
     }

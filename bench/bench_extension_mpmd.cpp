@@ -50,8 +50,7 @@ struct Outcome {
 
 Outcome run_variant(Variant variant) {
   scc::SccChip chip;
-  core::OcBcastOptions opt;
-  core::OcBcast bcast(chip, opt);
+  core::OcBcast bcast(chip);
   core::IpiNotifier notifier;
   constexpr std::size_t kBytes = kLines * kCacheLineBytes;
   for (int r = 0; r < kRounds; ++r) {

@@ -45,8 +45,7 @@ struct Point {
 // iterations, rotating offsets, byte verification).
 Point zero_fault_point(bool ft, std::size_t lines) {
   harness::BcastRunSpec run;
-  run.algorithm.kind = ft ? core::BcastKind::kFtOcBcast : core::BcastKind::kOcBcast;
-  run.algorithm.k = 7;
+  run.algorithm_name = ft ? "ft-ocbcast" : "ocbcast";
   run.message_bytes = lines * kCacheLineBytes;
   run.iterations = harness::default_iterations(lines);
   const harness::BcastRunResult r = run_broadcast(run);
@@ -57,7 +56,7 @@ Point zero_fault_point(bool ft, std::size_t lines) {
 // injector corrupting MPB/memory reads at `rate`.
 Point faulted_point(bool ft, std::size_t lines, double rate) {
   harness::FaultRunSpec spec;
-  spec.use_ft = ft;
+  spec.algorithm_name = ft ? "ft-ocbcast" : "ocbcast";
   spec.plan.seed = 40 + lines;  // deterministic, distinct per size
   spec.plan.rates.mpb_read = rate;
   spec.plan.rates.mem_read = rate;

@@ -21,21 +21,16 @@ namespace {
 
 using namespace ocb;
 
-// Registry-keyed series: (name, params) instead of concrete spec structs.
-struct SeriesSpec {
-  std::string name;
-  coll::Params params;
-  std::string label;
-};
-
-const SeriesSpec& spec_for(int series) {
-  static const std::vector<SeriesSpec> specs = {
-      {"ocbcast", {.k = 2}, "oc-bcast k=2"},
-      {"ocbcast", {.k = 7}, "oc-bcast k=7"},
-      {"ocbcast", {.k = 47}, "oc-bcast k=47"},
-      {"binomial", {.parties = kNumCores}, "binomial"},
-  };
-  return specs[series];
+// Fig. 8a plots the paper line-up without scatter-allgather.
+const harness::LineupEntry& spec_for(int series) {
+  static const std::vector<harness::LineupEntry> specs = [] {
+    std::vector<harness::LineupEntry> lineup = harness::paper_algorithm_lineup();
+    std::erase_if(lineup, [](const harness::LineupEntry& e) {
+      return e.name == "scatter-allgather";
+    });
+    return lineup;
+  }();
+  return specs[static_cast<std::size_t>(series)];
 }
 
 const harness::SeriesPoint& point_for(int series, std::size_t lines) {

@@ -22,29 +22,16 @@ namespace {
 
 using namespace ocb;
 
-// Registry-keyed series: (name, params) instead of concrete spec structs.
-struct SeriesSpec {
-  std::string name;
-  coll::Params params;
-  std::string label;
-};
-
-// GCC 12 falsely flags the value-initialized adaptive_table_json string of
-// the {}-defaulted Params entries when this table's copies are inlined
-// (maybe-uninitialized, PR105562 family); fig8a's identical table is clean.
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
-#endif
-
-const SeriesSpec& spec_for(int series) {
-  static const std::vector<SeriesSpec> specs = {
-      {"ocbcast", {.k = 2}, "oc-bcast k=2"},
-      {"ocbcast", {.k = 7}, "oc-bcast k=7"},
-      {"ocbcast", {.k = 47}, "oc-bcast k=47"},
-      {"scatter-allgather", {.parties = kNumCores}, "scatter-allgather"},
-  };
-  return specs[series];
+// Fig. 8b plots the paper line-up without binomial.
+const harness::LineupEntry& spec_for(int series) {
+  static const std::vector<harness::LineupEntry> specs = [] {
+    std::vector<harness::LineupEntry> lineup = harness::paper_algorithm_lineup();
+    std::erase_if(lineup, [](const harness::LineupEntry& e) {
+      return e.name == "binomial";
+    });
+    return lineup;
+  }();
+  return specs[static_cast<std::size_t>(series)];
 }
 
 const harness::SeriesPoint& point_for(int series, std::size_t lines) {
@@ -144,10 +131,6 @@ int json_out_mode(const std::string& path) {
   std::fprintf(stderr, "wrote %s\n", path.c_str());
   return 0;
 }
-
-#if defined(__GNUC__) && !defined(__clang__)
-#pragma GCC diagnostic pop
-#endif
 
 }  // namespace
 

@@ -59,7 +59,6 @@ harness::BcastRunSpec ocbcast_spec(std::size_t lines) {
 harness::FaultRunSpec fault_spec() {
   harness::FaultRunSpec spec;
   spec.message_bytes = 64 * 1024;
-  spec.ft.parties = kNumCores;
   spec.plan.rates.mpb_read = 1e-5;
   return spec;
 }

@@ -62,9 +62,9 @@ Row compute_row(std::size_t scenario) {
   const Scenario& s = kScenarios[scenario];
   const scc::SccConfig cfg = scc::SccConfig{}.scaled(s.core, s.mesh, s.mem);
   Row row;
-  auto run = [&](core::BcastKind kind, std::size_t lines) {
+  auto run = [&](const char* name, std::size_t lines) {
     harness::BcastRunSpec spec;
-    spec.algorithm.kind = kind;
+    spec.algorithm_name = name;
     spec.config = cfg;
     spec.message_bytes = lines * kCacheLineBytes;
     spec.iterations = harness::default_iterations(lines);
@@ -72,11 +72,10 @@ Row compute_row(std::size_t scenario) {
     row.ok = row.ok && r.content_ok;
     return r;
   };
-  row.oc_latency_us = run(core::BcastKind::kOcBcast, 96).latency_us.mean();
-  row.oc_peak = run(core::BcastKind::kOcBcast, 8192).throughput_mbps;
-  row.binomial_latency_us =
-      run(core::BcastKind::kBinomial, 96).latency_us.mean();
-  row.sag_peak = run(core::BcastKind::kScatterAllgather, 8192).throughput_mbps;
+  row.oc_latency_us = run("ocbcast", 96).latency_us.mean();
+  row.oc_peak = run("ocbcast", 8192).throughput_mbps;
+  row.binomial_latency_us = run("binomial", 96).latency_us.mean();
+  row.sag_peak = run("scatter-allgather", 8192).throughput_mbps;
   return row;
 }
 

@@ -161,9 +161,8 @@ sim::Task<void> core_program(scc::Core& me, core::OcBcast& bcast,
 
 int main() {
   scc::SccChip chip;
-  core::OcBcastOptions oc;
-  oc.mpb_base_line = 0;  // OC-Bcast owns lines 0..199 (k=7)
-  core::OcBcast bcast(chip, oc);
+  // OC-Bcast owns lines 0..199 (k=7, mpb_base_line 0).
+  core::OcBcast bcast(chip);
   rma::TwoSidedLayout ts_layout;
   ts_layout.ready_line = 200;  // keep clear of the OC-Bcast layout
   ts_layout.sent_line = 201;

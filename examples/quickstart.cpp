@@ -22,9 +22,7 @@ int main() {
 
   // 2. OC-Bcast with the paper's preferred fan-out k = 7 and 96-line
   //    double-buffered chunks.
-  core::OcBcastOptions options;
-  options.k = 7;
-  core::OcBcast bcast(chip, options);
+  core::OcBcast bcast(chip, coll::Params{.k = 7});
 
   // 3. Seed the root's private off-chip memory with a message.
   //    (host_bytes is zero-simulated-cost setup access.)

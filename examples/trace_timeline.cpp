@@ -26,9 +26,7 @@ int main() {
   });
 
   // A 12-core k=3 broadcast of 8 lines keeps the picture readable.
-  core::OcBcastOptions opt;
-  opt.parties = 12;
-  opt.k = 3;
+  const coll::Params opt{.parties = 12, .k = 3};
   core::OcBcast bcast(chip, opt);
   const std::size_t bytes = 8 * kCacheLineBytes;
   auto seed = chip.memory(0).host_bytes(0, bytes);

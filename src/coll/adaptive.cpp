@@ -1,6 +1,6 @@
 #include "coll/adaptive.h"
 
-#include <utility>
+#include <string>
 
 #include "common/require.h"
 #include "mem/mpb.h"
@@ -8,11 +8,12 @@
 
 namespace ocb::coll {
 
-AdaptiveBcast::AdaptiveBcast(scc::SccChip& chip, const Params& params,
-                             DecisionTable table)
+AdaptiveBcast::AdaptiveBcast(scc::SccChip& chip, const Params& params)
     : chip_(&chip),
       params_(params),
-      table_(std::move(table)),
+      table_(params.adaptive_table_json.empty()
+                 ? DecisionTable::baked_in()
+                 : DecisionTable::from_json(params.adaptive_table_json)),
       quiesce_(chip.engine()) {
   OCB_REQUIRE(params_.mpb_base_line == 0,
               "adaptive broadcast owns the whole MPB (mpb_base_line must be "
@@ -20,6 +21,11 @@ AdaptiveBcast::AdaptiveBcast(scc::SccChip& chip, const Params& params,
   OCB_REQUIRE(params_.observed_fault_rate >= 0.0 &&
                   params_.observed_fault_rate <= 1.0,
               "observed_fault_rate out of [0,1]");
+  // The catch-all rule bounds the party counts every lookup can serve.
+  OCB_REQUIRE(params_.parties <= table_.rules().back().max_parties,
+              "adaptive broadcast: " + std::to_string(params_.parties) +
+                  " parties exceed the decision table's catch-all (" +
+                  std::to_string(table_.rules().back().max_parties) + ")");
 }
 
 sim::Task<void> AdaptiveBcast::run(scc::Core& self, CoreId root,

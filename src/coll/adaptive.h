@@ -37,9 +37,9 @@ class AdaptiveBcast final : public Collective {
 
   /// Requires params.mpb_base_line == 0
   /// — the adaptive layer re-derives chunk shapes per band and therefore
-  /// owns the whole MPB; it cannot live inside a service slot lease.
-  AdaptiveBcast(scc::SccChip& chip, const Params& params,
-                DecisionTable table = DecisionTable::baked_in());
+  /// owns the whole MPB; it cannot live inside a service slot lease. The
+  /// table is params.adaptive_table_json, or the baked-in one when empty.
+  AdaptiveBcast(scc::SccChip& chip, const Params& params);
 
   std::string name() const override { return "adaptive"; }
   int parties() const override { return params_.parties; }

@@ -7,8 +7,9 @@
 // core is done per the algorithm's semantics — the paper's latency is the
 // time at which the *last* core returns.
 //
-// Concrete algorithms (core/) implement this interface and register a
-// factory under a string key in coll/registry.h; callers select by name:
+// Concrete algorithms (core/) implement this interface, take their whole
+// configuration as one Params, and register a factory under a string key in
+// coll/registry.h; callers select by name:
 //
 //   auto bcast = coll::make("ocbcast", chip, {.k = 7});
 #pragma once
@@ -24,6 +25,43 @@ class Core;
 }  // namespace ocb::scc
 
 namespace ocb::coll {
+
+/// The one configuration of every collective; each algorithm reads the
+/// fields it honors and ignores the rest.
+struct Params {
+  /// Participating cores 0..parties-1. The default is the SCC's 48; pass 0
+  /// for "all cores of the chip" (coll::make() resolves it from the chip's
+  /// topology), or any explicit count up to chip.topology().num_cores().
+  int parties = kNumCores;
+  /// Tree fan-out (OC-Bcast family).
+  int k = 7;
+  /// Fan-out of the relay tree over die leaders ("hier-ocbcast" only).
+  int die_k = 4;
+  /// M_oc, the pipelining chunk (OC-Bcast family).
+  std::size_t chunk_lines = 96;
+  /// §4.2; off = one buffer of chunk_lines (ablation).
+  bool double_buffering = true;
+  /// §5.4: leaves get straight into private memory ("ocbcast" only;
+  /// "ft-ocbcast" always does this).
+  bool leaf_direct_to_memory = false;
+  /// Ablation of the binary notification tree: the parent sets all k
+  /// children's notifyFlags itself, sequentially (what §4.1 argues
+  /// against). "ocbcast" only.
+  bool sequential_notification = false;
+  /// First MPB line of the instance's layout. The broadcast service leases
+  /// disjoint line ranges (mem/mpb_slots.h) so concurrent collectives never
+  /// overlap buffers; honored by the OC-Bcast family and "onesided-sag".
+  std::size_t mpb_base_line = 0;
+  /// Caller-observed fault rate in [0,1]; "adaptive" uses it as the
+  /// decision-table fault coordinate (0 = trust the fault-free bands).
+  double observed_fault_rate = 0.0;
+  /// Inline "ocb-tune-decision-v1" JSON overriding the baked-in decision
+  /// table; empty selects DecisionTable::baked_in(). Only "adaptive" reads
+  /// it (see coll/adaptive.h).
+  std::string adaptive_table_json{};
+
+  bool operator==(const Params&) const = default;
+};
 
 class Collective {
  public:

@@ -1,6 +1,5 @@
 #include "coll/registry.h"
 
-#include <algorithm>
 #include <map>
 
 #include "coll/adaptive.h"
@@ -24,59 +23,25 @@ std::map<std::string, Factory>& table() {
   static std::map<std::string, Factory> t = [] {
     std::map<std::string, Factory> m;
     m["ocbcast"] = [](scc::SccChip& chip, const Params& p) {
-      core::OcBcastOptions o;
-      o.parties = p.parties;
-      o.k = p.k;
-      o.chunk_lines = p.chunk_lines;
-      o.double_buffering = p.double_buffering;
-      o.leaf_direct_to_memory = p.leaf_direct_to_memory;
-      o.sequential_notification = p.sequential_notification;
-      o.mpb_base_line = p.mpb_base_line;
-      return std::unique_ptr<Collective>(new core::OcBcast(chip, o));
+      return std::make_unique<core::OcBcast>(chip, p);
     };
     m["binomial"] = [](scc::SccChip& chip, const Params& p) {
-      core::BinomialOptions o;
-      o.parties = p.parties;
-      return std::unique_ptr<Collective>(new core::BinomialBcast(chip, o));
+      return std::make_unique<core::BinomialBcast>(chip, p);
     };
     m["scatter-allgather"] = [](scc::SccChip& chip, const Params& p) {
-      core::ScatterAllgatherOptions o;
-      o.parties = p.parties;
-      return std::unique_ptr<Collective>(
-          new core::ScatterAllgatherBcast(chip, o));
+      return std::make_unique<core::ScatterAllgatherBcast>(chip, p);
     };
     m["onesided-sag"] = [](scc::SccChip& chip, const Params& p) {
-      core::OneSidedSagOptions o;
-      o.parties = p.parties;
-      o.mpb_base_line = p.mpb_base_line;
-      return std::unique_ptr<Collective>(
-          new core::OneSidedScatterAllgather(chip, o));
+      return std::make_unique<core::OneSidedScatterAllgather>(chip, p);
     };
     m["hier-ocbcast"] = [](scc::SccChip& chip, const Params& p) {
-      core::HierarchicalBcastOptions o;
-      o.parties = p.parties;
-      o.k = p.k;
-      o.die_k = p.die_k;
-      o.chunk_lines = p.chunk_lines;
-      o.double_buffering = p.double_buffering;
-      o.mpb_base_line = p.mpb_base_line;
-      return std::unique_ptr<Collective>(new core::HierarchicalBcast(chip, o));
+      return std::make_unique<core::HierarchicalBcast>(chip, p);
     };
     m["ft-ocbcast"] = [](scc::SccChip& chip, const Params& p) {
-      core::FtOcBcastOptions o;
-      o.parties = p.parties;
-      o.k = p.k;
-      o.chunk_lines = p.chunk_lines;
-      o.double_buffering = p.double_buffering;
-      o.mpb_base_line = p.mpb_base_line;
-      return std::unique_ptr<Collective>(new core::FtOcBcast(chip, o));
+      return std::make_unique<core::FtOcBcast>(chip, p);
     };
     m["adaptive"] = [](scc::SccChip& chip, const Params& p) {
-      DecisionTable table = p.adaptive_table_json.empty()
-                                ? DecisionTable::baked_in()
-                                : DecisionTable::from_json(p.adaptive_table_json);
-      return std::unique_ptr<Collective>(
-          new AdaptiveBcast(chip, p, std::move(table)));
+      return std::make_unique<AdaptiveBcast>(chip, p);
     };
     return m;
   }();
@@ -115,12 +80,10 @@ std::unique_ptr<Collective> make(const std::string& name, scc::SccChip& chip,
     }
     OCB_REQUIRE(false, msg);
   }
-  if (params.parties == 0) {  // "all cores of this chip"
-    Params resolved = params;
-    resolved.parties = chip.topology().num_cores();
-    return it->second(chip, resolved);
-  }
-  return it->second(chip, params);
+  if (params.parties != 0) return it->second(chip, params);
+  Params all_cores = params;
+  all_cores.parties = chip.topology().num_cores();
+  return it->second(chip, all_cores);
 }
 
 }  // namespace ocb::coll

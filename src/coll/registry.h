@@ -1,9 +1,9 @@
 // String-keyed collective registry.
 //
-// Decouples algorithm selection from the concrete classes: harnesses,
-// examples, and benches name an algorithm ("ocbcast", "binomial", ...) and
-// a Params bundle; the registry owns the wiring to the implementation's
-// option struct. The shipped algorithms register themselves on first use
+// The one way to pick a broadcast: harnesses, examples, and benches name an
+// algorithm ("ocbcast", "binomial", ...) and pass a Params bundle
+// (coll/collective.h), which every implementation's constructor takes
+// as-is. The shipped algorithms register themselves on first use
 // (no static-initializer registrants — those get dead-stripped from static
 // archives); projects can add their own with register_collective, which is
 // how test-only variants (e.g. the deliberately racy mutation in
@@ -22,33 +22,6 @@ class SccChip;
 }  // namespace ocb::scc
 
 namespace ocb::coll {
-
-/// Algorithm-agnostic tuning bundle; each factory picks what it honors.
-struct Params {
-  /// Participating cores 0..parties-1. The default is the SCC's 48; pass 0
-  /// for "all cores of the chip" (make() resolves it from the chip's
-  /// topology), or any explicit count up to chip.topology().num_cores().
-  int parties = kNumCores;
-  /// Tree fan-out (OC-Bcast family).
-  int k = 7;
-  /// Fan-out of the relay tree over die leaders ("hier-ocbcast" only).
-  int die_k = 4;
-  std::size_t chunk_lines = 96;
-  bool double_buffering = true;
-  bool leaf_direct_to_memory = false;
-  bool sequential_notification = false;
-  /// First MPB line of the instance's layout. The broadcast service leases
-  /// disjoint line ranges (mem/mpb_slots.h) so concurrent collectives never
-  /// overlap buffers; honored by "ocbcast", "ft-ocbcast", "onesided-sag".
-  std::size_t mpb_base_line = 0;
-  /// Caller-observed fault rate in [0,1]; "adaptive" uses it as the
-  /// decision-table fault coordinate (0 = trust the fault-free bands).
-  double observed_fault_rate = 0.0;
-  /// Inline "ocb-tune-decision-v1" JSON overriding the baked-in decision
-  /// table; empty selects DecisionTable::baked_in(). Only "adaptive" reads
-  /// it (see coll/adaptive.h).
-  std::string adaptive_table_json{};
-};
 
 using Factory =
     std::function<std::unique_ptr<Collective>(scc::SccChip&, const Params&)>;
@@ -70,7 +43,9 @@ bool registered(const std::string& name);
 /// "adaptive".
 std::vector<std::string> names();
 
-/// Instantiates `name` over `chip`. Algorithms own their MPB layout and
+/// Instantiates `name` over `chip`, first resolving params.parties == 0 to
+/// every core of the chip (the only place that does; constructors called
+/// directly need an explicit count). Algorithms own their MPB layout and
 /// protocol state starting at params.mpb_base_line; instances with
 /// overlapping line ranges must not run concurrently (the broadcast
 /// service guarantees disjoint ranges via MPB slot leases). Throws

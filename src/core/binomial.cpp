@@ -4,17 +4,16 @@
 
 namespace ocb::core {
 
-BinomialBcast::BinomialBcast(scc::SccChip& chip, BinomialOptions options)
-    : options_(options),
-      twosided_(std::make_unique<rma::TwoSided>(chip, options.layout)) {
-  OCB_REQUIRE(options_.parties >= 2 &&
-                  options_.parties <= chip.topology().num_cores(),
+BinomialBcast::BinomialBcast(scc::SccChip& chip, const coll::Params& params)
+    : parties_(params.parties),
+      twosided_(std::make_unique<rma::TwoSided>(chip)) {
+  OCB_REQUIRE(parties_ >= 2 && parties_ <= chip.topology().num_cores(),
               "party count out of range");
 }
 
 sim::Task<void> BinomialBcast::run(scc::Core& self, CoreId root, std::size_t offset,
                                    std::size_t bytes) {
-  const int p = options_.parties;
+  const int p = parties_;
   OCB_REQUIRE(self.id() < p, "core is not a participant");
   OCB_REQUIRE(root >= 0 && root < p, "root is not a participant");
   OCB_REQUIRE(bytes > 0, "empty broadcast");

@@ -12,27 +12,25 @@
 
 #include <memory>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "rma/twosided.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
-struct BinomialOptions {
-  int parties = kNumCores;
-  rma::TwoSidedLayout layout{};
-};
-
-class BinomialBcast final : public BroadcastAlgorithm {
+/// Honors parties only; the two-sided channel uses the default
+/// rma::TwoSidedLayout (the whole MPB, RCCE's 251-line payload).
+class BinomialBcast final : public coll::Collective {
  public:
-  BinomialBcast(scc::SccChip& chip, BinomialOptions options = {});
+  BinomialBcast(scc::SccChip& chip, const coll::Params& params = {});
 
   std::string name() const override { return "binomial"; }
-  int parties() const override { return options_.parties; }
+  int parties() const override { return parties_; }
   sim::Task<void> run(scc::Core& self, CoreId root, std::size_t offset,
                       std::size_t bytes) override;
 
  private:
-  BinomialOptions options_;
+  int parties_;
   std::unique_ptr<rma::TwoSided> twosided_;
 };
 

@@ -9,34 +9,52 @@
 
 namespace ocb::core {
 
-FtOcBcast::FtOcBcast(scc::SccChip& chip, FtOcBcastOptions options)
+namespace {
+
+// Fault-tolerance budgets. Each has only ever had one value, and the fault
+// tests and sweeps are calibrated against these, so they are not options.
+
+/// Watchdog deadline + reliable-write retry policy for all control lines.
+constexpr rma::WatchdogPolicy kWatchdog{};
+/// Consecutive watchdog expiries without progress before a silent peer is
+/// presumed dead. A live peer must make per-chunk progress faster than
+/// kProbeAttempts * kWatchdog.timeout or it will be routed around.
+constexpr int kProbeAttempts = 3;
+/// Checksum-mismatch refetches before a fetch counts as a failed attempt.
+constexpr int kGetRetries = 3;
+/// Total detect+fetch attempts per chunk before a core gives up.
+constexpr int kMaxChunkAttempts = 64;
+
+}  // namespace
+
+FtOcBcast::FtOcBcast(scc::SccChip& chip, const coll::Params& params)
     : chip_(&chip),
-      options_(options),
-      buffer_count_(options.double_buffering ? 2 : 1),
+      params_(params),
+      buffer_count_(params.double_buffering ? 2 : 1),
       fence_(chip,
              [&] {
-               OCB_REQUIRE(options.parties >= 2 &&
-                               options.parties <= chip.topology().num_cores(),
+               OCB_REQUIRE(params.parties >= 2 &&
+                               params.parties <= chip.topology().num_cores(),
                            "party count out of range");
-               OCB_REQUIRE(options.k >= 1 && options.k <= options.parties - 1,
+               OCB_REQUIRE(params.k >= 1 && params.k <= params.parties - 1,
                            "fan-out must be in [1, parties-1]");
-               OCB_REQUIRE(options.chunk_lines >= 1,
+               OCB_REQUIRE(params.chunk_lines >= 1,
                            "chunk must be at least one line");
-               const std::size_t buffers = options.double_buffering ? 2 : 1;
+               const std::size_t buffers = params.double_buffering ? 2 : 1;
                const std::size_t fence_base =
-                   options.mpb_base_line + 1 + static_cast<std::size_t>(options.k) +
-                   buffers + buffers * options.chunk_lines;
+                   params.mpb_base_line + 1 + static_cast<std::size_t>(params.k) +
+                   buffers + buffers * params.chunk_lines;
                OCB_REQUIRE(fence_base <= kMpbCacheLines,
                            "FT-OC-Bcast layout exceeds the 256-line MPB");
                return fence_base;
              }(),
-             options.parties) {
+             params.parties) {
   const auto n = static_cast<std::size_t>(chip.topology().num_cores());
   chunks_so_far_.assign(n, 0);
   last_root_.assign(n, -1);
   reports_.assign(n, DeliveryReport{});
   presumed_dead_.assign(n, std::vector<bool>(n, false));
-  const std::size_t end = options_.mpb_base_line + layout_lines();
+  const std::size_t end = params_.mpb_base_line + layout_lines();
   OCB_REQUIRE(end <= kMpbCacheLines,
               "FT-OC-Bcast layout (flags + staged + buffers + fence) exceeds "
               "the 256-line MPB");
@@ -44,35 +62,35 @@ FtOcBcast::FtOcBcast(scc::SccChip& chip, FtOcBcastOptions options)
 
 std::string FtOcBcast::name() const {
   std::ostringstream os;
-  os << "ft-oc-bcast k=" << options_.k;
-  if (!options_.double_buffering) os << " single-buffer";
+  os << "ft-oc-bcast k=" << params_.k;
+  if (!params_.double_buffering) os << " single-buffer";
   return os.str();
 }
 
 std::size_t FtOcBcast::done_line(int child_slot) const {
-  OCB_REQUIRE(child_slot >= 0 && child_slot < options_.k, "child slot out of range");
-  return options_.mpb_base_line + 1 + static_cast<std::size_t>(child_slot);
+  OCB_REQUIRE(child_slot >= 0 && child_slot < params_.k, "child slot out of range");
+  return params_.mpb_base_line + 1 + static_cast<std::size_t>(child_slot);
 }
 
 std::size_t FtOcBcast::staged_line(std::uint64_t parity) const {
   OCB_REQUIRE(parity < buffer_count_, "buffer parity out of range");
-  return options_.mpb_base_line + 1 + static_cast<std::size_t>(options_.k) + parity;
+  return params_.mpb_base_line + 1 + static_cast<std::size_t>(params_.k) + parity;
 }
 
 std::size_t FtOcBcast::buffer_line(std::uint64_t parity) const {
   OCB_REQUIRE(parity < buffer_count_, "buffer parity out of range");
-  return options_.mpb_base_line + 1 + static_cast<std::size_t>(options_.k) +
-         buffer_count_ + parity * options_.chunk_lines;
+  return params_.mpb_base_line + 1 + static_cast<std::size_t>(params_.k) +
+         buffer_count_ + parity * params_.chunk_lines;
 }
 
 std::size_t FtOcBcast::fence_line() const {
-  return options_.mpb_base_line + 1 + static_cast<std::size_t>(options_.k) +
-         buffer_count_ + buffer_count_ * options_.chunk_lines;
+  return params_.mpb_base_line + 1 + static_cast<std::size_t>(params_.k) +
+         buffer_count_ + buffer_count_ * params_.chunk_lines;
 }
 
 std::size_t FtOcBcast::layout_lines() const {
-  return 1 + static_cast<std::size_t>(options_.k) + buffer_count_ +
-         buffer_count_ * options_.chunk_lines +
+  return 1 + static_cast<std::size_t>(params_.k) + buffer_count_ +
+         buffer_count_ * params_.chunk_lines +
          static_cast<std::size_t>(fence_.rounds());
 }
 
@@ -117,7 +135,7 @@ sim::Task<void> FtOcBcast::write_staged_reliable(scc::Core& self,
   const CacheLine want = encode_staged(seq, sum);
   const std::size_t line = staged_line(parity);
   co_await self.busy(self.chip().config().o_put_mpb);
-  sim::Duration backoff = options_.watchdog.write_backoff;
+  sim::Duration backoff = kWatchdog.write_backoff;
   for (int attempt = 0;; ++attempt) {
     rma::note_flag_release(self, rma::MpbAddr{self.id(), line}, seq);
     co_await self.mpb_write_line(self.id(), line, want);
@@ -127,7 +145,7 @@ sim::Task<void> FtOcBcast::write_staged_reliable(scc::Core& self,
     if (ok) co_return;
     // Best effort beyond the retry budget: getters verify checksums and
     // have their own watchdogs, so a mis-staged line cannot corrupt them.
-    if (attempt >= options_.watchdog.write_retries) co_return;
+    if (attempt >= kWatchdog.write_retries) co_return;
     co_await self.busy(backoff);
     backoff *= 2;
   }
@@ -148,11 +166,11 @@ sim::Task<void> FtOcBcast::wait_children_done(scc::Core& self,
       for (;;) {
         const std::optional<rma::FlagValue> v =
             co_await rma::wait_checked_flag_at_least_watchdog(
-                self, flag, minimum, options_.watchdog.timeout);
+                self, flag, minimum, kWatchdog.timeout);
         if (v.has_value()) break;
         ++rep.watchdog_timeouts;
         ++probes;
-        if (probes >= options_.probe_attempts) {
+        if (probes >= kProbeAttempts) {
           dead[static_cast<std::size_t>(cj)] = true;
           break;
         }
@@ -172,11 +190,11 @@ sim::Task<void> FtOcBcast::wait_children_done(scc::Core& self,
       for (;;) {
         const std::optional<rma::FlagValue> v =
             co_await rma::wait_checked_flag_at_least_watchdog(
-                self, flag, minimum, options_.watchdog.timeout);
+                self, flag, minimum, kWatchdog.timeout);
         if (v.has_value()) break;
         ++rep.watchdog_timeouts;
         ++probes;
-        if (probes >= options_.probe_attempts) {
+        if (probes >= kProbeAttempts) {
           // Out of the single-failure model; don't wedge the survivors.
           dead[static_cast<std::size_t>(gc)] = true;
           break;
@@ -212,12 +230,12 @@ sim::Task<void> FtOcBcast::root_chunk(scc::Core& self, const KaryTree& tree,
     ++tries;
     // Best effort past the budget: `sum` still matches what actually sits
     // in the staging buffer, so the tree at least converges consistently.
-    if (tries > options_.get_retries) break;
+    if (tries > kGetRetries) break;
   }
   co_await write_staged_reliable(self, parity, seq, sum);
   for (CoreId target : own) {
     co_await rma::set_flag_reliable(self, rma::MpbAddr{target, notify_line()},
-                                    seq, options_.watchdog,
+                                    seq, kWatchdog,
                                     [seq](rma::FlagValue v) { return v >= seq; });
   }
 }
@@ -247,7 +265,7 @@ sim::Task<bool> FtOcBcast::follower_chunk(
     const std::optional<rma::FlagValue> hint =
         co_await rma::wait_flag_at_least_watchdog(
             self, rma::MpbAddr{me, notify_line()}, seq,
-            options_.watchdog.timeout);
+            kWatchdog.timeout);
     if (!hint.has_value()) {
       ++rep.watchdog_timeouts;
       use_notify = false;
@@ -260,7 +278,7 @@ sim::Task<bool> FtOcBcast::follower_chunk(
 
   int attempts = 0;
   for (;;) {
-    if (attempts >= options_.max_chunk_attempts) {
+    if (attempts >= kMaxChunkAttempts) {
       rep.gave_up = true;
       co_return false;
     }
@@ -287,12 +305,12 @@ sim::Task<bool> FtOcBcast::follower_chunk(
         sim::Trigger& trig =
             self.chip().mpb(source).line_trigger(staged_line(parity));
         const bool woken =
-            co_await trig.wait_for(options_.watchdog.timeout, epoch);
+            co_await trig.wait_for(kWatchdog.timeout, epoch);
         self.set_wait_note("running");
         if (woken) continue;
         ++rep.watchdog_timeouts;
         ++probes;
-        if (probes >= options_.probe_attempts) break;
+        if (probes >= kProbeAttempts) break;
       }
       if (!detected) {
         // Source stopped advancing: presume it dead and re-route one level
@@ -364,12 +382,12 @@ sim::Task<bool> FtOcBcast::follower_chunk(
 
     // --- Ack (into the static parent's MPB, alive or not) ---------------
     co_await rma::set_checked_flag_reliable(
-        self, rma::MpbAddr{parent, done_line(my_slot)}, seq, options_.watchdog);
+        self, rma::MpbAddr{parent, done_line(my_slot)}, seq, kWatchdog);
 
     if (!is_leaf) {
       for (CoreId target : own) {
         co_await rma::set_flag_reliable(
-            self, rma::MpbAddr{target, notify_line()}, seq, options_.watchdog,
+            self, rma::MpbAddr{target, notify_line()}, seq, kWatchdog,
             [seq](rma::FlagValue v) { return v >= seq; });
       }
       // Land the chunk from the own buffer, verified against the checksum
@@ -382,7 +400,7 @@ sim::Task<bool> FtOcBcast::follower_chunk(
         if (landed == st.sum) break;
         ++rep.checksum_retries;
         ++tries;
-        if (tries > options_.get_retries) {
+        if (tries > kGetRetries) {
           rep.gave_up = true;
           co_return false;
         }
@@ -394,18 +412,18 @@ sim::Task<bool> FtOcBcast::follower_chunk(
 
 sim::Task<void> FtOcBcast::run(scc::Core& self, CoreId root, std::size_t offset,
                                std::size_t bytes) {
-  OCB_REQUIRE(self.id() < options_.parties, "core is not a participant");
-  OCB_REQUIRE(root >= 0 && root < options_.parties, "root is not a participant");
+  OCB_REQUIRE(self.id() < params_.parties, "core is not a participant");
+  OCB_REQUIRE(root >= 0 && root < params_.parties, "root is not a participant");
   OCB_REQUIRE(bytes > 0, "empty broadcast");
 
-  const KaryTree tree(options_.parties, options_.k, root);
+  const KaryTree tree(params_.parties, params_.k, root);
   const CoreId me = self.id();
   const std::vector<CoreId> children = tree.children_of(me);
   const std::vector<CoreId> forward = tree.notify_forward_targets(me);
   const std::vector<CoreId> own = tree.notify_own_targets(me);
 
   const std::size_t m_lines = cache_lines_for(bytes);
-  const std::size_t chunk = options_.chunk_lines;
+  const std::size_t chunk = params_.chunk_lines;
   const std::size_t n_chunks = (m_lines + chunk - 1) / chunk;
   const std::uint64_t base = chunks_so_far_[static_cast<std::size_t>(me)];
   chunks_so_far_[static_cast<std::size_t>(me)] += n_chunks;

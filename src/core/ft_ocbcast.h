@@ -49,52 +49,37 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "core/tree.h"
 #include "rma/barrier.h"
 #include "rma/reliable.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
-
-struct FtOcBcastOptions {
-  int parties = kNumCores;
-  int k = 7;
-  std::size_t chunk_lines = 96;
-  bool double_buffering = true;
-  std::size_t mpb_base_line = 0;
-  /// Watchdog deadline + reliable-write retry policy for all control lines.
-  rma::WatchdogPolicy watchdog;
-  /// Consecutive watchdog expiries without progress before a silent peer is
-  /// presumed dead. A live peer must make per-chunk progress faster than
-  /// probe_attempts * watchdog.timeout or it will be routed around.
-  int probe_attempts = 3;
-  /// Checksum-mismatch refetches before a fetch counts as a failed attempt.
-  int get_retries = 3;
-  /// Total detect+fetch attempts per chunk before a core gives up.
-  int max_chunk_attempts = 64;
-};
 
 /// Per-core outcome of the last run() (host-side, zero simulated cost).
 struct DeliveryReport {
   bool participated = false;
   bool delivered = false;  ///< all chunks landed byte-correct in private mem
-  bool gave_up = false;    ///< exhausted max_chunk_attempts; returned early
+  bool gave_up = false;    ///< exhausted the per-chunk attempt budget
   std::uint64_t checksum_retries = 0;   ///< refetches after a sum mismatch
   std::uint64_t watchdog_timeouts = 0;  ///< flag waits that hit the deadline
   std::uint64_t reroutes = 0;           ///< data-source switches (crash path)
   std::uint64_t substituted_acks = 0;   ///< dead-child acks read from its MPB
 };
 
-class FtOcBcast final : public BroadcastAlgorithm {
+/// Honors parties, k, chunk_lines, double_buffering and mpb_base_line. Its
+/// watchdog and retry budgets are fixed (see ft_ocbcast.cpp); leaves always
+/// land straight into private memory.
+class FtOcBcast final : public coll::Collective {
  public:
-  FtOcBcast(scc::SccChip& chip, FtOcBcastOptions options = {});
+  FtOcBcast(scc::SccChip& chip, const coll::Params& params = {});
 
   std::string name() const override;
-  int parties() const override { return options_.parties; }
+  int parties() const override { return params_.parties; }
   sim::Task<void> run(scc::Core& self, CoreId root, std::size_t offset,
                       std::size_t bytes) override;
 
-  const FtOcBcastOptions& options() const { return options_; }
   const DeliveryReport& report(CoreId core) const {
     return reports_[static_cast<std::size_t>(core)];
   }
@@ -103,7 +88,7 @@ class FtOcBcast final : public BroadcastAlgorithm {
   }
 
   // MPB layout (exposed for tests).
-  std::size_t notify_line() const { return options_.mpb_base_line; }
+  std::size_t notify_line() const { return params_.mpb_base_line; }
   std::size_t done_line(int child_slot) const;
   std::size_t staged_line(std::uint64_t parity) const;
   std::size_t buffer_line(std::uint64_t parity) const;
@@ -150,7 +135,7 @@ class FtOcBcast final : public BroadcastAlgorithm {
                                  std::size_t mem_off, std::uint64_t reuse_min);
 
   scc::SccChip* chip_;
-  FtOcBcastOptions options_;
+  coll::Params params_;
   std::size_t buffer_count_;
   rma::FlagBarrier fence_;
   std::vector<std::uint64_t> chunks_so_far_;

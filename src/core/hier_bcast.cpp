@@ -22,66 +22,61 @@ int subtree_fanout(int requested, int nodes) {
 }  // namespace
 
 HierarchicalBcast::HierarchicalBcast(scc::SccChip& chip,
-                                     HierarchicalBcastOptions options)
+                                     const coll::Params& params)
     : chip_(&chip),
-      options_([&] {
-        if (options.parties == 0) {
-          options.parties = chip.topology().num_cores();
-        }
-        return options;
-      }()),
-      buffer_count_(options.double_buffering ? 2 : 1),
+      params_(params),
+      buffer_count_(params.double_buffering ? 2 : 1),
       fence_(chip,
              [&] {
-               OCB_REQUIRE(options_.parties >= 2 &&
-                               options_.parties <= chip.topology().num_cores(),
+               OCB_REQUIRE(params_.parties >= 2 &&
+                               params_.parties <= chip.topology().num_cores(),
                            "party count out of range");
-               OCB_REQUIRE(options_.k >= 1, "intra-die fan-out must be >= 1");
-               OCB_REQUIRE(options_.die_k >= 1, "die fan-out must be >= 1");
-               OCB_REQUIRE(options_.chunk_lines >= 1,
+               OCB_REQUIRE(params_.k >= 1, "intra-die fan-out must be >= 1");
+               OCB_REQUIRE(params_.die_k >= 1, "die fan-out must be >= 1");
+               OCB_REQUIRE(params_.chunk_lines >= 1,
                            "chunk must be at least one line");
-               return options_.mpb_base_line + 1 +
-                      static_cast<std::size_t>(options_.k + options_.die_k) +
-                      buffer_count_ * options_.chunk_lines;
+               return params_.mpb_base_line + 1 +
+                      static_cast<std::size_t>(params_.k + params_.die_k) +
+                      buffer_count_ * params_.chunk_lines;
              }(),
-             options_.parties) {
+             params_.parties) {
   const auto n = static_cast<std::size_t>(chip.topology().num_cores());
   chunks_so_far_.assign(n, 0);
   last_root_.assign(n, -1);
-  OCB_REQUIRE(options_.mpb_base_line + layout_lines() <= kMpbCacheLines,
+  OCB_REQUIRE(params_.mpb_base_line + layout_lines() <= kMpbCacheLines,
               "hier-ocbcast layout (k+die_k+1 flags + buffers + fence) "
               "exceeds the 256-line MPB");
 }
 
 std::size_t HierarchicalBcast::done_line(int slot) const {
-  OCB_REQUIRE(slot >= 0 && slot < options_.k + options_.die_k,
+  OCB_REQUIRE(slot >= 0 && slot < params_.k + params_.die_k,
               "done slot out of range");
-  return options_.mpb_base_line + 1 + static_cast<std::size_t>(slot);
+  return params_.mpb_base_line + 1 + static_cast<std::size_t>(slot);
 }
 
 std::size_t HierarchicalBcast::buffer_line(std::uint64_t parity) const {
   OCB_REQUIRE(parity < buffer_count_, "buffer parity out of range");
-  return options_.mpb_base_line + 1 +
-         static_cast<std::size_t>(options_.k + options_.die_k) +
-         parity * options_.chunk_lines;
+  return params_.mpb_base_line + 1 +
+         static_cast<std::size_t>(params_.k + params_.die_k) +
+         parity * params_.chunk_lines;
 }
 
 std::size_t HierarchicalBcast::fence_line() const {
-  return options_.mpb_base_line + 1 +
-         static_cast<std::size_t>(options_.k + options_.die_k) +
-         buffer_count_ * options_.chunk_lines;
+  return params_.mpb_base_line + 1 +
+         static_cast<std::size_t>(params_.k + params_.die_k) +
+         buffer_count_ * params_.chunk_lines;
 }
 
 std::size_t HierarchicalBcast::layout_lines() const {
-  return 1 + static_cast<std::size_t>(options_.k + options_.die_k) +
-         buffer_count_ * options_.chunk_lines +
+  return 1 + static_cast<std::size_t>(params_.k + params_.die_k) +
+         buffer_count_ * params_.chunk_lines +
          static_cast<std::size_t>(fence_.rounds());
 }
 
 std::string HierarchicalBcast::name() const {
   std::ostringstream os;
-  os << "hier-ocbcast k=" << options_.k << " die-k=" << options_.die_k;
-  if (!options_.double_buffering) os << " single-buffer";
+  os << "hier-ocbcast k=" << params_.k << " die-k=" << params_.die_k;
+  if (!params_.double_buffering) os << " single-buffer";
   return os.str();
 }
 
@@ -101,7 +96,7 @@ HierarchicalBcast::Plan HierarchicalBcast::plan_for(CoreId me,
   for (int d = 0; d < topo.num_dies(); ++d) {
     std::vector<CoreId> members;
     for (CoreId c : topo.cores_of_die(d)) {
-      if (c < options_.parties) members.push_back(c);
+      if (c < params_.parties) members.push_back(c);
     }
     if (members.empty()) continue;
     part_dies.push_back(d);
@@ -126,7 +121,7 @@ HierarchicalBcast::Plan HierarchicalBcast::plan_for(CoreId me,
                             my_members.begin());
   };
   if (m > 1) {
-    const KaryTree intra(m, subtree_fanout(options_.k, m),
+    const KaryTree intra(m, subtree_fanout(params_.k, m),
                          local_rank(my_leader));
     const int my_rank = local_rank(me);
     const CoreId parent_rank = intra.parent_of(my_rank);
@@ -144,16 +139,16 @@ HierarchicalBcast::Plan HierarchicalBcast::plan_for(CoreId me,
   // Relay tree over die leaders: the only interposer-crossing edges.
   // Slots k..k+die_k-1 keep leader done-flags apart from intra ones.
   if (me == my_leader && num_part > 1) {
-    const KaryTree relay(num_part, subtree_fanout(options_.die_k, num_part),
+    const KaryTree relay(num_part, subtree_fanout(params_.die_k, num_part),
                          die_pos(root_die));
     const CoreId parent_pos = relay.parent_of(my_pos);
     if (parent_pos != -1) {
       plan.parent = leaders[static_cast<std::size_t>(parent_pos)];
-      plan.my_slot = options_.k + relay.child_position(my_pos) - 1;
+      plan.my_slot = params_.k + relay.child_position(my_pos) - 1;
     }
     for (CoreId child_pos : relay.children_of(my_pos)) {
       plan.children.push_back(leaders[static_cast<std::size_t>(child_pos)]);
-      plan.child_slots.push_back(options_.k + relay.child_position(child_pos) -
+      plan.child_slots.push_back(params_.k + relay.child_position(child_pos) -
                                  1);
     }
   }
@@ -172,8 +167,8 @@ sim::Task<void> HierarchicalBcast::wait_children_done(scc::Core& self,
 
 sim::Task<void> HierarchicalBcast::run(scc::Core& self, CoreId root,
                                        std::size_t offset, std::size_t bytes) {
-  OCB_REQUIRE(self.id() < options_.parties, "core is not a participant");
-  OCB_REQUIRE(root >= 0 && root < options_.parties,
+  OCB_REQUIRE(self.id() < params_.parties, "core is not a participant");
+  OCB_REQUIRE(root >= 0 && root < params_.parties,
               "root is not a participant");
   OCB_REQUIRE(bytes > 0, "empty broadcast");
 
@@ -181,7 +176,7 @@ sim::Task<void> HierarchicalBcast::run(scc::Core& self, CoreId root,
   const Plan plan = plan_for(me, root);
 
   const std::size_t m_lines = cache_lines_for(bytes);
-  const std::size_t chunk = options_.chunk_lines;
+  const std::size_t chunk = params_.chunk_lines;
   const std::size_t n_chunks = (m_lines + chunk - 1) / chunk;
   const std::uint64_t base = chunks_so_far_[static_cast<std::size_t>(me)];
   chunks_so_far_[static_cast<std::size_t>(me)] += n_chunks;

@@ -40,34 +40,25 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "rma/barrier.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
-struct HierarchicalBcastOptions {
-  /// Participating cores 0..parties-1; 0 = every core of the chip.
-  int parties = 0;
-  int k = 7;       ///< intra-die propagation fan-out
-  int die_k = 4;   ///< fan-out of the relay tree over die leaders
-  std::size_t chunk_lines = 96;
-  bool double_buffering = true;
-  std::size_t mpb_base_line = 0;
-};
-
-class HierarchicalBcast final : public BroadcastAlgorithm {
+/// Honors parties, k (intra-die fan-out), die_k, chunk_lines,
+/// double_buffering and mpb_base_line.
+class HierarchicalBcast final : public coll::Collective {
  public:
-  HierarchicalBcast(scc::SccChip& chip, HierarchicalBcastOptions options = {});
+  HierarchicalBcast(scc::SccChip& chip, const coll::Params& params = {});
 
   std::string name() const override;
-  int parties() const override { return options_.parties; }
+  int parties() const override { return params_.parties; }
   sim::Task<void> run(scc::Core& self, CoreId root, std::size_t offset,
                       std::size_t bytes) override;
 
-  const HierarchicalBcastOptions& options() const { return options_; }
-
   // MPB layout (exposed for tests).
-  std::size_t notify_line() const { return options_.mpb_base_line; }
+  std::size_t notify_line() const { return params_.mpb_base_line; }
   /// Done-flag line for slot in [0, k + die_k): intra-die children occupy
   /// slots 0..k-1, die-child leaders k..k+die_k-1.
   std::size_t done_line(int slot) const;
@@ -89,7 +80,7 @@ class HierarchicalBcast final : public BroadcastAlgorithm {
                                      std::uint64_t minimum);
 
   scc::SccChip* chip_;
-  HierarchicalBcastOptions options_;
+  coll::Params params_;
   std::size_t buffer_count_;
   rma::FlagBarrier fence_;
   std::vector<std::uint64_t> chunks_so_far_;

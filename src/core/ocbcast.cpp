@@ -7,66 +7,66 @@
 
 namespace ocb::core {
 
-OcBcast::OcBcast(scc::SccChip& chip, OcBcastOptions options)
+OcBcast::OcBcast(scc::SccChip& chip, const coll::Params& params)
     : chip_(&chip),
-      options_(options),
-      buffer_count_(options.double_buffering ? 2 : 1),
+      params_(params),
+      buffer_count_(params.double_buffering ? 2 : 1),
       fence_(chip,
              [&] {
-               OCB_REQUIRE(options.parties >= 2 &&
-                               options.parties <= chip.topology().num_cores(),
+               OCB_REQUIRE(params.parties >= 2 &&
+                               params.parties <= chip.topology().num_cores(),
                            "party count out of range");
-               OCB_REQUIRE(options.k >= 1 && options.k <= options.parties - 1,
+               OCB_REQUIRE(params.k >= 1 && params.k <= params.parties - 1,
                            "fan-out must be in [1, parties-1]");
-               OCB_REQUIRE(options.chunk_lines >= 1,
+               OCB_REQUIRE(params.chunk_lines >= 1,
                            "chunk must be at least one line");
                const std::size_t fence_base =
-                   options.mpb_base_line + 1 + static_cast<std::size_t>(options.k) +
-                   (options.double_buffering ? 2 : 1) * options.chunk_lines;
+                   params.mpb_base_line + 1 + static_cast<std::size_t>(params.k) +
+                   (params.double_buffering ? 2 : 1) * params.chunk_lines;
                OCB_REQUIRE(fence_base <= kMpbCacheLines,
                            "OC-Bcast layout (k+1 flags + buffers) exceeds the "
                            "256-line MPB");
                return fence_base;
              }(),
-             options.parties) {
+             params.parties) {
   const auto n = static_cast<std::size_t>(chip.topology().num_cores());
   chunks_so_far_.assign(n, 0);
   last_root_.assign(n, -1);
-  const std::size_t end = options_.mpb_base_line + layout_lines();
+  const std::size_t end = params_.mpb_base_line + layout_lines();
   OCB_REQUIRE(end <= kMpbCacheLines,
               "OC-Bcast layout (k+1 flags + buffers + fence) exceeds the "
               "256-line MPB");
 }
 
 std::size_t OcBcast::fence_line() const {
-  return options_.mpb_base_line + 1 + static_cast<std::size_t>(options_.k) +
-         buffer_count_ * options_.chunk_lines;
+  return params_.mpb_base_line + 1 + static_cast<std::size_t>(params_.k) +
+         buffer_count_ * params_.chunk_lines;
 }
 
 std::size_t OcBcast::layout_lines() const {
-  return 1 + static_cast<std::size_t>(options_.k) +
-         buffer_count_ * options_.chunk_lines +
+  return 1 + static_cast<std::size_t>(params_.k) +
+         buffer_count_ * params_.chunk_lines +
          static_cast<std::size_t>(fence_.rounds());
 }
 
 std::string OcBcast::name() const {
   std::ostringstream os;
-  os << "oc-bcast k=" << options_.k;
-  if (!options_.double_buffering) os << " single-buffer";
-  if (options_.leaf_direct_to_memory) os << " leaf-direct";
-  if (options_.sequential_notification) os << " seq-notify";
+  os << "oc-bcast k=" << params_.k;
+  if (!params_.double_buffering) os << " single-buffer";
+  if (params_.leaf_direct_to_memory) os << " leaf-direct";
+  if (params_.sequential_notification) os << " seq-notify";
   return os.str();
 }
 
 std::size_t OcBcast::done_line(int child_slot) const {
-  OCB_REQUIRE(child_slot >= 0 && child_slot < options_.k, "child slot out of range");
-  return options_.mpb_base_line + 1 + static_cast<std::size_t>(child_slot);
+  OCB_REQUIRE(child_slot >= 0 && child_slot < params_.k, "child slot out of range");
+  return params_.mpb_base_line + 1 + static_cast<std::size_t>(child_slot);
 }
 
 std::size_t OcBcast::buffer_line(std::uint64_t parity) const {
   OCB_REQUIRE(parity < buffer_count_, "buffer parity out of range");
-  return options_.mpb_base_line + 1 + static_cast<std::size_t>(options_.k) +
-         parity * options_.chunk_lines;
+  return params_.mpb_base_line + 1 + static_cast<std::size_t>(params_.k) +
+         parity * params_.chunk_lines;
 }
 
 sim::Task<void> OcBcast::wait_children_done(scc::Core& self,
@@ -81,24 +81,24 @@ sim::Task<void> OcBcast::wait_children_done(scc::Core& self,
 
 sim::Task<void> OcBcast::run(scc::Core& self, CoreId root, std::size_t offset,
                              std::size_t bytes) {
-  OCB_REQUIRE(self.id() < options_.parties, "core is not a participant");
-  OCB_REQUIRE(root >= 0 && root < options_.parties, "root is not a participant");
+  OCB_REQUIRE(self.id() < params_.parties, "core is not a participant");
+  OCB_REQUIRE(root >= 0 && root < params_.parties, "root is not a participant");
   OCB_REQUIRE(bytes > 0, "empty broadcast");
 
-  const KaryTree tree(options_.parties, options_.k, root);
+  const KaryTree tree(params_.parties, params_.k, root);
   const CoreId me = self.id();
   const CoreId parent = tree.parent_of(me);
   const std::vector<CoreId> children = tree.children_of(me);
-  const std::vector<CoreId> forward = options_.sequential_notification
+  const std::vector<CoreId> forward = params_.sequential_notification
                                           ? std::vector<CoreId>{}
                                           : tree.notify_forward_targets(me);
-  const std::vector<CoreId> own = options_.sequential_notification
+  const std::vector<CoreId> own = params_.sequential_notification
                                       ? children
                                       : tree.notify_own_targets(me);
   const int my_slot = tree.child_position(me) - 1;  // slot in parent's doneFlags
 
   const std::size_t m_lines = cache_lines_for(bytes);
-  const std::size_t chunk = options_.chunk_lines;
+  const std::size_t chunk = params_.chunk_lines;
   const std::size_t n_chunks = (m_lines + chunk - 1) / chunk;
   const std::uint64_t base = chunks_so_far_[static_cast<std::size_t>(me)];
   chunks_so_far_[static_cast<std::size_t>(me)] += n_chunks;
@@ -112,7 +112,7 @@ sim::Task<void> OcBcast::run(scc::Core& self, CoreId root, std::size_t offset,
     co_await fence_.wait(self);
   }
 
-  const bool leaf_direct = children.empty() && options_.leaf_direct_to_memory;
+  const bool leaf_direct = children.empty() && params_.leaf_direct_to_memory;
 
   for (std::size_t c = 0; c < n_chunks; ++c) {
     const std::uint64_t seq = base + c + 1;

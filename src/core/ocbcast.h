@@ -31,39 +31,27 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "core/tree.h"
 #include "rma/barrier.h"
 #include "rma/flags.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
-struct OcBcastOptions {
-  int parties = kNumCores;
-  int k = 7;                           ///< propagation fan-out
-  std::size_t chunk_lines = 96;        ///< M_oc
-  bool double_buffering = true;        ///< §4.2; off = single buffer (ablation)
-  bool leaf_direct_to_memory = false;  ///< §5.4 optimization (ablation)
-  /// Ablation of the binary notification tree: the parent sets all k
-  /// children's notifyFlags itself, sequentially (what §4.1 argues
-  /// against). Children forward nothing.
-  bool sequential_notification = false;
-  std::size_t mpb_base_line = 0;       ///< first MPB line used by the layout
-};
-
-class OcBcast final : public BroadcastAlgorithm {
+/// Honors every coll::Params field except die_k, observed_fault_rate and
+/// adaptive_table_json.
+class OcBcast final : public coll::Collective {
  public:
-  OcBcast(scc::SccChip& chip, OcBcastOptions options = {});
+  OcBcast(scc::SccChip& chip, const coll::Params& params = {});
 
   std::string name() const override;
-  int parties() const override { return options_.parties; }
+  int parties() const override { return params_.parties; }
   sim::Task<void> run(scc::Core& self, CoreId root, std::size_t offset,
                       std::size_t bytes) override;
 
-  const OcBcastOptions& options() const { return options_; }
-
   // MPB layout (exposed for tests).
-  std::size_t notify_line() const { return options_.mpb_base_line; }
+  std::size_t notify_line() const { return params_.mpb_base_line; }
   std::size_t done_line(int child_slot) const;
   std::size_t buffer_line(std::uint64_t parity) const;
   std::size_t fence_line() const;
@@ -76,7 +64,7 @@ class OcBcast final : public BroadcastAlgorithm {
                                      std::uint64_t minimum);
 
   scc::SccChip* chip_;
-  OcBcastOptions options_;
+  coll::Params params_;
   std::size_t buffer_count_;
   rma::FlagBarrier fence_;
   /// Per-core count of chunks broadcast so far (the absolute sequence

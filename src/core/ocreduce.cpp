@@ -202,16 +202,13 @@ OcAllreduce::OcAllreduce(scc::SccChip& chip, OcAllreduceOptions options)
                 r.mpb_base_line = 0;
                 return r;
               }()),
-      bcast_(chip, [&] {
-        OcBcastOptions b;
-        b.parties = options.parties;
-        b.k = options.bcast_k;
-        b.chunk_lines = options.chunk_lines;
-        // The reduce layout occupies [0, 1 + reduce_k + 2*chunk + fence).
-        b.mpb_base_line = 1 + static_cast<std::size_t>(options.reduce_k) +
-                          2 * options.chunk_lines + 6;
-        return b;
-      }()) {}
+      bcast_(chip,
+             {.parties = options.parties,
+              .k = options.bcast_k,
+              .chunk_lines = options.chunk_lines,
+              // The reduce layout occupies [0, 1 + reduce_k + 2*chunk + fence).
+              .mpb_base_line = 1 + static_cast<std::size_t>(options.reduce_k) +
+                               2 * options.chunk_lines + 6}) {}
 
 sim::Task<void> OcAllreduce::run(scc::Core& self, std::size_t in_offset,
                                  std::size_t out_offset, std::size_t count,

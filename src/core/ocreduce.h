@@ -37,7 +37,6 @@
 
 #include <array>
 
-#include "core/bcast.h"
 #include "core/ocbcast.h"
 #include "core/tree.h"
 #include "rma/barrier.h"

@@ -39,19 +39,18 @@ struct OneSidedScatterAllgather::SliceMap {
 };
 
 OneSidedScatterAllgather::OneSidedScatterAllgather(scc::SccChip& chip,
-                                                   OneSidedSagOptions options)
+                                                   const coll::Params& params)
     : chip_(&chip),
-      options_(options),
+      parties_(params.parties),
+      base_(params.mpb_base_line),
       fence_(chip,
              [&] {
-               OCB_REQUIRE(options.parties >= 2 &&
-                               options.parties <= chip.topology().num_cores(),
+               OCB_REQUIRE(params.parties >= 2 &&
+                               params.parties <= chip.topology().num_cores(),
                            "party count out of range");
-               OCB_REQUIRE(options.chunk_lines >= 1,
-                           "chunk must be at least one line");
-               return options.mpb_base_line + kFlagLines + 3 * options.chunk_lines;
+               return params.mpb_base_line + kFlagLines + 3 * kChunkLines;
              }(),
-             options.parties) {
+             params.parties) {
   n_ = chip.topology().num_cores();
   const auto n = static_cast<std::size_t>(n_);
   last_root_.assign(n, -1);
@@ -59,20 +58,19 @@ OneSidedScatterAllgather::OneSidedScatterAllgather(scc::SccChip& chip,
   consumed_from_right_.assign(n, 0);
   push_seq_.assign(n * n, 0);
   drain_seq_.assign(n * n, 0);
-  OCB_REQUIRE(options_.mpb_base_line + kFlagLines + 3 * options_.chunk_lines +
-                      static_cast<std::size_t>(fence_.rounds()) <=
+  OCB_REQUIRE(fence_line() + static_cast<std::size_t>(fence_.rounds()) <=
                   kMpbCacheLines,
               "one-sided s-ag layout (4 flags + inbox + 2 staging buffers + "
               "fence) exceeds the 256-line MPB");
 }
 
 std::size_t OneSidedScatterAllgather::fence_line() const {
-  return options_.mpb_base_line + kFlagLines + 3 * options_.chunk_lines;
+  return base_ + kFlagLines + 3 * kChunkLines;
 }
 
 std::size_t OneSidedScatterAllgather::stage_line(std::uint64_t parity) const {
   OCB_REQUIRE(parity < 2, "staging parity out of range");
-  return options_.mpb_base_line + kFlagLines + (1 + parity) * options_.chunk_lines;
+  return base_ + kFlagLines + (1 + parity) * kChunkLines;
 }
 
 std::uint64_t& OneSidedScatterAllgather::pair_seq(CoreId parent, CoreId child) {
@@ -83,7 +81,7 @@ std::uint64_t& OneSidedScatterAllgather::pair_seq(CoreId parent, CoreId child) {
 sim::Task<void> OneSidedScatterAllgather::push_range(scc::Core& self, CoreId child,
                                                      std::size_t mem_offset,
                                                      std::size_t lines) {
-  const std::size_t chunk = options_.chunk_lines;
+  const std::size_t chunk = kChunkLines;
   std::size_t done = 0;
   bool first = true;
   while (done < lines) {
@@ -109,7 +107,7 @@ sim::Task<void> OneSidedScatterAllgather::push_range(scc::Core& self, CoreId chi
 sim::Task<void> OneSidedScatterAllgather::drain_range(scc::Core& self, CoreId parent,
                                                       std::size_t mem_offset,
                                                       std::size_t lines) {
-  const std::size_t chunk = options_.chunk_lines;
+  const std::size_t chunk = kChunkLines;
   std::size_t done = 0;
   while (done < lines) {
     const std::size_t n = std::min(chunk, lines - done);
@@ -133,7 +131,7 @@ sim::Task<void> OneSidedScatterAllgather::drain_range(scc::Core& self, CoreId pa
 
 sim::Task<void> OneSidedScatterAllgather::run(scc::Core& self, CoreId root,
                                               std::size_t offset, std::size_t bytes) {
-  const int p = options_.parties;
+  const int p = parties_;
   OCB_REQUIRE(self.id() < p, "core is not a participant");
   OCB_REQUIRE(root >= 0 && root < p, "root is not a participant");
   OCB_REQUIRE(bytes > 0, "empty broadcast");
@@ -141,7 +139,7 @@ sim::Task<void> OneSidedScatterAllgather::run(scc::Core& self, CoreId root,
   const CoreId me = self.id();
   const int rel = (me - root + p) % p;
   auto absolute = [&](int rank) { return (root + rank) % p; };
-  const std::size_t chunk = options_.chunk_lines;
+  const std::size_t chunk = kChunkLines;
 
   // Fence on a root change (the scatter tree's flag writers move).
   const CoreId prev_root = last_root_[static_cast<std::size_t>(me)];

@@ -51,33 +51,32 @@
 
 #include <array>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "rma/barrier.h"
 #include "rma/flags.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
-struct OneSidedSagOptions {
-  int parties = kNumCores;
-  std::size_t chunk_lines = 82;
-  std::size_t mpb_base_line = 0;
-};
-
-class OneSidedScatterAllgather final : public BroadcastAlgorithm {
+/// Honors parties and mpb_base_line; the chunk is fixed at kChunkLines.
+class OneSidedScatterAllgather final : public coll::Collective {
  public:
-  OneSidedScatterAllgather(scc::SccChip& chip, OneSidedSagOptions options = {});
+  /// The largest chunk whose layout (above) fits the MPB from line 0.
+  static constexpr std::size_t kChunkLines = 82;
+
+  OneSidedScatterAllgather(scc::SccChip& chip, const coll::Params& params = {});
 
   std::string name() const override { return "one-sided scatter-allgather"; }
-  int parties() const override { return options_.parties; }
+  int parties() const override { return parties_; }
   sim::Task<void> run(scc::Core& self, CoreId root, std::size_t offset,
                       std::size_t bytes) override;
 
   // Layout (exposed for tests).
-  std::size_t stage_ready_line() const { return options_.mpb_base_line; }
-  std::size_t stage_done_line() const { return options_.mpb_base_line + 1; }
-  std::size_t inbox_ready_line() const { return options_.mpb_base_line + 2; }
-  std::size_t inbox_done_line() const { return options_.mpb_base_line + 3; }
-  std::size_t inbox_line() const { return options_.mpb_base_line + 4; }
+  std::size_t stage_ready_line() const { return base_; }
+  std::size_t stage_done_line() const { return base_ + 1; }
+  std::size_t inbox_ready_line() const { return base_ + 2; }
+  std::size_t inbox_done_line() const { return base_ + 3; }
+  std::size_t inbox_line() const { return base_ + 4; }
   std::size_t stage_line(std::uint64_t parity) const;
   std::size_t fence_line() const;
 
@@ -94,7 +93,8 @@ class OneSidedScatterAllgather final : public BroadcastAlgorithm {
   std::uint64_t& pair_seq(CoreId parent, CoreId child);
 
   scc::SccChip* chip_;
-  OneSidedSagOptions options_;
+  int parties_;
+  std::size_t base_;  ///< first MPB line of the layout
   rma::FlagBarrier fence_;
   int n_;  ///< chip core count (pair-table stride)
   std::vector<CoreId> last_root_;

@@ -16,27 +16,25 @@
 
 #include <memory>
 
-#include "core/bcast.h"
+#include "coll/collective.h"
 #include "rma/twosided.h"
+#include "scc/chip.h"
 
 namespace ocb::core {
 
-struct ScatterAllgatherOptions {
-  int parties = kNumCores;
-  rma::TwoSidedLayout layout{};
-};
-
-class ScatterAllgatherBcast final : public BroadcastAlgorithm {
+/// Honors parties only; the two-sided channel uses the default
+/// rma::TwoSidedLayout (the whole MPB, RCCE's 251-line payload).
+class ScatterAllgatherBcast final : public coll::Collective {
  public:
-  ScatterAllgatherBcast(scc::SccChip& chip, ScatterAllgatherOptions options = {});
+  ScatterAllgatherBcast(scc::SccChip& chip, const coll::Params& params = {});
 
   std::string name() const override { return "scatter-allgather"; }
-  int parties() const override { return options_.parties; }
+  int parties() const override { return parties_; }
   sim::Task<void> run(scc::Core& self, CoreId root, std::size_t offset,
                       std::size_t bytes) override;
 
  private:
-  ScatterAllgatherOptions options_;
+  int parties_;
   std::unique_ptr<rma::TwoSided> twosided_;
 };
 

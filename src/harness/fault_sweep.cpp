@@ -7,7 +7,8 @@
 #include "check/checker.h"
 #include "common/require.h"
 #include "common/rng.h"
-#include "core/ocbcast.h"
+#include "coll/registry.h"
+#include "core/ft_ocbcast.h"
 #include "fault/injector.h"
 #include "harness/parallel.h"
 
@@ -44,25 +45,12 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
     chip.add_observer(checker.get());
   }
 
-  const int parties = spec.ft.parties;
+  const std::unique_ptr<coll::Collective> algo =
+      coll::make(spec.algorithm_name, chip, spec.params);
+  // Only FT-OC-Bcast keeps per-core delivery reports.
+  const auto* ft = dynamic_cast<const core::FtOcBcast*>(algo.get());
+  const int parties = algo->parties();
   OCB_REQUIRE(spec.root >= 0 && spec.root < parties, "root out of range");
-
-  // Two algorithm arms sharing shape parameters (FT vs plain control).
-  std::unique_ptr<core::FtOcBcast> ft;
-  std::unique_ptr<core::OcBcast> plain;
-  core::BroadcastAlgorithm* algo;
-  if (spec.use_ft) {
-    ft = std::make_unique<core::FtOcBcast>(chip, spec.ft);
-    algo = ft.get();
-  } else {
-    core::OcBcastOptions o;
-    o.parties = spec.ft.parties;
-    o.k = spec.ft.k;
-    o.chunk_lines = spec.ft.chunk_lines;
-    o.double_buffering = spec.ft.double_buffering;
-    plain = std::make_unique<core::OcBcast>(chip, o);
-    algo = plain.get();
-  }
 
   const std::vector<std::byte> pattern =
       make_pattern(spec.message_bytes, spec.plan.seed ^ 0xc0ffee);
@@ -109,12 +97,12 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
       continue;
     }
     last = std::max(last, finish[i]);
-    if (spec.use_ft) {
+    if (ft != nullptr) {
       const core::DeliveryReport& rep = ft->report(c);
       if (rep.delivered) ++out.delivered;
       if (rep.gave_up) ++out.gave_up;
     } else {
-      ++out.delivered;  // plain protocol has no report; returning = claim
+      ++out.delivered;  // no report; returning = claim
     }
     const auto got = chip.memory(c).host_bytes(0, spec.message_bytes);
     if (std::equal(pattern.begin(), pattern.end(), got.begin())) {

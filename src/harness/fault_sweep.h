@@ -11,7 +11,7 @@
 #include <string>
 #include <vector>
 
-#include "core/ft_ocbcast.h"
+#include "coll/collective.h"
 #include "fault/plan.h"
 #include "scc/config.h"
 
@@ -19,10 +19,10 @@ namespace ocb::harness {
 
 struct FaultRunSpec {
   fault::FaultPlan plan;
-  core::FtOcBcastOptions ft{};
-  /// false: run the plain (non-FT) OcBcast with matching shape under the
-  /// same plan — the control arm showing what the faults do unhandled.
-  bool use_ft = true;
+  /// Registry name of the algorithm under the plan. "ocbcast" with the same
+  /// params is the control arm showing what the faults do unhandled.
+  std::string algorithm_name = "ft-ocbcast";
+  coll::Params params{};
   scc::SccConfig config{};
   CoreId root = 0;
   std::size_t message_bytes = 64 * 1024;
@@ -45,9 +45,11 @@ struct FaultRunOutcome {
   int survivors = 0;  ///< parties - crashed
   /// Survivors whose private memory byte-matches the root's message.
   int correct = 0;
-  /// Survivors that exhausted their retry budget and returned early (FT).
+  /// Survivors that exhausted their retry budget and returned early
+  /// (FT-OC-Bcast only).
   int gave_up = 0;
-  /// Survivors reporting delivered (FT only; == survivors on success).
+  /// Survivors reporting delivered (== survivors on success). Algorithms
+  /// other than FT-OC-Bcast keep no report: returning counts as delivered.
   int delivered = 0;
   std::size_t stalled_processes = 0;
   std::vector<std::string> stalled_details;

@@ -22,7 +22,6 @@
 
 #include "coll/registry.h"
 #include "common/stats.h"
-#include "core/bcast.h"
 #include "scc/chip.h"
 #include "scc/config.h"
 
@@ -33,10 +32,9 @@ class RaceChecker;
 namespace ocb::harness {
 
 struct BcastRunSpec {
-  core::BcastSpec algorithm{};
-  /// Registry-keyed selection (coll/registry.h); when non-empty it wins
-  /// over `algorithm`, and `params` configures the chosen factory.
-  std::string algorithm_name{};
+  /// Registry name (coll/registry.h) of the algorithm under test; `params`
+  /// configures it. The defaults run OC-Bcast k=7.
+  std::string algorithm_name = "ocbcast";
   coll::Params params{};
   scc::SccConfig config{};
   CoreId root = 0;
@@ -45,7 +43,8 @@ struct BcastRunSpec {
   int warmup = 1;      ///< discarded leading iterations
   bool verify = true;  ///< byte-compare every measured delivery
   /// Install an ocb::check::RaceChecker for the whole session. Also
-  /// enabled by the OCB_CHECK environment variable (any value but "0").
+  /// enabled by the OCB_CHECK environment variable (any value but "0") on
+  /// chips of at most kNumCores cores, the most the checker supports.
   bool check = false;
 };
 
@@ -106,7 +105,7 @@ class BcastSession {
  private:
   BcastRunSpec spec_;
   std::unique_ptr<scc::SccChip> chip_;
-  std::unique_ptr<core::BroadcastAlgorithm> algo_;
+  std::unique_ptr<coll::Collective> algo_;
   std::unique_ptr<check::RaceChecker> checker_;
   int next_slot_ = 0;  ///< first unused iteration slot (offset cursor)
   std::uint64_t events_seen_ = 0;  ///< cumulative engine count already reported

@@ -46,21 +46,14 @@ int default_iterations(std::size_t lines) {
   return 2;
 }
 
-std::vector<core::BcastSpec> paper_algorithm_lineup() {
-  std::vector<core::BcastSpec> specs;
-  for (int k : {2, 7, 47}) {
-    core::BcastSpec s;
-    s.kind = core::BcastKind::kOcBcast;
-    s.k = k;
-    specs.push_back(s);
-  }
-  core::BcastSpec binomial;
-  binomial.kind = core::BcastKind::kBinomial;
-  specs.push_back(binomial);
-  core::BcastSpec sag;
-  sag.kind = core::BcastKind::kScatterAllgather;
-  specs.push_back(sag);
-  return specs;
+std::vector<LineupEntry> paper_algorithm_lineup() {
+  return {
+      {"ocbcast", {.k = 2}, "oc-bcast k=2"},
+      {"ocbcast", {.k = 7}, "oc-bcast k=7"},
+      {"ocbcast", {.k = 47}, "oc-bcast k=47"},
+      {"binomial", {}, "binomial"},
+      {"scatter-allgather", {}, "scatter-allgather"},
+  };
 }
 
 }  // namespace ocb::harness

@@ -39,8 +39,16 @@ std::vector<std::size_t> large_message_sizes();
 /// against statistics (warmup handled separately by BcastRunSpec).
 int default_iterations(std::size_t lines);
 
+/// One registry entry of a figure line-up: algorithm name, its params, and
+/// the series label the figures print (the instance's name()).
+struct LineupEntry {
+  std::string name;
+  coll::Params params;
+  std::string label;
+};
+
 /// The algorithm line-up of Figures 6 and 8: OC-Bcast k=2/7/47, binomial,
 /// scatter-allgather.
-std::vector<core::BcastSpec> paper_algorithm_lineup();
+std::vector<LineupEntry> paper_algorithm_lineup();
 
 }  // namespace ocb::harness

@@ -17,13 +17,11 @@ Communicator::Communicator(scc::SccChip& chip, int size)
     : chip_(&chip), size_(size) {
   OCB_REQUIRE(size >= 2 && size <= chip.topology().num_cores(),
               "communicator size out of range");
-  core::OcBcastOptions oc;
-  oc.parties = size;
-  oc.k = std::min(7, size - 1);
-  bcast_ = std::make_unique<core::OcBcast>(chip, oc);
-  // Stack the remaining layouts behind whatever OC-Bcast occupies
-  // (including its root-change fence lines).
-  const std::size_t barrier_base = oc.mpb_base_line + bcast_->layout_lines();
+  bcast_ = std::make_unique<core::OcBcast>(
+      chip, coll::Params{.parties = size, .k = std::min(7, size - 1)});
+  // Stack the remaining layouts behind whatever OC-Bcast occupies from
+  // line 0 (including its root-change fence lines).
+  const std::size_t barrier_base = bcast_->layout_lines();
   barrier_ = std::make_unique<rma::FlagBarrier>(chip, barrier_base, size);
   rma::TwoSidedLayout layout;
   layout.ready_line = barrier_base + static_cast<std::size_t>(barrier_->rounds());

@@ -81,11 +81,11 @@ PointResult measure_point(const ExplorerOptions& o, const DesignPoint& p) {
 double measure_resilience(const ExplorerOptions& o, const DesignPoint& p) {
   harness::FaultRunSpec spec;
   spec.plan.rates.mpb_read = o.fault_rate;
-  spec.use_ft = p.algorithm == "ft-ocbcast";
-  spec.ft.parties = o.parties;
-  spec.ft.k = p.k;
-  spec.ft.chunk_lines = p.chunk_lines;
-  spec.ft.double_buffering = p.double_buffering;
+  spec.algorithm_name = p.algorithm;
+  spec.params.parties = o.parties;
+  spec.params.k = p.k;
+  spec.params.chunk_lines = p.chunk_lines;
+  spec.params.double_buffering = p.double_buffering;
   spec.message_bytes = p.lines * kCacheLineBytes;
   const harness::FaultSweepResult sweep =
       harness::run_fault_sweep(spec, o.fault_seeds);

@@ -4,7 +4,7 @@
 
 #include <tuple>
 
-#include "core/bcast.h"
+#include "coll/registry.h"
 #include "core/binomial.h"
 #include "core/scatter_allgather.h"
 
@@ -30,17 +30,18 @@ bool delivered(scc::SccChip& chip, CoreId root, int parties, std::size_t offset,
   return true;
 }
 
-bool run_spec(const BcastSpec& spec, CoreId root, std::size_t bytes) {
+bool run_spec(const std::string& name, int parties, CoreId root,
+              std::size_t bytes) {
   scc::SccChip chip;
-  auto algo = make_broadcast(chip, spec);
+  auto algo = coll::make(name, chip, {.parties = parties});
   seed(chip, root, 0, bytes, 5);
-  for (CoreId c = 0; c < spec.parties; ++c) {
+  for (CoreId c = 0; c < parties; ++c) {
     chip.spawn(c, [&algo, root, bytes](scc::Core& me) -> sim::Task<void> {
       co_await algo->run(me, root, 0, bytes);
     });
   }
   if (!chip.run().completed()) return false;
-  return delivered(chip, root, spec.parties, 0, bytes);
+  return delivered(chip, root, parties, 0, bytes);
 }
 
 using Case = std::tuple<int, std::size_t, int>;  // parties, bytes, root
@@ -48,10 +49,7 @@ class BinomialDelivery : public ::testing::TestWithParam<Case> {};
 
 TEST_P(BinomialDelivery, DeliversExactBytes) {
   const auto [parties, bytes, root] = GetParam();
-  BcastSpec spec;
-  spec.kind = BcastKind::kBinomial;
-  spec.parties = parties;
-  EXPECT_TRUE(run_spec(spec, root, bytes));
+  EXPECT_TRUE(run_spec("binomial", parties, root, bytes));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -66,10 +64,7 @@ class ScatterAllgatherDelivery : public ::testing::TestWithParam<Case> {};
 
 TEST_P(ScatterAllgatherDelivery, DeliversExactBytes) {
   const auto [parties, bytes, root] = GetParam();
-  BcastSpec spec;
-  spec.kind = BcastKind::kScatterAllgather;
-  spec.parties = parties;
-  EXPECT_TRUE(run_spec(spec, root, bytes));
+  EXPECT_TRUE(run_spec("scatter-allgather", parties, root, bytes));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -90,20 +85,17 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Baselines, AllThreeAlgorithmsAgreeOnDeliveredBytes) {
   const std::size_t bytes = 777 * 32 + 3;
   std::vector<std::vector<std::byte>> results;
-  for (BcastKind kind : {BcastKind::kOcBcast, BcastKind::kBinomial,
-                         BcastKind::kScatterAllgather}) {
-    BcastSpec spec;
-    spec.kind = kind;
+  for (const char* name : {"ocbcast", "binomial", "scatter-allgather"}) {
     scc::SccChip chip;
-    auto algo = make_broadcast(chip, spec);
+    auto algo = coll::make(name, chip);
     seed(chip, 0, 0, bytes, 123);
-    for (CoreId c = 0; c < spec.parties; ++c) {
+    for (CoreId c = 0; c < algo->parties(); ++c) {
       chip.spawn(c, [&algo, bytes](scc::Core& me) -> sim::Task<void> {
         co_await algo->run(me, 0, 0, bytes);
       });
     }
     ASSERT_TRUE(chip.run().completed());
-    ASSERT_TRUE(delivered(chip, 0, spec.parties, 0, bytes));
+    ASSERT_TRUE(delivered(chip, 0, algo->parties(), 0, bytes));
     const auto got = chip.memory(47).host_bytes(0, bytes);
     results.emplace_back(got.begin(), got.end());
   }
@@ -113,14 +105,12 @@ TEST(Baselines, AllThreeAlgorithmsAgreeOnDeliveredBytes) {
 
 TEST(Baselines, BinomialLatencyBeatsScatterAllgatherForSmallMessages) {
   // §6.2 premise: binomial wins small, s-ag wins large.
-  auto latency = [](BcastKind kind, std::size_t bytes) {
-    BcastSpec spec;
-    spec.kind = kind;
+  auto latency = [](const char* name, std::size_t bytes) {
     scc::SccChip chip;
-    auto algo = make_broadcast(chip, spec);
+    auto algo = coll::make(name, chip);
     seed(chip, 0, 0, bytes, 1);
     sim::Time last = 0;
-    for (CoreId c = 0; c < spec.parties; ++c) {
+    for (CoreId c = 0; c < algo->parties(); ++c) {
       chip.spawn(c, [&algo, &last, bytes](scc::Core& me) -> sim::Task<void> {
         co_await algo->run(me, 0, 0, bytes);
         last = std::max(last, me.now());
@@ -129,45 +119,30 @@ TEST(Baselines, BinomialLatencyBeatsScatterAllgatherForSmallMessages) {
     EXPECT_TRUE(chip.run().completed());
     return last;
   };
-  EXPECT_LT(latency(BcastKind::kBinomial, 32),
-            latency(BcastKind::kScatterAllgather, 32));
-  EXPECT_GT(latency(BcastKind::kBinomial, 2048 * 32),
-            latency(BcastKind::kScatterAllgather, 2048 * 32));
+  EXPECT_LT(latency("binomial", 32), latency("scatter-allgather", 32));
+  EXPECT_GT(latency("binomial", 2048 * 32),
+            latency("scatter-allgather", 2048 * 32));
 }
 
 TEST(Baselines, FactoryProducesNamedAlgorithms) {
   scc::SccChip chip;
-  BcastSpec spec;
-  spec.kind = BcastKind::kOcBcast;
-  spec.k = 47;
-  EXPECT_EQ(make_broadcast(chip, spec)->name(), "oc-bcast k=47");
-  EXPECT_EQ(spec_label(spec), "k=47");
-  spec.kind = BcastKind::kBinomial;
-  EXPECT_EQ(make_broadcast(chip, spec)->name(), "binomial");
-  EXPECT_EQ(spec_label(spec), "binomial");
-  spec.kind = BcastKind::kScatterAllgather;
-  EXPECT_EQ(make_broadcast(chip, spec)->name(), "scatter-allgather");
-  EXPECT_EQ(spec_label(spec), "s-ag");
+  EXPECT_EQ(coll::make("ocbcast", chip, {.k = 47})->name(), "oc-bcast k=47");
+  EXPECT_EQ(coll::make("binomial", chip)->name(), "binomial");
+  EXPECT_EQ(coll::make("scatter-allgather", chip)->name(), "scatter-allgather");
 }
 
 TEST(Baselines, PartiesBoundsChecked) {
   scc::SccChip chip;
-  BinomialOptions b;
-  b.parties = 1;
-  EXPECT_THROW(BinomialBcast(chip, b), PreconditionError);
-  ScatterAllgatherOptions s;
-  s.parties = 49;
-  EXPECT_THROW(ScatterAllgatherBcast(chip, s), PreconditionError);
+  EXPECT_THROW(BinomialBcast(chip, {.parties = 1}), PreconditionError);
+  EXPECT_THROW(ScatterAllgatherBcast(chip, {.parties = 49}), PreconditionError);
 }
 
 TEST(Baselines, BinomialBackToBackBroadcasts) {
-  BcastSpec spec;
-  spec.kind = BcastKind::kBinomial;
   scc::SccChip chip;
-  auto algo = make_broadcast(chip, spec);
+  auto algo = coll::make("binomial", chip);
   constexpr std::size_t kBytes = 300 * 32;
   for (int r = 0; r < 3; ++r) seed(chip, 0, r * kBytes, kBytes, r + 9);
-  for (CoreId c = 0; c < spec.parties; ++c) {
+  for (CoreId c = 0; c < algo->parties(); ++c) {
     chip.spawn(c, [&algo](scc::Core& me) -> sim::Task<void> {
       for (int r = 0; r < 3; ++r) {
         co_await algo->run(me, 0, static_cast<std::size_t>(r) * kBytes, kBytes);
@@ -176,7 +151,7 @@ TEST(Baselines, BinomialBackToBackBroadcasts) {
   }
   ASSERT_TRUE(chip.run().completed());
   for (int r = 0; r < 3; ++r) {
-    EXPECT_TRUE(delivered(chip, 0, spec.parties, r * kBytes, kBytes));
+    EXPECT_TRUE(delivered(chip, 0, algo->parties(), r * kBytes, kBytes));
   }
 }
 

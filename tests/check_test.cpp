@@ -484,7 +484,6 @@ TEST(CheckUnit, OcReduceIsRaceFree) {
 TEST(CheckFault, FtBcastSweepIsRaceFreeUnderFaults) {
   harness::FaultRunSpec spec;
   spec.message_bytes = 64 * 1024;
-  spec.ft.parties = kNumCores;
   spec.plan.rates.mpb_read = 1e-4;
   spec.plan.crashes.push_back({.core = 5, .at = 30 * sim::kMicrosecond});
   spec.check_races = true;
@@ -505,7 +504,6 @@ TEST(CheckFault, CheckerIsPassive) {
   // without check_races produces a bit-identical outcome.
   harness::FaultRunSpec spec;
   spec.message_bytes = 64 * 1024;
-  spec.ft.parties = kNumCores;
   spec.plan.seed = 17;
   spec.plan.rates.mpb_read = 1e-4;
   spec.plan.crashes.push_back({.core = 9, .at = 40 * sim::kMicrosecond});

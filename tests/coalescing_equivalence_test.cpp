@@ -20,11 +20,11 @@
 namespace ocb {
 namespace {
 
-harness::BcastRunResult run_with(core::BcastKind kind, int k, bool coalescing,
+harness::BcastRunResult run_with(const char* name, int k, bool coalescing,
                                  std::size_t lines) {
   harness::BcastRunSpec spec;
-  spec.algorithm.kind = kind;
-  spec.algorithm.k = k;
+  spec.algorithm_name = name;
+  spec.params.k = k;
   spec.message_bytes = lines * kCacheLineBytes;
   spec.iterations = 3;
   spec.warmup = 1;
@@ -32,9 +32,9 @@ harness::BcastRunResult run_with(core::BcastKind kind, int k, bool coalescing,
   return harness::run_broadcast(spec);
 }
 
-void expect_equivalent(core::BcastKind kind, int k, std::size_t lines) {
-  const harness::BcastRunResult on = run_with(kind, k, true, lines);
-  const harness::BcastRunResult off = run_with(kind, k, false, lines);
+void expect_equivalent(const char* name, int k, std::size_t lines) {
+  const harness::BcastRunResult on = run_with(name, k, true, lines);
+  const harness::BcastRunResult off = run_with(name, k, false, lines);
 
   // Identical timeline: the final simulated instant and every measured
   // iteration latency agree to the picosecond.
@@ -56,16 +56,16 @@ void expect_equivalent(core::BcastKind kind, int k, std::size_t lines) {
 }
 
 TEST(CoalescingEquivalence, OcBcast) {
-  expect_equivalent(core::BcastKind::kOcBcast, 7, 210);
+  expect_equivalent("ocbcast", 7, 210);
 }
 
 TEST(CoalescingEquivalence, FtOcBcastWithoutFaults) {
   // FT-OC-Bcast with no fault hook installed stays fast-path eligible.
-  expect_equivalent(core::BcastKind::kFtOcBcast, 7, 130);
+  expect_equivalent("ft-ocbcast", 7, 130);
 }
 
 TEST(CoalescingEquivalence, ScatterAllgather) {
-  expect_equivalent(core::BcastKind::kScatterAllgather, 7, 192);
+  expect_equivalent("scatter-allgather", 7, 192);
 }
 
 // The quiescent closed-form regime: a single actor on an otherwise idle

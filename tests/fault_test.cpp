@@ -11,6 +11,7 @@
 
 #include <vector>
 
+#include "coll/registry.h"
 #include "common/stats.h"
 #include "core/ft_ocbcast.h"
 #include "fault/injector.h"
@@ -23,7 +24,6 @@ namespace {
 harness::FaultRunSpec base_spec(std::size_t message_bytes = 64 * 1024) {
   harness::FaultRunSpec spec;
   spec.message_bytes = message_bytes;
-  spec.ft.parties = kNumCores;
   return spec;
 }
 
@@ -91,7 +91,7 @@ TEST(FtOcBcast, PlainProtocolCorruptsSilentlyUnderSameFaults) {
   // deliver wrong bytes at least once across the seeds (otherwise the FT
   // machinery is being tested against nothing).
   harness::FaultRunSpec spec = base_spec();
-  spec.use_ft = false;
+  spec.algorithm_name = "ocbcast";
   spec.plan.rates.mpb_read = 1e-3;
   int wrong = 0;
   for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
@@ -205,9 +205,9 @@ TEST(FtOcBcast, ZeroFaultOverheadUnderFivePercent) {
     harness::BcastRunSpec plain;
     plain.message_bytes = lines * kCacheLineBytes;
     plain.iterations = lines >= 32768u ? 2 : 3;
-    plain.algorithm.kind = core::BcastKind::kOcBcast;
+    plain.algorithm_name = "ocbcast";
     harness::BcastRunSpec ft = plain;
-    ft.algorithm.kind = core::BcastKind::kFtOcBcast;
+    ft.algorithm_name = "ft-ocbcast";
     const harness::BcastRunResult rp = run_broadcast(plain);
     const harness::BcastRunResult rf = run_broadcast(ft);
     ASSERT_TRUE(rp.content_ok);
@@ -228,7 +228,7 @@ TEST(FtOcBcast, DeliveryReportsArePopulated) {
   scc::SccChip chip(spec.config);
   fault::FaultInjector injector(spec.plan);
   chip.add_observer(&injector);
-  core::FtOcBcast bcast(chip, spec.ft);
+  core::FtOcBcast bcast(chip, spec.params);
   auto region = chip.memory(0).host_bytes(0, spec.message_bytes);
   for (std::size_t i = 0; i < region.size(); ++i) {
     region[i] = static_cast<std::byte>(i * 31 + 7);
@@ -247,6 +247,36 @@ TEST(FtOcBcast, DeliveryReportsArePopulated) {
   }
   EXPECT_EQ(delivered, kNumCores - 1);
   EXPECT_FALSE(bcast.report(2).delivered);
+}
+
+// The fault harness picks its algorithm by registry name: every builtin
+// runs through it fault-free. ("adaptive" re-plans per call and is covered
+// by tune_test.)
+TEST(FaultHarness, EveryBuiltinRunsFaultFreeByName) {
+  for (const std::string& name : coll::names()) {
+    if (name == "adaptive") continue;
+    harness::FaultRunSpec spec = base_spec(8 * 1024);
+    spec.algorithm_name = name;
+    const harness::FaultRunOutcome out = run_fault_once(spec);
+    EXPECT_TRUE(out.all_survivors_correct()) << name;
+    EXPECT_EQ(out.parties, kNumCores) << name;
+    EXPECT_EQ(out.delivered, kNumCores) << name;
+  }
+}
+
+// The "ocbcast" control arm is built from the spec's Params like any other
+// algorithm, so options the old hand-copied arm dropped now take effect.
+TEST(FaultHarness, ControlArmHonoursEveryParam) {
+  harness::FaultRunSpec spec = base_spec(16 * 1024);
+  spec.algorithm_name = "ocbcast";
+  const harness::FaultRunOutcome staged = run_fault_once(spec);
+  spec.params.leaf_direct_to_memory = true;
+  const harness::FaultRunOutcome direct = run_fault_once(spec);
+  EXPECT_TRUE(staged.all_survivors_correct());
+  EXPECT_TRUE(direct.all_survivors_correct());
+  EXPECT_NE(direct.latency_us, staged.latency_us);
+  EXPECT_LT(direct.latency_us, staged.latency_us)
+      << "§5.4: skipping the leaf staging copy must help";
 }
 
 }  // namespace

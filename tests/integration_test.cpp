@@ -11,11 +11,11 @@
 namespace ocb {
 namespace {
 
-harness::BcastRunResult run(core::BcastKind kind, int k, std::size_t lines,
+harness::BcastRunResult run(const char* name, int k, std::size_t lines,
                             int iterations = 2) {
   harness::BcastRunSpec spec;
-  spec.algorithm.kind = kind;
-  spec.algorithm.k = k;
+  spec.algorithm_name = name;
+  spec.params.k = k;
   spec.message_bytes = lines * kCacheLineBytes;
   spec.iterations = iterations;
   spec.warmup = 1;
@@ -30,7 +30,7 @@ TEST(SimVsModel, OcBcastLatencyWithinModelEnvelope) {
   // slightly above. Accept simulated within [~model, model * 1.35].
   model::BroadcastModel m(model::ModelParams::paper(), {});
   for (std::size_t lines : {1u, 32u, 96u, 192u}) {
-    const double sim_us = run(core::BcastKind::kOcBcast, 7, lines).latency_us.mean();
+    const double sim_us = run("ocbcast", 7, lines).latency_us.mean();
     const double model_us = sim::to_us(m.ocbcast_latency(lines, 7));
     EXPECT_GE(sim_us, model_us * 0.98) << lines;
     EXPECT_LE(sim_us, model_us * 1.35) << lines;
@@ -41,7 +41,7 @@ TEST(SimVsModel, BinomialLatencyWithinModelEnvelope) {
   model::BroadcastModel m(model::ModelParams::paper(), {});
   for (std::size_t lines : {1u, 96u}) {
     const double sim_us =
-        run(core::BcastKind::kBinomial, 7, lines).latency_us.mean();
+        run("binomial", 7, lines).latency_us.mean();
     const double model_us = sim::to_us(m.binomial_latency(lines));
     EXPECT_GE(sim_us, model_us * 0.95) << lines;
     EXPECT_LE(sim_us, model_us * 1.35) << lines;
@@ -50,20 +50,20 @@ TEST(SimVsModel, BinomialLatencyWithinModelEnvelope) {
 
 TEST(PaperOrdering, OcBcastBeatsBinomialOnLatency) {
   // Fig. 8a: at least 27% improvement at 1 line; grows with size.
-  const double oc1 = run(core::BcastKind::kOcBcast, 7, 1).latency_us.mean();
-  const double bi1 = run(core::BcastKind::kBinomial, 7, 1).latency_us.mean();
+  const double oc1 = run("ocbcast", 7, 1).latency_us.mean();
+  const double bi1 = run("binomial", 7, 1).latency_us.mean();
   EXPECT_LT(oc1, bi1);
-  const double oc192 = run(core::BcastKind::kOcBcast, 7, 192).latency_us.mean();
-  const double bi192 = run(core::BcastKind::kBinomial, 7, 192).latency_us.mean();
+  const double oc192 = run("ocbcast", 7, 192).latency_us.mean();
+  const double bi192 = run("binomial", 7, 192).latency_us.mean();
   EXPECT_LT(oc192 / bi192, oc1 / bi1) << "gap grows with size";
 }
 
 TEST(PaperOrdering, OcBcastThroughputSeveralTimesScatterAllgather) {
   // Fig. 8b at a pipeline-filling size (kept moderate for test runtime).
   const double oc =
-      run(core::BcastKind::kOcBcast, 7, 4096, 2).throughput_mbps;
+      run("ocbcast", 7, 4096, 2).throughput_mbps;
   const double sag =
-      run(core::BcastKind::kScatterAllgather, 7, 4096, 2).throughput_mbps;
+      run("scatter-allgather", 7, 4096, 2).throughput_mbps;
   EXPECT_GT(oc / sag, 2.0);
 }
 
@@ -72,16 +72,16 @@ TEST(PaperOrdering, K47ThroughputSuffersFromContention) {
   // k=7 stays closer to its own.
   model::BroadcastModel m(model::ModelParams::paper(), {});
   const double k47_sim =
-      run(core::BcastKind::kOcBcast, 47, 4096, 2).throughput_mbps;
+      run("ocbcast", 47, 4096, 2).throughput_mbps;
   const double k47_model = m.ocbcast_throughput_mbps(47, 4096);
-  const double k7_sim = run(core::BcastKind::kOcBcast, 7, 4096, 2).throughput_mbps;
+  const double k7_sim = run("ocbcast", 7, 4096, 2).throughput_mbps;
   const double k7_model = m.ocbcast_throughput_mbps(7, 4096);
   EXPECT_LT(k47_sim / k47_model, k7_sim / k7_model);
 }
 
 TEST(Determinism, IdenticalRunsProduceIdenticalTimings) {
-  const auto a = run(core::BcastKind::kOcBcast, 7, 96, 3);
-  const auto b = run(core::BcastKind::kOcBcast, 7, 96, 3);
+  const auto a = run("ocbcast", 7, 96, 3);
+  const auto b = run("ocbcast", 7, 96, 3);
   ASSERT_EQ(a.latency_us.samples().size(), b.latency_us.samples().size());
   for (std::size_t i = 0; i < a.latency_us.samples().size(); ++i) {
     EXPECT_DOUBLE_EQ(a.latency_us.samples()[i], b.latency_us.samples()[i]);
@@ -148,15 +148,15 @@ TEST(Ablation, DoubleBufferingLatencyGainOnSimulator) {
   spec.message_bytes = 192 * kCacheLineBytes;
   spec.iterations = 2;
   const double db_latency = run_broadcast(spec).latency_us.mean();
-  spec.algorithm.double_buffering = false;
-  spec.algorithm.chunk_lines = 192;
+  spec.params.double_buffering = false;
+  spec.params.chunk_lines = 192;
   const double single_latency = run_broadcast(spec).latency_us.mean();
   EXPECT_LT(db_latency, single_latency);
 
   spec.message_bytes = 4096 * kCacheLineBytes;
   const double single_tput = run_broadcast(spec).throughput_mbps;
-  spec.algorithm.double_buffering = true;
-  spec.algorithm.chunk_lines = 96;
+  spec.params.double_buffering = true;
+  spec.params.chunk_lines = 96;
   const double db_tput = run_broadcast(spec).throughput_mbps;
   EXPECT_NEAR(db_tput / single_tput, 1.0, 0.12);
 }
@@ -166,7 +166,7 @@ TEST(Ablation, LeafDirectImprovesThroughputOnSimulator) {
   spec.message_bytes = 1024 * kCacheLineBytes;
   spec.iterations = 2;
   const double base = run_broadcast(spec).throughput_mbps;
-  spec.algorithm.leaf_direct_to_memory = true;
+  spec.params.leaf_direct_to_memory = true;
   const double direct = run_broadcast(spec).throughput_mbps;
   EXPECT_GT(direct, base);
 }

@@ -95,11 +95,9 @@ TEST(RunBroadcast, ParallelMapMatchesSerial) {
 }
 
 TEST(RunBroadcast, AllAlgorithmsVerify) {
-  for (core::BcastKind kind :
-       {core::BcastKind::kOcBcast, core::BcastKind::kBinomial,
-        core::BcastKind::kScatterAllgather}) {
+  for (const char* name : {"ocbcast", "binomial", "scatter-allgather"}) {
     BcastRunSpec spec;
-    spec.algorithm.kind = kind;
+    spec.algorithm_name = name;
     spec.message_bytes = 97 * 32;
     spec.iterations = 2;
     const BcastRunResult r = run_broadcast(spec);
@@ -238,13 +236,17 @@ TEST(Sweep, SizeListsMatchThePaperRanges) {
 }
 
 TEST(Sweep, LineupMatchesPaperFigures) {
-  const auto specs = paper_algorithm_lineup();
-  ASSERT_EQ(specs.size(), 5u);
-  EXPECT_EQ(core::spec_label(specs[0]), "k=2");
-  EXPECT_EQ(core::spec_label(specs[1]), "k=7");
-  EXPECT_EQ(core::spec_label(specs[2]), "k=47");
-  EXPECT_EQ(core::spec_label(specs[3]), "binomial");
-  EXPECT_EQ(core::spec_label(specs[4]), "s-ag");
+  const std::vector<LineupEntry> lineup = paper_algorithm_lineup();
+  ASSERT_EQ(lineup.size(), 5u);
+  const char* labels[] = {"oc-bcast k=2", "oc-bcast k=7", "oc-bcast k=47",
+                          "binomial", "scatter-allgather"};
+  for (std::size_t i = 0; i < lineup.size(); ++i) {
+    EXPECT_EQ(lineup[i].label, labels[i]);
+    // Each label is what the entry's instance calls itself.
+    scc::SccChip chip;
+    EXPECT_EQ(coll::make(lineup[i].name, chip, lineup[i].params)->name(),
+              labels[i]);
+  }
 }
 
 TEST(Report, TablesRenderAllSeries) {

@@ -135,7 +135,6 @@ TEST(ObserverFastpath, TraceJsonBytesAreBitIdentical) {
 harness::FaultRunSpec fault_spec(bool coalescing) {
   harness::FaultRunSpec spec;
   spec.message_bytes = 16 * 1024;
-  spec.ft.parties = kNumCores;
   spec.plan.seed = 7;
   spec.plan.rates.mpb_read = 2e-4;
   spec.plan.rates.mpb_write = 1e-4;
@@ -175,7 +174,6 @@ TEST(ObserverFastpath, FaultOutcomesAreBitIdentical) {
 TEST(ObserverFastpath, ZeroRateInjectorKeepsFastPath) {
   harness::FaultRunSpec on_spec;
   on_spec.message_bytes = 16 * 1024;
-  on_spec.ft.parties = kNumCores;
   harness::FaultRunSpec off_spec = on_spec;
   off_spec.config.coalescing = false;
 

@@ -32,7 +32,7 @@ bool delivered(scc::SccChip& chip, CoreId root, int parties, std::size_t offset,
 
 /// Runs one broadcast for every core, returns true if it completed and
 /// delivered correct bytes everywhere.
-bool run_bcast(OcBcastOptions opt, CoreId root, std::size_t bytes) {
+bool run_bcast(const coll::Params& opt, CoreId root, std::size_t bytes) {
   scc::SccChip chip;
   OcBcast bcast(chip, opt);
   seed(chip, root, 0, bytes, 42);
@@ -50,7 +50,7 @@ class OcBcastDelivery : public ::testing::TestWithParam<Case> {};
 
 TEST_P(OcBcastDelivery, DeliversExactBytes) {
   const auto [parties, k, bytes] = GetParam();
-  OcBcastOptions opt;
+  coll::Params opt;
   opt.parties = parties;
   opt.k = k;
   EXPECT_TRUE(run_bcast(opt, /*root=*/0, bytes));
@@ -76,7 +76,7 @@ INSTANTIATE_TEST_SUITE_P(
 class OcBcastRoots : public ::testing::TestWithParam<int> {};
 
 TEST_P(OcBcastRoots, AnyRootWorks) {
-  OcBcastOptions opt;
+  coll::Params opt;
   opt.k = 7;
   EXPECT_TRUE(run_bcast(opt, /*root=*/GetParam(), 5000));
 }
@@ -84,13 +84,13 @@ TEST_P(OcBcastRoots, AnyRootWorks) {
 INSTANTIATE_TEST_SUITE_P(Roots, OcBcastRoots, ::testing::Values(0, 1, 7, 23, 47));
 
 TEST(OcBcast, SingleBufferModeDelivers) {
-  OcBcastOptions opt;
+  coll::Params opt;
   opt.double_buffering = false;
   EXPECT_TRUE(run_bcast(opt, 0, 400 * 32));
 }
 
 TEST(OcBcast, SequentialNotificationDelivers) {
-  OcBcastOptions opt;
+  coll::Params opt;
   opt.sequential_notification = true;
   opt.k = 47;
   EXPECT_TRUE(run_bcast(opt, 0, 300 * 32));
@@ -100,7 +100,7 @@ TEST(OcBcast, BinaryNotificationBeatsSequentialAtHighFanout) {
   // §4.1: "sequential notification could impair performance especially if
   // k is large"; the binary tree parallelizes the flag writes.
   auto latency = [](bool sequential) {
-    OcBcastOptions opt;
+    coll::Params opt;
     opt.k = 47;
     opt.sequential_notification = sequential;
     scc::SccChip chip;
@@ -120,7 +120,7 @@ TEST(OcBcast, BinaryNotificationBeatsSequentialAtHighFanout) {
 }
 
 TEST(OcBcast, LeafDirectModeDelivers) {
-  OcBcastOptions opt;
+  coll::Params opt;
   opt.leaf_direct_to_memory = true;
   EXPECT_TRUE(run_bcast(opt, 0, 300 * 32));
 }
@@ -131,7 +131,7 @@ TEST(OcBcast, DoubleBufferingImprovesMediumMessageLatency) {
   // it, two 96-line buffers pipeline at half the granularity. For
   // messages of 1..2 chunks, the finer pipeline wins on latency.
   auto latency = [](bool db, std::size_t bytes) {
-    OcBcastOptions opt;
+    coll::Params opt;
     opt.double_buffering = db;
     opt.chunk_lines = db ? 96 : 192;
     scc::SccChip chip;
@@ -158,7 +158,7 @@ TEST(OcBcast, PeakThroughputInsensitiveToBuffering) {
   // each core's serial per-chunk copy time. Reproduction finding: the
   // double-buffering benefit is latency (above), not peak throughput.
   auto elapsed = [](bool db) {
-    OcBcastOptions opt;
+    coll::Params opt;
     opt.double_buffering = db;
     opt.chunk_lines = db ? 96 : 192;
     scc::SccChip chip;
@@ -182,7 +182,7 @@ TEST(OcBcast, PeakThroughputInsensitiveToBuffering) {
 
 TEST(OcBcast, LeafDirectIsFasterForLeaves) {
   auto latency = [](bool direct) {
-    OcBcastOptions opt;
+    coll::Params opt;
     opt.leaf_direct_to_memory = direct;
     scc::SccChip chip;
     OcBcast bcast(chip, opt);
@@ -204,7 +204,7 @@ TEST(OcBcast, LeafDirectIsFasterForLeaves) {
 
 TEST(OcBcast, BackToBackBroadcastsStaySound) {
   scc::SccChip chip;
-  OcBcastOptions opt;
+  coll::Params opt;
   OcBcast bcast(chip, opt);
   constexpr int kRounds = 6;
   constexpr std::size_t kBytes = 130 * 32;  // two chunks (96 + 34)
@@ -224,7 +224,7 @@ TEST(OcBcast, BackToBackBroadcastsStaySound) {
 
 TEST(OcBcast, AlternatingRootsStaySound) {
   scc::SccChip chip;
-  OcBcastOptions opt;
+  coll::Params opt;
   OcBcast bcast(chip, opt);
   const std::vector<CoreId> roots{0, 17, 47, 3};
   constexpr std::size_t kBytes = 200 * 32;
@@ -247,26 +247,26 @@ TEST(OcBcast, AlternatingRootsStaySound) {
 
 TEST(OcBcast, LayoutValidation) {
   scc::SccChip chip;
-  OcBcastOptions too_big;
+  coll::Params too_big;
   too_big.k = 47;
   too_big.chunk_lines = 110;  // 48 flags + 220 lines > 256
   EXPECT_THROW(OcBcast(chip, too_big), PreconditionError);
 
-  OcBcastOptions k_too_large;
+  coll::Params k_too_large;
   k_too_large.k = 48;
   EXPECT_THROW(OcBcast(chip, k_too_large), PreconditionError);
 
-  OcBcastOptions fits;  // k=7: 8 flags + 192 buffer lines = 200
+  coll::Params fits;  // k=7: 8 flags + 192 buffer lines = 200
   EXPECT_NO_THROW(OcBcast(chip, fits));
 
-  OcBcastOptions max_k;  // k=47: 48 flags + 192 = 240
+  coll::Params max_k;  // k=47: 48 flags + 192 = 240
   max_k.k = 47;
   EXPECT_NO_THROW(OcBcast(chip, max_k));
 }
 
 TEST(OcBcast, LayoutLines) {
   scc::SccChip chip;
-  OcBcastOptions opt;  // k = 7, chunks of 96, base 0
+  coll::Params opt;  // k = 7, chunks of 96, base 0
   OcBcast bcast(chip, opt);
   EXPECT_EQ(bcast.notify_line(), 0u);
   EXPECT_EQ(bcast.done_line(0), 1u);
@@ -279,7 +279,7 @@ TEST(OcBcast, LayoutLines) {
 
 TEST(OcBcast, NonParticipantRejected) {
   scc::SccChip chip;
-  OcBcastOptions opt;
+  coll::Params opt;
   opt.parties = 4;
   opt.k = 2;
   OcBcast bcast(chip, opt);
@@ -297,11 +297,11 @@ TEST(OcBcast, NonParticipantRejected) {
 
 TEST(OcBcast, NamesDescribeOptions) {
   scc::SccChip chip;
-  OcBcastOptions opt;
+  coll::Params opt;
   EXPECT_EQ(OcBcast(chip, opt).name(), "oc-bcast k=7");
   opt.double_buffering = false;
   EXPECT_NE(OcBcast(chip, opt).name().find("single-buffer"), std::string::npos);
-  opt = OcBcastOptions{};
+  opt = coll::Params{};
   opt.leaf_direct_to_memory = true;
   EXPECT_NE(OcBcast(chip, opt).name().find("leaf-direct"), std::string::npos);
 }
@@ -311,7 +311,7 @@ TEST(OcBcast, PipelineLatencyScalesSubLinearlyWithDepth) {
   // concretely the marginal per-chunk cost must be well below the
   // first-chunk cost for a deep message.
   auto latency = [](std::size_t lines) {
-    OcBcastOptions opt;
+    coll::Params opt;
     scc::SccChip chip;
     OcBcast bcast(chip, opt);
     seed(chip, 0, 0, lines * 32, 1);

@@ -6,6 +6,7 @@
 
 #include <tuple>
 
+#include "coll/registry.h"
 #include "common/require.h"
 #include "core/onesided_sag.h"
 #include "harness/measurement.h"
@@ -38,9 +39,7 @@ class OneSidedSagDelivery : public ::testing::TestWithParam<Case> {};
 TEST_P(OneSidedSagDelivery, DeliversExactBytes) {
   const auto [parties, bytes, root] = GetParam();
   scc::SccChip chip;
-  OneSidedSagOptions opt;
-  opt.parties = parties;
-  OneSidedScatterAllgather bcast(chip, opt);
+  OneSidedScatterAllgather bcast(chip, {.parties = parties});
   seed(chip, root, 0, bytes, 77);
   for (CoreId c = 0; c < parties; ++c) {
     chip.spawn(c, [&bcast, root, bytes](scc::Core& me) -> sim::Task<void> {
@@ -69,7 +68,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(OneSidedSag, BackToBackBroadcastsStaySound) {
   scc::SccChip chip;
-  OneSidedSagOptions opt;
+  coll::Params opt;
   OneSidedScatterAllgather bcast(chip, opt);
   constexpr std::size_t kBytes = 500 * 32;
   for (int r = 0; r < 4; ++r) seed(chip, 0, r * kBytes, kBytes, 30 + r);
@@ -88,7 +87,7 @@ TEST(OneSidedSag, BackToBackBroadcastsStaySound) {
 
 TEST(OneSidedSag, AlternatingRootsStaySound) {
   scc::SccChip chip;
-  OneSidedSagOptions opt;
+  coll::Params opt;
   OneSidedScatterAllgather bcast(chip, opt);
   const std::vector<CoreId> roots{0, 31, 7};
   constexpr std::size_t kBytes = 300 * 32;
@@ -111,8 +110,7 @@ TEST(OneSidedSag, AlternatingRootsStaySound) {
 
 TEST(OneSidedSag, LayoutFillsTheMpbExactly) {
   scc::SccChip chip;
-  OneSidedSagOptions opt;  // defaults: base 0, chunk 82
-  OneSidedScatterAllgather bcast(chip, opt);
+  OneSidedScatterAllgather bcast(chip);  // base 0, chunk 82
   EXPECT_EQ(bcast.stage_ready_line(), 0u);
   EXPECT_EQ(bcast.inbox_line(), 4u);
   EXPECT_EQ(bcast.stage_line(0), 86u);
@@ -121,26 +119,19 @@ TEST(OneSidedSag, LayoutFillsTheMpbExactly) {
   EXPECT_EQ(bcast.fence_line() + 6, kMpbCacheLines);  // 6 barrier rounds for 48
   EXPECT_THROW(bcast.stage_line(2), PreconditionError);
 
-  OneSidedSagOptions too_big;
-  too_big.chunk_lines = 83;
-  EXPECT_THROW(OneSidedScatterAllgather(chip, too_big), PreconditionError);
-  OneSidedSagOptions shifted;
-  shifted.mpb_base_line = 1;
-  EXPECT_THROW(OneSidedScatterAllgather(chip, shifted), PreconditionError);
+  EXPECT_THROW(OneSidedScatterAllgather(chip, {.mpb_base_line = 1}),
+               PreconditionError);
 }
 
 TEST(OneSidedSag, AgreesWithTwoSidedVariant) {
   const std::size_t bytes = 1234 * 32 + 5;
   std::vector<std::byte> results[2];
   int i = 0;
-  for (BcastKind kind :
-       {BcastKind::kOneSidedScatterAllgather, BcastKind::kScatterAllgather}) {
+  for (const char* name : {"onesided-sag", "scatter-allgather"}) {
     scc::SccChip chip;
-    BcastSpec spec;
-    spec.kind = kind;
-    auto algo = make_broadcast(chip, spec);
+    auto algo = coll::make(name, chip);
     seed(chip, 0, 0, bytes, 99);
-    for (CoreId c = 0; c < spec.parties; ++c) {
+    for (CoreId c = 0; c < algo->parties(); ++c) {
       chip.spawn(c, [&algo, bytes](scc::Core& me) -> sim::Task<void> {
         co_await algo->run(me, 0, 0, bytes);
       });
@@ -156,28 +147,26 @@ TEST(OneSidedSag, BeatsTwoSidedThroughputButNotOcBcast) {
   // The extension's raison d'etre (§5.4): one-sided primitives alone lift
   // scatter-allgather meaningfully, but the tree + pipeline of OC-Bcast
   // remains clearly ahead — supporting the paper's design choice.
-  auto throughput = [](BcastKind kind) {
+  auto throughput = [](const char* name) {
     harness::BcastRunSpec spec;
-    spec.algorithm.kind = kind;
+    spec.algorithm_name = name;
     spec.message_bytes = 4096 * kCacheLineBytes;
     spec.iterations = 2;
     const harness::BcastRunResult r = run_broadcast(spec);
     EXPECT_TRUE(r.content_ok);
     return r.throughput_mbps;
   };
-  const double onesided = throughput(BcastKind::kOneSidedScatterAllgather);
-  const double twosided = throughput(BcastKind::kScatterAllgather);
-  const double oc = throughput(BcastKind::kOcBcast);
+  const double onesided = throughput("onesided-sag");
+  const double twosided = throughput("scatter-allgather");
+  const double oc = throughput("ocbcast");
   EXPECT_GT(onesided, twosided * 1.15);
   EXPECT_GT(oc, onesided * 1.3);
 }
 
 TEST(OneSidedSag, FactoryAndLabel) {
   scc::SccChip chip;
-  BcastSpec spec;
-  spec.kind = BcastKind::kOneSidedScatterAllgather;
-  EXPECT_EQ(make_broadcast(chip, spec)->name(), "one-sided scatter-allgather");
-  EXPECT_EQ(spec_label(spec), "os-sag");
+  EXPECT_EQ(coll::make("onesided-sag", chip)->name(),
+            "one-sided scatter-allgather");
 }
 
 }  // namespace

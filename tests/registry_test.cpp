@@ -19,10 +19,8 @@ using namespace ocb;
 
 coll::Factory binomial_factory(int parties) {
   return [parties](scc::SccChip& chip, const coll::Params&) {
-    core::BinomialOptions o;
-    o.parties = parties;
-    return std::unique_ptr<coll::Collective>(
-        new core::BinomialBcast(chip, o));
+    return std::make_unique<core::BinomialBcast>(
+        chip, coll::Params{.parties = parties});
   };
 }
 

@@ -96,7 +96,7 @@ class OcBcastFanoutSweep : public ::testing::TestWithParam<int> {};
 TEST_P(OcBcastFanoutSweep, EveryFanoutDelivers) {
   const int k = GetParam();
   harness::BcastRunSpec spec;
-  spec.algorithm.k = k;
+  spec.params.k = k;
   spec.message_bytes = 200 * kCacheLineBytes;
   spec.iterations = 1;
   spec.warmup = 0;

@@ -21,12 +21,12 @@
 namespace ocb {
 namespace {
 
-harness::BcastRunResult jittered_run(core::BcastKind kind, int k,
+harness::BcastRunResult jittered_run(const char* name, int k,
                                      std::size_t lines, std::uint64_t seed,
                                      CoreId root = 0) {
   harness::BcastRunSpec spec;
-  spec.algorithm.kind = kind;
-  spec.algorithm.k = k;
+  spec.algorithm_name = name;
+  spec.params.k = k;
   spec.message_bytes = lines * kCacheLineBytes;
   spec.iterations = 2;
   spec.warmup = 1;
@@ -40,15 +40,13 @@ using Case = std::tuple<int, std::uint64_t>;  // algorithm index, seed
 class JitterSweep : public ::testing::TestWithParam<Case> {};
 
 struct SweepConfig {
-  core::BcastKind kind;
+  const char* name;
   int k;
 };
 constexpr SweepConfig kSweepConfigs[] = {
-    {core::BcastKind::kOcBcast, 2},   {core::BcastKind::kOcBcast, 7},
-    {core::BcastKind::kOcBcast, 47},  {core::BcastKind::kBinomial, 0},
-    {core::BcastKind::kScatterAllgather, 0},
-    {core::BcastKind::kOneSidedScatterAllgather, 0},
-    {core::BcastKind::kFtOcBcast, 7},
+    {"ocbcast", 2},           {"ocbcast", 7},      {"ocbcast", 47},
+    {"binomial", 0},          {"scatter-allgather", 0},
+    {"onesided-sag", 0},      {"ft-ocbcast", 7},
 };
 constexpr std::uint64_t kSweepSeeds[] = {1, 2, 3, 4, 5};
 
@@ -62,7 +60,7 @@ const harness::BcastRunResult& sweep_result(int algo, std::uint64_t seed) {
           [](std::size_t i) {
             const SweepConfig& cfg = kSweepConfigs[i / std::size(kSweepSeeds)];
             const std::uint64_t s = kSweepSeeds[i % std::size(kSweepSeeds)];
-            return jittered_run(cfg.kind, cfg.k == 0 ? 7 : cfg.k,
+            return jittered_run(cfg.name, cfg.k == 0 ? 7 : cfg.k,
                                 /*lines=*/210, s);
           });
   const std::size_t seed_idx = static_cast<std::size_t>(seed - kSweepSeeds[0]);
@@ -85,11 +83,10 @@ INSTANTIATE_TEST_SUITE_P(AlgorithmsBySeed, JitterSweep,
 TEST(JitterSweep, RotatedRootsUnderNoise) {
   for (std::uint64_t seed : {11u, 12u}) {
     for (CoreId root : {17, 47}) {
-      EXPECT_TRUE(jittered_run(core::BcastKind::kOcBcast, 7, 130, seed, root)
+      EXPECT_TRUE(jittered_run("ocbcast", 7, 130, seed, root)
                       .content_ok)
           << "seed " << seed << " root " << root;
-      EXPECT_TRUE(jittered_run(core::BcastKind::kOneSidedScatterAllgather, 7, 130,
-                               seed, root)
+      EXPECT_TRUE(jittered_run("onesided-sag", 7, 130, seed, root)
                       .content_ok)
           << "seed " << seed << " root " << root;
     }

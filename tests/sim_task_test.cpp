@@ -55,13 +55,23 @@ TEST(Task, ValuePropagates) {
   EXPECT_EQ(out, 42);
 }
 
+// 100k frames: only feasible with symmetric transfer, not native calls.
+// Symmetric transfer only keeps the native stack flat when the compiler
+// emits each resume as a tail call, and AddressSanitizer's instrumentation
+// does not guarantee that, so sanitized builds nest only as deep as an
+// ordinary stack holds.
+#if defined(__SANITIZE_ADDRESS__)
+constexpr int kDeepNesting = 2'000;
+#else
+constexpr int kDeepNesting = 100'000;
+#endif
+
 TEST(Task, DeepNestingDoesNotOverflowStack) {
-  // 100k frames: only feasible with symmetric transfer, not native calls.
   Engine e;
   int out = 0;
-  e.spawn(driver(e, &out, 100'000));
+  e.spawn(driver(e, &out, kDeepNesting));
   e.run();
-  EXPECT_EQ(out, 100'000);
+  EXPECT_EQ(out, kDeepNesting);
 }
 
 TEST(Task, ExceptionPropagatesThroughAwait) {

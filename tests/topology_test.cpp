@@ -11,9 +11,9 @@
 //  * The "ocb-topology-v1" JSON record round-trips, and parse() accepts
 //    the bench-flag spellings.
 //  * Chips built from non-SCC topologies actually run: OC-Bcast delivers
-//    on a 16x16 mesh and on a 5x5 mesh (not 6 columns wide), and the
-//    hierarchical broadcast delivers on a multi-die chip for roots on any
-//    die.
+//    on a 16x16 mesh, every builtin that accepts 50 cores delivers on a 5x5
+//    mesh (not 6 columns wide), and the hierarchical broadcast delivers on
+//    a multi-die chip for roots on any die.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "coll/registry.h"
-#include "core/hier_bcast.h"
+#include "common/require.h"
 #include "harness/measurement.h"
 #include "noc/geometry.h"
 #include "noc/memctrl.h"
@@ -218,15 +218,29 @@ TEST(TopologyChips, OcBcastDeliversOn256CoreMesh) {
   EXPECT_GT(run.latency_us.mean(), 0.0);
 }
 
-TEST(TopologyChips, OcBcastDeliversOnNonSixColumnMesh) {
+TEST(TopologyChips, EveryBuiltinResolvesAllCoresOnNonSixColumnMesh) {
   // A 5x5 mesh: 25 tiles, no 6-column rows anywhere in the floorplan.
+  // parties = 0 means "all 50 cores" for every builtin; one that cannot
+  // run on 50 cores must refuse with a PreconditionError, not misbehave.
   scc::SccConfig cfg;
   cfg.topology = Topology::mesh(5, 5);
-  scc::SccChip chip(cfg);
-  coll::Params params;
-  params.parties = 0;  // all 50 cores
-  auto bcast = coll::make("ocbcast", chip, params);
-  EXPECT_TRUE(delivers(chip, *bcast, /*root=*/7, 64 * kCacheLineBytes));
+  std::vector<std::string> refused;
+  for (const std::string& name : coll::names()) {
+    scc::SccChip chip(cfg);
+    std::unique_ptr<coll::Collective> bcast;
+    try {
+      bcast = coll::make(name, chip, {.parties = 0});
+    } catch (const PreconditionError&) {
+      refused.push_back(name);
+      continue;
+    }
+    EXPECT_EQ(bcast->parties(), 50) << name;
+    EXPECT_TRUE(delivers(chip, *bcast, /*root=*/7, 64 * kCacheLineBytes))
+        << name;
+  }
+  // "adaptive": its baked-in decision table is tuned for (and bounded at)
+  // the SCC's 48 cores.
+  EXPECT_EQ(refused, std::vector<std::string>{"adaptive"});
 }
 
 // --- hierarchical broadcast ------------------------------------------------
@@ -236,10 +250,9 @@ bool hier_delivers(const Topology& topo, CoreId root, std::size_t bytes,
   scc::SccConfig cfg;
   cfg.topology = topo;
   scc::SccChip chip(cfg);
-  core::HierarchicalBcastOptions opt;
-  opt.die_k = die_k;
-  core::HierarchicalBcast bcast(chip, opt);
-  return delivers(chip, bcast, root, bytes);
+  const auto bcast =
+      coll::make("hier-ocbcast", chip, {.parties = 0, .die_k = die_k});
+  return delivers(chip, *bcast, root, bytes);
 }
 
 TEST(HierBcast, DeliversOnMultiDieForRootsOnEveryDie) {

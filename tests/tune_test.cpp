@@ -146,7 +146,7 @@ TEST(Adaptive, SwitchesDelegateAcrossSizeBandsAndRecordsSelections) {
                          coll::Choice{"ocbcast", 7, 96, true}},
   });
   scc::SccChip chip;
-  coll::AdaptiveBcast bcast(chip, coll::Params{}, std::move(table));
+  coll::AdaptiveBcast bcast(chip, {.adaptive_table_json = table.to_json()});
 
   const std::size_t small_bytes = 2 * kCacheLineBytes;
   const std::size_t big_bytes = 300 * kCacheLineBytes;
