@@ -466,15 +466,25 @@ BENCHMARK(bench_event_loop_throughput)
     ->Unit(benchmark::kMillisecond)
     ->Name("simulator/ocbcast_events");
 
-void bench_chip_construction(benchmark::State& state) {
+void bench_chip_construction(benchmark::State& state, const char* topology) {
+  // Chip set-up cost by topology; it should grow linearly with the tiles.
+  scc::SccConfig config;
+  config.topology = noc::Topology::parse(topology);
   for (auto _ : state) {
-    scc::SccChip chip;
+    scc::SccChip chip(config);
     benchmark::DoNotOptimize(&chip.engine());
   }
+  state.counters["tiles"] = config.topology.num_tiles();
 }
-BENCHMARK(bench_chip_construction)
+BENCHMARK_CAPTURE(bench_chip_construction, scc, "scc")
     ->Unit(benchmark::kMicrosecond)
-    ->Name("simulator/chip_construction");
+    ->Name("simulator/chip_construction/scc");
+BENCHMARK_CAPTURE(bench_chip_construction, mesh16x16, "mesh:16x16")
+    ->Unit(benchmark::kMicrosecond)
+    ->Name("simulator/chip_construction/mesh:16x16");
+BENCHMARK_CAPTURE(bench_chip_construction, dies2x2, "dies:2x2:mesh:16x8")
+    ->Unit(benchmark::kMicrosecond)
+    ->Name("simulator/chip_construction/dies:2x2:mesh:16x8");
 
 void bench_event_loop_mesh(benchmark::State& state) {
   // The 1024-line OC-Bcast on a 256-core 16x16 mesh — the geometry-table

@@ -22,10 +22,7 @@ TileCoord neighbour(TileCoord t, Direction dir) {
 
 Mesh::Mesh(sim::Engine& engine, const Topology& topology, sim::Duration l_hop,
            sim::Duration link_occupancy)
-    : engine_(&engine),
-      topology_(topology),
-      l_hop_(l_hop),
-      link_occupancy_(link_occupancy) {
+    : engine_(&engine), topology_(topology), l_hop_(l_hop) {
   OCB_REQUIRE(l_hop > 0, "L_hop must be positive");
   OCB_REQUIRE(link_occupancy <= l_hop,
               "link occupancy above L_hop breaks the cut-through pipeline model");
@@ -35,58 +32,49 @@ Mesh::Mesh(sim::Engine& engine, const Topology& topology, sim::Duration l_hop,
                 "interposer occupancy above interposer hop latency breaks the "
                 "cut-through pipeline model");
   }
-  const int tiles = topology_.num_tiles();
-  const std::size_t slots = static_cast<std::size_t>(topology_.num_link_slots());
-  links_.resize(slots);
-  link_latency_.assign(slots, l_hop_);
-  link_occ_.assign(slots, link_occupancy_);
-  link_busy_.assign(slots, 0);
-  link_packets_.assign(slots, 0);
-  for (int t = 0; t < tiles; ++t) {
+  links_.resize(static_cast<std::size_t>(topology_.num_link_slots()));
+  for (int t = 0; t < topology_.num_tiles(); ++t) {
     const TileCoord from = topology_.tile_coord(t);
     for (int d = 0; d < 4; ++d) {
+      Link& link = links_[static_cast<std::size_t>(t * 4 + d)];
+      link.latency = l_hop_;
+      link.occupancy = link_occupancy;
       const TileCoord to = neighbour(from, static_cast<Direction>(d));
       if (to.x < 0 || to.x >= topology_.mesh_cols() || to.y < 0 ||
           to.y >= topology_.mesh_rows()) {
         continue;  // edge of the mesh; slot never used
       }
       if (topology_.link_crosses_die(from, to)) {
-        const std::size_t slot = static_cast<std::size_t>(t * 4 + d);
-        link_latency_[slot] += topology_.interposer_extra_latency();
-        link_occ_[slot] += topology_.interposer_extra_occupancy();
+        link.latency += topology_.interposer_extra_latency();
+        link.occupancy += topology_.interposer_extra_occupancy();
       }
-    }
-  }
-  routes_.resize(static_cast<std::size_t>(tiles) * static_cast<std::size_t>(tiles));
-  for (int s = 0; s < tiles; ++s) {
-    for (int d = 0; d < tiles; ++d) {
-      const auto links = xy_route_links(topology_, topology_.tile_coord(s),
-                                        topology_.tile_coord(d));
-      routes_[static_cast<std::size_t>(s) * static_cast<std::size_t>(tiles) +
-              static_cast<std::size_t>(d)] =
-          RouteRef{static_cast<std::uint32_t>(route_storage_.size()),
-                   static_cast<std::uint32_t>(links.size())};
-      route_storage_.insert(route_storage_.end(), links.begin(), links.end());
     }
   }
 }
 
 sim::Time Mesh::reserve_path(sim::Time departure, TileCoord src, TileCoord dst) {
-  const RouteRef ref = route_ref(src, dst);
+  int tile = topology_.tile_index(src);
+  topology_.tile_index(dst);  // bounds check
+  const int cols = topology_.mesh_cols();
   // The packet spends L_hop in the source router, then one hop latency per
   // link crossed (each subsequent router; interposer links are slower),
   // holding every link for its serialization time starting when the head
   // flit enters it.
   sim::Time cursor = departure;
-  for (std::uint32_t i = 0; i < ref.length; ++i) {
-    const LinkId link = route_storage_[ref.begin + i];
-    const sim::Duration occ = link_occ_[static_cast<std::size_t>(link)];
-    const sim::Time done = links_[static_cast<std::size_t>(link)].reserve(cursor, occ);
-    const sim::Time start = done - occ;
-    link_busy_[static_cast<std::size_t>(link)] += occ;
-    ++link_packets_[static_cast<std::size_t>(link)];
-    cursor = start + link_latency_[static_cast<std::size_t>(link)];
-  }
+  const auto cross = [&](Direction dir) {
+    Link& link = links_[static_cast<std::size_t>(tile * 4 + static_cast<int>(dir))];
+    const sim::Time done = link.timeline.reserve(cursor, link.occupancy);
+    const sim::Time start = done - link.occupancy;
+    link.busy += link.occupancy;
+    ++link.packets;
+    cursor = start + link.latency;
+  };
+  // X first, then Y (xy_route_links' order); `tile` is the router the
+  // packet leaves by each link.
+  for (; src.x < dst.x; ++src.x, ++tile) cross(Direction::kEast);
+  for (; src.x > dst.x; --src.x, --tile) cross(Direction::kWest);
+  for (; src.y < dst.y; ++src.y, tile += cols) cross(Direction::kSouth);
+  for (; src.y > dst.y; --src.y, tile -= cols) cross(Direction::kNorth);
   // Final (destination) router traversal; for src == dst this is the single
   // local-router hop (d = 1).
   return cursor + l_hop_;
@@ -95,13 +83,13 @@ sim::Time Mesh::reserve_path(sim::Time departure, TileCoord src, TileCoord dst) 
 sim::Duration Mesh::link_total_occupancy(LinkId link) const {
   OCB_REQUIRE(link >= 0 && link < topology_.num_link_slots(),
               "link id out of range");
-  return link_busy_[static_cast<std::size_t>(link)];
+  return links_[static_cast<std::size_t>(link)].busy;
 }
 
 std::uint64_t Mesh::link_packets(LinkId link) const {
   OCB_REQUIRE(link >= 0 && link < topology_.num_link_slots(),
               "link id out of range");
-  return link_packets_[static_cast<std::size_t>(link)];
+  return links_[static_cast<std::size_t>(link)].packets;
 }
 
 }  // namespace ocb::noc

@@ -13,7 +13,8 @@
 // serialization on top of link_occupancy. Per-link timing is precomputed
 // at construction, so the reservation loop stays one Timeline op per link.
 //
-// Routes for all tile pairs are precomputed; traversals cost one event.
+// Routes are walked from tile indices, X then Y, as they are booked; no
+// route is stored, so mesh state is O(tiles) and traversals cost one event.
 #pragma once
 
 #include <coroutine>
@@ -29,18 +30,14 @@ namespace ocb::noc {
 
 class Mesh {
  public:
-  /// Mesh over an explicit topology.
   Mesh(sim::Engine& engine, const Topology& topology, sim::Duration l_hop,
        sim::Duration link_occupancy);
-
-  /// SCC-mesh convenience (the historical signature).
-  Mesh(sim::Engine& engine, sim::Duration l_hop, sim::Duration link_occupancy)
-      : Mesh(engine, Topology::scc(), l_hop, link_occupancy) {}
 
   Mesh(const Mesh&) = delete;
   Mesh& operator=(const Mesh&) = delete;
 
-  /// Books one packet departing at `departure` from `src` to `dst`;
+  /// Books one packet departing at `departure` from `src` to `dst` over
+  /// the links of `xy_route_links(topology(), src, dst)`, in that order;
   /// returns its arrival time (>= departure + routers * L_hop
   /// + die crossings * interposer extra latency).
   sim::Time reserve_path(sim::Time departure, TileCoord src, TileCoord dst);
@@ -64,11 +61,6 @@ class Mesh {
   sim::Duration l_hop() const { return l_hop_; }
   const Topology& topology() const { return topology_; }
 
-  /// Directed links the precomputed X-Y route crosses (0 iff src == dst).
-  int route_links(TileCoord src, TileCoord dst) const {
-    return static_cast<int>(route_ref(src, dst).length);
-  }
-
   /// Total occupancy ever reserved on a directed link (for tests/reports).
   sim::Duration link_total_occupancy(LinkId link) const;
 
@@ -76,30 +68,21 @@ class Mesh {
   std::uint64_t link_packets(LinkId link) const;
 
  private:
-  struct RouteRef {
-    std::uint32_t begin = 0;
-    std::uint32_t length = 0;
+  /// One directed link slot (tile * 4 + direction). Timing is l_hop /
+  /// link_occupancy plus the interposer extras on die-boundary links,
+  /// precomputed so the reservation loop is branch-free.
+  struct Link {
+    sim::Timeline timeline;
+    sim::Duration latency = 0;
+    sim::Duration occupancy = 0;
+    sim::Duration busy = 0;
+    std::uint64_t packets = 0;
   };
-
-  const RouteRef& route_ref(TileCoord src, TileCoord dst) const {
-    return routes_[static_cast<std::size_t>(topology_.tile_index(src)) *
-                       static_cast<std::size_t>(topology_.num_tiles()) +
-                   static_cast<std::size_t>(topology_.tile_index(dst))];
-  }
 
   sim::Engine* engine_;
   Topology topology_;
   sim::Duration l_hop_;
-  sim::Duration link_occupancy_;
-  std::vector<sim::Timeline> links_;
-  // Per-link timing (l_hop / link_occupancy plus interposer extras on
-  // die-boundary links), precomputed so the reservation loop is branch-free.
-  std::vector<sim::Duration> link_latency_;
-  std::vector<sim::Duration> link_occ_;
-  std::vector<sim::Duration> link_busy_;
-  std::vector<std::uint64_t> link_packets_;
-  std::vector<LinkId> route_storage_;
-  std::vector<RouteRef> routes_;
+  std::vector<Link> links_;
 };
 
 }  // namespace ocb::noc

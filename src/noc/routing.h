@@ -24,10 +24,6 @@ enum class Direction : std::uint8_t { kEast = 0, kWest = 1, kNorth = 2, kSouth =
 /// Identifier of a directed link: source router index * 4 + direction.
 using LinkId = int;
 
-/// Link-slot count of the SCC mesh; for other topologies use
-/// `topology.num_link_slots()`.
-inline constexpr int kNumLinkSlots = kNumTiles * 4;
-
 /// Directed link from `from` towards `dir` on `topo`'s mesh. The
 /// neighbouring router must exist (checked).
 LinkId link_id(const Topology& topo, TileCoord from, Direction dir);
@@ -39,7 +35,8 @@ std::vector<TileCoord> xy_route(const Topology& topo, TileCoord src,
                                 TileCoord dst);
 
 /// Directed links of the X-Y route, in traversal order (empty when
-/// src == dst).
+/// src == dst). `Mesh::reserve_path` walks the same links without building
+/// this list; this is the reference its tests compare against.
 std::vector<LinkId> xy_route_links(const Topology& topo, TileCoord src,
                                    TileCoord dst);
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <sstream>
 
 namespace ocb::noc {
@@ -24,6 +25,14 @@ std::vector<TileCoord> default_mc_tiles(int tiles_x, int tiles_y) {
   return out;
 }
 
+/// `v` as an int; PreconditionError naming `what` when it does not fit.
+int checked_int(std::int64_t v, const std::string& what) {
+  OCB_REQUIRE(v >= std::numeric_limits<int>::min() &&
+                  v <= std::numeric_limits<int>::max(),
+              "topology: " + what + " does not fit in an int");
+  return static_cast<int>(v);
+}
+
 }  // namespace
 
 Topology::Topology(const Spec& spec) : spec_(spec) {
@@ -32,10 +41,17 @@ Topology::Topology(const Spec& spec) : spec_(spec) {
               "die mesh must be at least 1x1 tiles");
   OCB_REQUIRE(spec.dies_x >= 1 && spec.dies_y >= 1,
               "die grid must be at least 1x1");
-  mesh_cols_ = spec.dies_x * spec.tiles_x;
-  mesh_rows_ = spec.dies_y * spec.tiles_y;
-  num_tiles_ = mesh_cols_ * mesh_rows_;
-  num_cores_ = num_tiles_ * spec.cores_per_tile;
+  // Sizes in 64 bits, each required to fit the int it is stored in (the
+  // factors are ints, so no product below overflows 64 bits).
+  mesh_cols_ =
+      checked_int(std::int64_t{spec.dies_x} * spec.tiles_x, "mesh columns");
+  mesh_rows_ =
+      checked_int(std::int64_t{spec.dies_y} * spec.tiles_y, "mesh rows");
+  num_tiles_ =
+      checked_int(std::int64_t{mesh_cols_} * mesh_rows_, "tile count");
+  num_cores_ = checked_int(std::int64_t{num_tiles_} * spec.cores_per_tile,
+                           "core count");
+  checked_int(std::int64_t{num_tiles_} * 4, "link-slot count");
 
   mc_die_tiles_ =
       spec.mc_tiles_per_die.empty()
@@ -204,6 +220,11 @@ std::int64_t get_i64(const std::string& json, const char* key) {
   return v;
 }
 
+int get_int(const std::string& json, const char* key) {
+  return checked_int(get_i64(json, key),
+                     "JSON field '" + std::string(key) + "'");
+}
+
 std::vector<TileCoord> get_tile_list(const std::string& json, const char* key) {
   const char* s = find_field(json, key);
   OCB_REQUIRE(*s == '[', "topology JSON field '" + std::string(key) +
@@ -218,13 +239,14 @@ std::vector<TileCoord> get_tile_list(const std::string& json, const char* key) {
     OCB_REQUIRE(*s == '[', "topology JSON mc tile is not an [x,y] pair");
     ++s;
     char* end = nullptr;
-    const long x = std::strtol(s, &end, 10);
+    const long long x = std::strtoll(s, &end, 10);
     OCB_REQUIRE(end != s && *end == ',', "topology JSON mc tile x malformed");
     s = end + 1;
-    const long y = std::strtol(s, &end, 10);
+    const long long y = std::strtoll(s, &end, 10);
     OCB_REQUIRE(end != s && *end == ']', "topology JSON mc tile y malformed");
     s = end + 1;
-    out.push_back(TileCoord{static_cast<int>(x), static_cast<int>(y)});
+    out.push_back(TileCoord{checked_int(x, "JSON mc tile x"),
+                            checked_int(y, "JSON mc tile y")});
   }
   OCB_REQUIRE(*s == ']', "topology JSON mc tile array unterminated");
   return out;
@@ -236,11 +258,11 @@ Topology Topology::from_json(const std::string& json) {
   OCB_REQUIRE(json.find("\"ocb-topology-v1\"") != std::string::npos,
               "not an ocb-topology-v1 record");
   Spec s;
-  s.cores_per_tile = static_cast<int>(get_i64(json, "cores_per_tile"));
-  s.tiles_x = static_cast<int>(get_i64(json, "tiles_x"));
-  s.tiles_y = static_cast<int>(get_i64(json, "tiles_y"));
-  s.dies_x = static_cast<int>(get_i64(json, "dies_x"));
-  s.dies_y = static_cast<int>(get_i64(json, "dies_y"));
+  s.cores_per_tile = get_int(json, "cores_per_tile");
+  s.tiles_x = get_int(json, "tiles_x");
+  s.tiles_y = get_int(json, "tiles_y");
+  s.dies_x = get_int(json, "dies_x");
+  s.dies_y = get_int(json, "dies_y");
   s.interposer_extra_latency = get_i64(json, "interposer_extra_latency_ps");
   s.interposer_extra_occupancy = get_i64(json, "interposer_extra_occupancy_ps");
   s.mc_tiles_per_die = get_tile_list(json, "mc_tiles");
@@ -254,14 +276,15 @@ Topology Topology::parse(const std::string& spec) {
                 std::string("topology spec: expected <a>") + sep + "<b> for " +
                     what + " in '" + spec + "'");
     char* end = nullptr;
-    const long a = std::strtol(s.c_str(), &end, 10);
+    const long long a = std::strtoll(s.c_str(), &end, 10);
     OCB_REQUIRE(end == s.c_str() + at, std::string("topology spec: bad ") +
                                            what + " in '" + spec + "'");
-    const long b = std::strtol(s.c_str() + at + 1, &end, 10);
+    const long long b = std::strtoll(s.c_str() + at + 1, &end, 10);
     OCB_REQUIRE(*end == '\0' && end == s.c_str() + s.size(),
                 std::string("topology spec: bad ") + what + " in '" + spec +
                     "'");
-    return std::pair<int, int>{static_cast<int>(a), static_cast<int>(b)};
+    const std::string where = std::string(what) + " in '" + spec + "'";
+    return std::pair<int, int>{checked_int(a, where), checked_int(b, where)};
   };
   if (spec == "scc") return scc();
   if (spec.rfind("mesh:", 0) == 0) {

@@ -7,16 +7,20 @@
 
 namespace ocb::scc {
 
-void DataCache::ensure_storage() {
-  if (!table_.empty()) return;
-  key_.resize(capacity_);
-  prev_.resize(capacity_);
-  next_.resize(capacity_);
-  // Power-of-two table at <= 50% load so linear probes stay short.
-  std::size_t table_size = 16;
-  while (table_size < capacity_ * 2) table_size *= 2;
-  table_.assign(table_size, kNil);
-  mask_ = table_size - 1;
+std::uint32_t DataCache::append_slot() {
+  const auto fresh = static_cast<std::uint32_t>(size_);
+  if (size_ == pages_.size() * kPageSlots) {
+    pages_.push_back(std::make_unique<Page>());
+  }
+  ++size_;
+  if (size_ * 2 > table_.size()) {
+    // Rebuild at the next power of two (16 at least) so linear probes stay
+    // short; every live slot but the fresh one is rehashed.
+    table_.assign(std::max<std::size_t>(16, table_.size() * 2), kNil);
+    mask_ = table_.size() - 1;
+    for (std::uint32_t s = 0; s < fresh; ++s) table_insert(at(s).key, s);
+  }
+  return fresh;
 }
 
 std::size_t DataCache::ideal_index(std::size_t key) const {
@@ -30,7 +34,7 @@ std::uint32_t DataCache::find_slot(std::size_t key) const {
   for (std::size_t i = ideal_index(key);; i = (i + 1) & mask_) {
     const std::uint32_t slot = table_[i];
     if (slot == kNil) return kNil;
-    if (key_[slot] == key) return slot;
+    if (at(slot).key == key) return slot;
   }
 }
 
@@ -42,12 +46,12 @@ void DataCache::table_insert(std::size_t key, std::uint32_t slot) {
 
 void DataCache::table_erase(std::size_t key) {
   std::size_t i = ideal_index(key);
-  while (key_[table_[i]] != key) i = (i + 1) & mask_;
+  while (at(table_[i]).key != key) i = (i + 1) & mask_;
   // Backward-shift deletion keeps probe chains gap-free without tombstones.
   for (std::size_t j = (i + 1) & mask_;; j = (j + 1) & mask_) {
     const std::uint32_t slot = table_[j];
     if (slot == kNil) break;
-    const std::size_t home = ideal_index(key_[slot]);
+    const std::size_t home = ideal_index(at(slot).key);
     if (((j - home) & mask_) >= ((j - i) & mask_)) {
       table_[i] = slot;
       i = j;
@@ -57,16 +61,16 @@ void DataCache::table_erase(std::size_t key) {
 }
 
 void DataCache::lru_detach(std::uint32_t slot) {
-  const std::uint32_t p = prev_[slot];
-  const std::uint32_t n = next_[slot];
-  if (p != kNil) next_[p] = n; else head_ = n;
-  if (n != kNil) prev_[n] = p; else tail_ = p;
+  const std::uint32_t p = at(slot).prev;
+  const std::uint32_t n = at(slot).next;
+  if (p != kNil) at(p).next = n; else head_ = n;
+  if (n != kNil) at(n).prev = p; else tail_ = p;
 }
 
 void DataCache::lru_push_front(std::uint32_t slot) {
-  prev_[slot] = kNil;
-  next_[slot] = head_;
-  if (head_ != kNil) prev_[head_] = slot;
+  at(slot).prev = kNil;
+  at(slot).next = head_;
+  if (head_ != kNil) at(head_).prev = slot;
   head_ = slot;
   if (tail_ == kNil) tail_ = slot;
 }
@@ -83,7 +87,6 @@ bool DataCache::lookup(std::size_t offset) {
 
 void DataCache::insert(std::size_t offset) {
   if (capacity_ == 0) return;  // degenerate: everything evicts immediately
-  ensure_storage();
   std::uint32_t slot = find_slot(offset);
   if (slot != kNil) {  // refresh, not duplicate
     if (head_ != slot) {
@@ -95,12 +98,11 @@ void DataCache::insert(std::size_t offset) {
   if (size_ == capacity_) {  // evict least-recently-used
     slot = tail_;
     lru_detach(slot);
-    table_erase(key_[slot]);
+    table_erase(at(slot).key);
   } else {
-    slot = static_cast<std::uint32_t>(size_);
-    ++size_;
+    slot = append_slot();
   }
-  key_[slot] = offset;
+  at(slot).key = offset;
   table_insert(offset, slot);
   lru_push_front(slot);
 }
@@ -109,7 +111,7 @@ void DataCache::clear() {
   size_ = 0;
   head_ = kNil;
   tail_ = kNil;
-  if (!table_.empty()) std::fill(table_.begin(), table_.end(), kNil);
+  std::fill(table_.begin(), table_.end(), kNil);
 }
 
 Core::Core(SccChip& chip, CoreId id)

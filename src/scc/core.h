@@ -10,7 +10,9 @@
 // formulas of Figure 2 (see scc/config.h for the parameter decomposition).
 #pragma once
 
+#include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -32,8 +34,11 @@ class SccChip;
 /// open-addressing (linear-probe, backward-shift-delete) hash table. Every
 /// simulated private-memory line transaction goes through here, so the
 /// structure must not allocate per entry — node-based list/map churn and
-/// rehashing used to dominate large-broadcast simulation profiles. Arrays
-/// are allocated lazily on first insert: idle cores' caches cost nothing.
+/// rehashing used to dominate large-broadcast simulation profiles. Storage
+/// follows the live lines: live slots are always 0..size()-1 (eviction
+/// reuses the tail's slot), so slots grow by appending fixed-size pages and
+/// the probe table doubles to stay at <= 50% load. Idle cores' caches cost
+/// nothing, and a core that touches few lines never pays for the capacity.
 class DataCache {
  public:
   explicit DataCache(std::size_t capacity_lines) : capacity_(capacity_lines) {}
@@ -49,8 +54,24 @@ class DataCache {
 
  private:
   static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::size_t kPageSlots = 256;
 
-  void ensure_storage();
+  struct Slot {
+    std::size_t key;
+    std::uint32_t prev;
+    std::uint32_t next;
+  };
+  using Page = std::array<Slot, kPageSlots>;
+
+  Slot& at(std::uint32_t slot) {
+    return (*pages_[slot / kPageSlots])[slot % kPageSlots];
+  }
+  const Slot& at(std::uint32_t slot) const {
+    return (*pages_[slot / kPageSlots])[slot % kPageSlots];
+  }
+  /// Appends slot `size_` (a new page when the last one is full) and keeps
+  /// the table at <= 50% load for the grown size.
+  std::uint32_t append_slot();
   std::size_t ideal_index(std::size_t key) const;
   /// Probe position holding `key`'s slot, or the table's npos sentinel.
   std::uint32_t find_slot(std::size_t key) const;
@@ -63,11 +84,9 @@ class DataCache {
   std::size_t size_ = 0;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
-  std::size_t mask_ = 0;              // table size - 1 (power of two)
-  std::vector<std::size_t> key_;      // per LRU slot
-  std::vector<std::uint32_t> prev_;   // per LRU slot
-  std::vector<std::uint32_t> next_;   // per LRU slot
-  std::vector<std::uint32_t> table_;  // probe position -> slot or kNil
+  std::size_t mask_ = 0;                     // table size - 1 (power of two)
+  std::vector<std::unique_ptr<Page>> pages_;  // LRU slots, kPageSlots a page
+  std::vector<std::uint32_t> table_;         // probe position -> slot or kNil
 };
 
 class Core {

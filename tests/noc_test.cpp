@@ -2,6 +2,9 @@
 // memory-controller placement.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 #include "noc/geometry.h"
 #include "noc/memctrl.h"
 #include "noc/mesh.h"
@@ -79,7 +82,7 @@ TEST_P(XyRouteProperty, RouteShape) {
   EXPECT_EQ(links.size(), route.size() - 1);
   for (LinkId l : links) {
     EXPECT_GE(l, 0);
-    EXPECT_LT(l, kNumLinkSlots);
+    EXPECT_LT(l, Topology::scc().num_link_slots());
   }
 }
 
@@ -112,7 +115,7 @@ TEST(Routing, RouteUsesLinkMatchesPaperStressPattern) {
 
 TEST(Mesh, UncontendedLatencyIsRoutersTimesLhop) {
   sim::Engine e;
-  Mesh mesh(e, /*l_hop=*/5000, /*link_occupancy=*/2500);
+  Mesh mesh(e, Topology::scc(), /*l_hop=*/5000, /*link_occupancy=*/2500);
   // Space departures far enough apart that earlier packets cannot congest
   // later ones (each holds a link for only 2.5 us total here).
   sim::Time depart = 0;
@@ -130,7 +133,7 @@ TEST(Mesh, UncontendedLatencyIsRoutersTimesLhop) {
 
 TEST(Mesh, OversubscribedLinkQueues) {
   sim::Engine e;
-  Mesh mesh(e, 5000, 2500);
+  Mesh mesh(e, Topology::scc(), 5000, 2500);
   // Two packets enter the same link at the same instant: the second is
   // delayed by the first's serialization time.
   const sim::Time a = mesh.reserve_path(0, TileCoord{0, 0}, TileCoord{1, 0});
@@ -141,7 +144,7 @@ TEST(Mesh, OversubscribedLinkQueues) {
 
 TEST(Mesh, DisjointLinksDoNotInteract) {
   sim::Engine e;
-  Mesh mesh(e, 5000, 2500);
+  Mesh mesh(e, Topology::scc(), 5000, 2500);
   mesh.reserve_path(0, TileCoord{0, 0}, TileCoord{1, 0});
   const sim::Time b = mesh.reserve_path(0, TileCoord{0, 1}, TileCoord{1, 1});
   EXPECT_EQ(b, 10000u);
@@ -149,7 +152,7 @@ TEST(Mesh, DisjointLinksDoNotInteract) {
 
 TEST(Mesh, LinkStatsCount) {
   sim::Engine e;
-  Mesh mesh(e, 5000, 2500);
+  Mesh mesh(e, Topology::scc(), 5000, 2500);
   const LinkId east00 = link_id(TileCoord{0, 0}, Direction::kEast);
   EXPECT_EQ(mesh.link_packets(east00), 0u);
   mesh.reserve_path(0, TileCoord{0, 0}, TileCoord{2, 0});
@@ -159,7 +162,7 @@ TEST(Mesh, LinkStatsCount) {
 
 TEST(Mesh, TraverseAwaitableAdvancesClock) {
   sim::Engine e;
-  Mesh mesh(e, 5000, 2500);
+  Mesh mesh(e, Topology::scc(), 5000, 2500);
   sim::Time done = 0;
   e.spawn([](sim::Engine& eng, Mesh& m, sim::Time* out) -> sim::Task<void> {
     co_await m.traverse(TileCoord{0, 0}, TileCoord{5, 3});
@@ -171,8 +174,62 @@ TEST(Mesh, TraverseAwaitableAdvancesClock) {
 
 TEST(Mesh, RejectsBadConfig) {
   sim::Engine e;
-  EXPECT_THROW(Mesh(e, 0, 0), PreconditionError);
-  EXPECT_THROW(Mesh(e, 5000, 6000), PreconditionError);  // occupancy > L_hop
+  EXPECT_THROW(Mesh(e, Topology::scc(), 0, 0), PreconditionError);
+  // occupancy > L_hop
+  EXPECT_THROW(Mesh(e, Topology::scc(), 5000, 6000), PreconditionError);
+}
+
+// The route walk books exactly the reference route: for every tile pair,
+// one packet on each link of xy_route_links (in any topology, with the
+// interposer extras on die-crossing links) and on no other link, arriving
+// after those links' latencies plus the destination router.
+TEST(Mesh, RouteWalkBooksTheReferenceRoute) {
+  constexpr sim::Duration kHop = 5000;
+  constexpr sim::Duration kOcc = 2500;
+  for (const char* spec : {"scc", "mesh:5x5", "dies:2x2:mesh:4x3"}) {
+    SCOPED_TRACE(spec);
+    const Topology topo = Topology::parse(spec);
+    sim::Engine e;
+    Mesh mesh(e, topo, kHop, kOcc);
+    const auto slots = static_cast<std::size_t>(topo.num_link_slots());
+    std::vector<std::uint64_t> packets(slots, 0);
+    std::vector<sim::Duration> busy(slots, 0);
+    // Departures 1 us apart: no packet ever waits for an earlier one.
+    sim::Time depart = 0;
+    for (int a = 0; a < topo.num_tiles(); ++a) {
+      for (int b = 0; b < topo.num_tiles(); ++b) {
+        const TileCoord src = topo.tile_coord(a);
+        const TileCoord dst = topo.tile_coord(b);
+        const auto route = xy_route(topo, src, dst);
+        const auto links = xy_route_links(topo, src, dst);
+        sim::Duration latency = kHop;  // destination router
+        for (std::size_t i = 0; i < links.size(); ++i) {
+          const bool ixp = topo.link_crosses_die(route[i], route[i + 1]);
+          const auto l = static_cast<std::size_t>(links[i]);
+          latency += kHop + (ixp ? topo.interposer_extra_latency() : 0);
+          busy[l] += kOcc + (ixp ? topo.interposer_extra_occupancy() : 0);
+          ++packets[l];
+        }
+        depart += 1'000'000;
+        ASSERT_EQ(mesh.reserve_path(depart, src, dst), depart + latency)
+            << "tiles " << a << " -> " << b;
+        for (std::size_t l = 0; l < slots; ++l) {
+          const auto id = static_cast<LinkId>(l);
+          ASSERT_EQ(mesh.link_packets(id), packets[l])
+              << "link " << l << " after tiles " << a << " -> " << b;
+          ASSERT_EQ(mesh.link_total_occupancy(id), busy[l])
+              << "link " << l << " after tiles " << a << " -> " << b;
+        }
+      }
+    }
+    const TileCoord last = topo.tile_coord(topo.num_tiles() - 1);
+    for (const TileCoord off :
+         {TileCoord{-1, 0}, TileCoord{0, -1}, TileCoord{topo.mesh_cols(), 0},
+          TileCoord{0, topo.mesh_rows()}}) {
+      EXPECT_THROW(mesh.reserve_path(depart, off, last), PreconditionError);
+      EXPECT_THROW(mesh.reserve_path(depart, last, off), PreconditionError);
+    }
+  }
 }
 
 TEST(MemCtrl, QuadrantAssignment) {

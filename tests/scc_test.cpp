@@ -3,6 +3,11 @@
 // model identities the simulator is calibrated to.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <list>
+#include <string>
+#include <unordered_map>
+
 #include "noc/memctrl.h"
 #include "scc/chip.h"
 
@@ -330,6 +335,84 @@ TEST(DataCache, ReinsertRefreshes) {
   cache.insert(3);  // evicts 2
   EXPECT_TRUE(cache.lookup(1));
   EXPECT_FALSE(cache.lookup(2));
+}
+
+/// Reference LRU for DataCache: most recently used at the front.
+class ReferenceLru {
+ public:
+  explicit ReferenceLru(std::size_t capacity) : capacity_(capacity) {}
+
+  bool lookup(std::size_t key) {
+    const auto it = where_.find(key);
+    if (it == where_.end()) return false;
+    order_.splice(order_.begin(), order_, it->second);
+    return true;
+  }
+  void insert(std::size_t key) {
+    if (capacity_ == 0 || lookup(key)) return;
+    if (order_.size() == capacity_) {
+      where_.erase(order_.back());
+      order_.pop_back();
+    }
+    order_.push_front(key);
+    where_[key] = order_.begin();
+  }
+  void clear() {
+    order_.clear();
+    where_.clear();
+  }
+  std::size_t size() const { return order_.size(); }
+
+ private:
+  std::size_t capacity_;
+  std::list<std::size_t> order_;
+  std::unordered_map<std::size_t, std::list<std::size_t>::iterator> where_;
+};
+
+// Seeded insert/lookup/clear mixes, every step checked against the
+// reference, at capacities around the storage's page size and up to the
+// chip default. Phase 1 fills about half the capacity and clears; phase 2
+// refills past that high-water mark, through the growth steps, to full
+// capacity with evictions; phase 3 clears at random points.
+TEST(DataCache, MatchesReferenceLru) {
+  for (const std::size_t capacity : {1, 2, 3, 255, 256, 257, 8192}) {
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
+                   std::to_string(seed));
+      DataCache cache(capacity);
+      ReferenceLru ref(capacity);
+      Xoshiro256 rng(seed * 1'000'003 + capacity);
+      std::size_t high_water = 0;
+      const auto run = [&](std::uint64_t keys, std::size_t steps,
+                           std::uint64_t clear_one_in) {
+        for (std::size_t i = 0; i < steps; ++i) {
+          const std::uint64_t op = rng.next_below(64);
+          const std::size_t key = rng.next_below(keys) * kCacheLineBytes;
+          if (clear_one_in != 0 && rng.next_below(clear_one_in) == 0) {
+            cache.clear();
+            ref.clear();
+          } else if (op < 28) {
+            cache.insert(key);
+            ref.insert(key);
+          } else {
+            ASSERT_EQ(cache.lookup(key), ref.lookup(key)) << "step " << i;
+          }
+          ASSERT_EQ(cache.size(), ref.size()) << "step " << i;
+          high_water = std::max(high_water, cache.size());
+        }
+      };
+      const std::size_t half = (capacity + 1) / 2;
+      run(half, 8 * capacity + 64, 0);
+      EXPECT_LE(high_water, half);
+      cache.clear();
+      ref.clear();
+      EXPECT_EQ(cache.size(), 0u);
+      high_water = 0;
+      run(2 * capacity + 1, 8 * capacity + 64, 0);
+      EXPECT_EQ(high_water, capacity) << "refill reaches full capacity";
+      run(2 * capacity + 1, 4 * capacity + 64, 16);
+    }
+  }
 }
 
 }  // namespace

@@ -169,6 +169,23 @@ TEST(TopologyParse, BenchFlagSpellings) {
   EXPECT_THROW(Topology::parse("torus:4x4"), PreconditionError);
 }
 
+TEST(TopologyParse, RejectsSizesBeyondInt) {
+  // Truncated to int, 4294967302 (2^32 + 6) would read as the SCC's 6
+  // columns and 4294967298 (2^32 + 2) as 2 dies.
+  EXPECT_THROW(Topology::parse("mesh:4294967302x4"), PreconditionError);
+  EXPECT_THROW(Topology::parse("dies:4294967298x1:mesh:3x3"),
+               PreconditionError);
+  EXPECT_THROW(Topology::parse("mesh:99999999999999999999x4"),
+               PreconditionError);
+  // Each factor fits, the 10^10 tiles do not.
+  EXPECT_THROW(Topology::parse("mesh:100000x100000"), PreconditionError);
+  EXPECT_THROW(Topology::mesh(46341, 46341), PreconditionError);  // tiles
+  EXPECT_THROW(Topology::mesh(16384, 16384, 8), PreconditionError);  // cores
+  std::string json = Topology::scc().to_json();
+  json.replace(json.find("\"tiles_x\":6"), 11, "\"tiles_x\":4294967302");
+  EXPECT_THROW(Topology::from_json(json), PreconditionError);
+}
+
 // --- chips on non-SCC topologies ------------------------------------------
 
 void seed(scc::SccChip& chip, CoreId core, std::size_t bytes) {
