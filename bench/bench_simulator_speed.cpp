@@ -21,15 +21,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "harness/fault_sweep.h"
 #include "harness/measurement.h"
 #include "noc/topology.h"
+#include "scc/config.h"
 #include "scc/trace_json.h"
+#include "sim/engine.h"
 #include "svc/service.h"
 
 namespace {
@@ -465,6 +469,67 @@ BENCHMARK(bench_event_loop_throughput)
     ->Arg(8192)
     ->Unit(benchmark::kMillisecond)
     ->Name("simulator/ocbcast_events");
+
+// The event queue alone: `depth` self-rescheduling callbacks keep `depth`
+// events queued until they run out, each step one of the SCC cost
+// parameters (scc/config.h) in a seeded order. Reports host ns per push +
+// pop + dispatch.
+struct QueueTicker {
+  sim::Engine* engine;
+  const std::vector<sim::Duration>* deltas;
+  std::size_t next;
+  std::uint64_t left;
+};
+
+void queue_tick(void* p) {
+  auto* t = static_cast<QueueTicker*>(p);
+  if (t->left == 0) return;
+  --t->left;
+  const sim::Duration d = (*t->deltas)[t->next++ % t->deltas->size()];
+  t->engine->schedule_fn(t->engine->now() + d, &queue_tick, t);
+}
+
+std::vector<sim::Duration> scc_cost_deltas() {
+  const scc::SccConfig c;
+  const sim::Duration params[] = {
+      c.l_hop,           c.link_occupancy,   c.t_mpb_port, c.o_mpb_core,
+      c.o_mem_core_read, c.o_mem_core_write, c.t_mc_port,  c.o_put_mpb,
+      c.o_get_mpb,       c.o_put_mem,        c.o_get_mem,  c.o_ipi_send,
+      c.o_irq_entry,     c.o_cache_hit};
+  Xoshiro256 rng(2026);
+  std::vector<sim::Duration> deltas(4096);
+  for (sim::Duration& d : deltas) d = params[rng.next_below(std::size(params))];
+  return deltas;
+}
+
+void bench_event_queue(benchmark::State& state) {
+  const auto depth = static_cast<std::size_t>(state.range(0));
+  const std::uint64_t per_ticker = 2'000'000 / depth;
+  const std::vector<sim::Duration> deltas = scc_cost_deltas();
+  std::uint64_t events = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    sim::Engine engine;
+    std::vector<QueueTicker> tickers(depth);
+    for (std::size_t i = 0; i < depth; ++i) {
+      // Staggered starting points, so the tickers interleave.
+      tickers[i] = {&engine, &deltas, 37 * i, per_ticker};
+      queue_tick(&tickers[i]);
+    }
+    const Clock::time_point t0 = Clock::now();
+    const sim::RunResult r = engine.run();
+    seconds += seconds_since(t0);
+    benchmark::DoNotOptimize(r.events_processed);
+    events += r.events_processed;
+  }
+  state.counters["ns_per_event"] = seconds * 1e9 / static_cast<double>(events);
+  state.counters["depth"] = static_cast<double>(depth);
+}
+BENCHMARK(bench_event_queue)
+    ->Arg(48)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->Name("simulator/event_queue");
 
 void bench_chip_construction(benchmark::State& state, const char* topology) {
   // Chip set-up cost by topology; it should grow linearly with the tiles.

@@ -77,8 +77,8 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
   out.injections = injector.stats();
   out.crashed = static_cast<int>(injector.stats().crashes_applied);
   out.survivors = parties - out.crashed;
-  // Drained = the queue emptied on its own (didn't hit the event budget).
-  out.drained = run.events_processed < spec.max_events;
+  // Drained = the queue emptied, even if that took the budget's last event.
+  out.drained = chip.engine().queue_size() == 0;
 
   auto is_crashed = [&](CoreId c) {
     for (const fault::FailStop& f : spec.plan.crashes) {

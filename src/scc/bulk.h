@@ -18,14 +18,14 @@
 // 2. BUSY (anything else): a flat event chain with *event parity* — one
 //    lean function-pointer event per reference-path event. Parity, not
 //    fewer events, is required for exactness here, and the reason is
-//    subtle: the engine breaks same-instant ties by event sequence number,
-//    and seq numbers are allocated when an event is SCHEDULED. Two packets
+//    subtle: the engine breaks same-instant ties by insertion order, and an
+//    event takes its place in that order when it is SCHEDULED. Two packets
 //    reserving the same link at the same instant, or two cores grabbing an
-//    idle port at the same instant, are ordered by those seqs, and the
-//    reference allocates them at specific instants (a traversal's arrival
+//    idle port at the same instant, are ordered by insertion, and the
+//    reference schedules them at specific instants (a traversal's arrival
 //    event is scheduled at its departure instant, a departure event at the
 //    previous segment's end, ...). Dropping an intermediate event shifts
-//    the allocation instant of every event scheduled "through" it, which
+//    the scheduling instant of every event scheduled "through" it, which
 //    can flip a same-instant race somewhere else on the chip and drift the
 //    timeline (observed: ~0.1% latency drift on OC-Bcast when the chain
 //    skipped the segment-boundary events). So the busy-chip chain keeps

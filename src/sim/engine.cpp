@@ -1,5 +1,6 @@
 #include "sim/engine.h"
 
+#include <bit>
 #include <utility>
 
 #include "common/require.h"
@@ -29,52 +30,55 @@ Engine::~Engine() {
 }
 
 void Engine::push(const Event& e) {
-  // 4-ary sift-up: parent of i is (i-1)/4.
-  std::size_t i = heap_.size();
-  heap_.push_back(e);
-  while (i > 0) {
-    const std::size_t parent = (i - 1) / 4;
-    if (!before(heap_[i], heap_[parent])) break;
-    std::swap(heap_[i], heap_[parent]);
-    i = parent;
-  }
-  if (heap_.size() > max_queue_depth_) max_queue_depth_ = heap_.size();
+  // e.t >= now_ == last_ (schedule checks it), so the bucket is in 0..64.
+  const int b = std::bit_width(e.t ^ last_);
+  buckets_[static_cast<std::size_t>(b)].push_back(e);
+  if (b != 0) nonempty_ |= std::uint64_t{1} << (b - 1);
+  if (++size_ > max_queue_depth_) max_queue_depth_ = size_;
 }
 
 Engine::Event Engine::pop() {
-  const Event top = heap_.front();
-  const Event last = heap_.back();
-  heap_.pop_back();
-  const std::size_t n = heap_.size();
-  if (n > 0) {
-    // 4-ary sift-down: children of i are 4i+1 .. 4i+4.
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first_child = 4 * i + 1;
-      if (first_child >= n) break;
-      std::size_t best = first_child;
-      const std::size_t end = first_child + 4 < n ? first_child + 4 : n;
-      for (std::size_t c = first_child + 1; c < end; ++c) {
-        if (before(heap_[c], heap_[best])) best = c;
-      }
-      if (!before(heap_[best], last)) break;
-      heap_[i] = heap_[best];
-      i = best;
-    }
-    heap_[i] = last;
+  std::vector<Event>& zero = buckets_[0];
+  if (zero.empty()) refill();
+  const Event e = zero[head_++];
+  if (head_ == zero.size()) {
+    zero.clear();
+    head_ = 0;
   }
-  return top;
+  --size_;
+  return e;
+}
+
+void Engine::refill() {
+  // Lowest non-empty bucket: every event in it precedes every event in the
+  // buckets above, and all buckets below it are empty.
+  const int b = std::countr_zero(nonempty_) + 1;
+  nonempty_ &= nonempty_ - 1;
+  std::vector<Event>& src = buckets_[static_cast<std::size_t>(b)];
+  Time min = src.front().t;
+  for (const Event& e : src) {
+    if (e.t < min) min = e.t;
+  }
+  last_ = min;
+  // Walk in order and append, so same-time events keep insertion order.
+  // Each lands strictly below b, since it agrees with `min` above bit b-1.
+  for (const Event& e : src) {
+    const int to = std::bit_width(e.t ^ min);
+    buckets_[static_cast<std::size_t>(to)].push_back(e);
+    if (to != 0) nonempty_ |= std::uint64_t{1} << (to - 1);
+  }
+  src.clear();
 }
 
 void Engine::schedule(Time t, std::coroutine_handle<> h) {
   OCB_REQUIRE(t >= now_, "cannot schedule an event in the past");
-  push(Event{t, next_seq_++, h.address(), nullptr});
+  push(Event{t, h.address(), nullptr});
 }
 
 void Engine::schedule_fn(Time t, void (*fn)(void*), void* ctx) {
   OCB_REQUIRE(fn != nullptr, "null event callback");
   OCB_REQUIRE(t >= now_, "cannot schedule an event in the past");
-  push(Event{t, next_seq_++, ctx, fn});
+  push(Event{t, ctx, fn});
 }
 
 detail::RootTask Engine::make_root(Task<void> task) {
@@ -96,7 +100,7 @@ RunResult Engine::run(std::uint64_t max_events) {
   const FramePool::Stats pool_before = FramePool::stats();
 #endif
   std::uint64_t processed = 0;
-  while (!heap_.empty() && processed < max_events) {
+  while (size_ != 0 && processed < max_events) {
     const Event ev = pop();
     OCB_ENSURE(ev.t >= now_, "event queue time went backwards");
     now_ = ev.t;

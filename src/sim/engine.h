@@ -1,16 +1,23 @@
 // The discrete-event simulation engine: a single-threaded event loop.
-// Events are (time, sequence) ordered, ties broken by insertion order, so
-// identical inputs produce identical simulations on every platform.
+// Events pop in time order, ties broken by insertion order, so identical
+// inputs produce identical simulations on every platform.
 // Simulated SCC cores run as coroutines (sim::Task) spawned onto the
 // engine; awaitables suspend them and events resume them at computed times.
 // Parallelism comes from replicating whole engines across threads
 // (harness::parallel_map), never from inside one.
 //
-// The queue is a hand-rolled 4-ary implicit heap over 32-byte events: the
-// insertion pattern is near-monotone (most events land close after now),
-// so the shallower, cache-denser heap beats std::priority_queue's binary
-// layout on the hot pop/push cycle. Pop order is identical — (t, seq) is a
-// total order, so no tie can be resolved differently.
+// The queue is a radix heap over 24-byte events. It relies on simulated
+// time never decreasing (schedule requires t >= now). Bucket b > 0 holds
+// the events whose time first differs from the last popped time `last_` at
+// bit b-1; bucket 0 holds the events at exactly `last_`. A push is one
+// bit_width plus an append, so its cost does not depend on queue depth.
+// A pop takes the front of bucket 0; when that is empty, it finds the
+// lowest non-empty bucket through a 64-bit mask, makes that bucket's
+// minimum the new `last_`, and moves its events down in order. Those lower
+// buckets are all empty at that point, and every event with a given time
+// always sits in the one bucket its time maps to, so each bucket keeps
+// its same-time events in insertion order. Pop order is therefore exactly
+// the (time, insertion order) order, with no sequence number stored.
 //
 // Ownership model: Engine::spawn wraps each top-level Task in a root frame
 // the engine owns. Destroying the engine destroys every root frame, which
@@ -18,6 +25,7 @@
 // deadlocked or partially-run simulation cannot leak.
 #pragma once
 
+#include <array>
 #include <coroutine>
 #include <cstdint>
 #include <exception>
@@ -137,7 +145,7 @@ class Engine {
 
   /// Events currently queued. The closed-form RMA fast path uses this to
   /// detect a quiescent machine.
-  std::size_t queue_size() const { return heap_.size(); }
+  std::size_t queue_size() const { return size_; }
 
   /// Awaitable: suspends the caller for `d` simulated time.
   auto sleep(Duration d) {
@@ -170,14 +178,14 @@ class Engine {
  private:
   friend struct detail::RootPromise;
 
-  /// 32 bytes; fn == nullptr means `ptr` is a coroutine to resume, else
-  /// fn(ptr) is called. `seq` is a global insertion counter.
+  /// fn == nullptr means `ptr` is a coroutine to resume, else fn(ptr) is
+  /// called.
   struct Event {
     Time t;
-    std::uint64_t seq;
     void* ptr;
     void (*fn)(void*);
   };
+  static_assert(sizeof(Event) == 24);
 
   struct Root {
     std::coroutine_handle<detail::RootPromise> handle;
@@ -187,21 +195,26 @@ class Engine {
 
   static detail::RootTask make_root(Task<void> task);
 
-  static bool before(const Event& a, const Event& b) {
-    return a.t != b.t ? a.t < b.t : a.seq < b.seq;
-  }
   void push(const Event& e);
   Event pop();
+  /// Refills the empty bucket 0 from the lowest non-empty bucket.
+  void refill();
 
   void note_process_finished() { --live_; }
   void note_process_error(std::exception_ptr e) {
     if (!first_error_) first_error_ = e;
   }
 
-  std::vector<Event> heap_;
+  /// Radix buckets 0..64 (see the header comment); bucket 0 pops from
+  /// `head_` and is cleared whenever it drains.
+  std::array<std::vector<Event>, 65> buckets_;
+  std::size_t head_ = 0;
+  /// Bit b-1 set iff bucket b (b >= 1) is non-empty.
+  std::uint64_t nonempty_ = 0;
+  Time last_ = 0;
+  std::size_t size_ = 0;
   std::vector<Root> roots_;
   Time now_ = 0;
-  std::uint64_t next_seq_ = 0;
   std::uint64_t events_processed_ = 0;
   std::uint64_t max_queue_depth_ = 0;
   std::size_t live_ = 0;

@@ -26,7 +26,7 @@
 // to the per-line reference path, so multiplexed timing stays exact.
 //
 // Determinism: arrivals, sizes, and roots come from the seeded generator;
-// the engine's (time, seq) order does the rest. Same spec + seed =>
+// the engine's time-then-insertion order does the rest. Same spec + seed =>
 // bit-identical metrics, asserted by tests/service_test.cpp.
 //
 // Correctness under recycling: a slot's new occupant REALLY does follow

@@ -279,5 +279,25 @@ TEST(FaultHarness, ControlArmHonoursEveryParam) {
       << "§5.4: skipping the leaf staging copy must help";
 }
 
+// A budget of exactly the events a run needs still drains: `drained` is
+// whether the queue emptied, not whether the budget was left unspent.
+TEST(FaultHarness, DrainedWhenTheQueueEmptiesOnTheBudgetsLastEvent) {
+  harness::FaultRunSpec spec = base_spec(4 * 1024);
+  const harness::FaultRunOutcome free_run = run_fault_once(spec);
+  ASSERT_TRUE(free_run.all_survivors_correct());
+
+  spec.max_events = free_run.events;
+  const harness::FaultRunOutcome exact = run_fault_once(spec);
+  EXPECT_EQ(exact.events, free_run.events);
+  EXPECT_EQ(exact.correct, exact.survivors);
+  EXPECT_TRUE(exact.drained);
+  EXPECT_TRUE(exact.all_survivors_correct());
+
+  spec.max_events = free_run.events - 1;
+  const harness::FaultRunOutcome cut = run_fault_once(spec);
+  EXPECT_FALSE(cut.drained);
+  EXPECT_FALSE(cut.all_survivors_correct());
+}
+
 }  // namespace
 }  // namespace ocb

@@ -2,9 +2,16 @@
 // semantics, stalled-process detection, teardown.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <deque>
+#include <functional>
+#include <iterator>
+#include <queue>
+#include <string>
 #include <vector>
 
 #include "common/require.h"
+#include "common/rng.h"
 #include "sim/condition.h"
 #include "sim/engine.h"
 
@@ -111,6 +118,148 @@ TEST(Engine, MaxEventsStopsEarly) {
   const RunResult r2 = e.run();
   EXPECT_TRUE(r2.completed());
   EXPECT_EQ(r2.end_time, 1000u);
+}
+
+// Replays a seeded random schedule of callbacks and coroutines, each event
+// scheduling 0-3 more, against a std::priority_queue keyed by (time,
+// insertion counter): the engine must pop in exactly that order.
+class QueueDifferential {
+ public:
+  explicit QueueDifferential(std::uint64_t seed)
+      : rng_(seed), target_depth_(1 + rng_.next_below(600)) {}
+
+  void run_to_completion() {
+    for (int i = 0; i < 4; ++i) spawn_process();
+    // One event near 2^62 ps: it pops last and reopens the budget, so the
+    // top buckets see redistribution too.
+    add_callback((Duration{1} << 62) - rng_.next_below(1000), /*far=*/true);
+    // Stop and resume every few hundred events, often mid-instant.
+    std::uint64_t processed = 0;
+    while (engine_.queue_size() > 0) {
+      const std::uint64_t chunk = 1 + rng_.next_below(300);
+      const RunResult r = engine_.run(chunk);
+      EXPECT_LE(r.events_processed - processed, chunk);
+      processed = r.events_processed;
+      EXPECT_EQ(engine_.queue_size(), ref_.size());
+    }
+    const RunResult r = engine_.run();
+    EXPECT_TRUE(r.completed());
+    EXPECT_EQ(r.events_processed, next_id_);
+    EXPECT_EQ(r.max_queue_depth, ref_max_);
+    EXPECT_EQ(order_mismatches_, 0u) << "first at pop #" << first_mismatch_;
+    EXPECT_EQ(size_mismatches_, 0u);
+  }
+
+ private:
+  struct Ref {
+    Time t;
+    std::uint64_t id;  // insertion counter
+    bool operator>(const Ref& o) const { return t != o.t ? t > o.t : id > o.id; }
+  };
+  struct Node {
+    QueueDifferential* q;
+    std::uint64_t id;
+    bool far;
+  };
+
+  std::uint64_t expect(Time t) {
+    ref_.push(Ref{t, next_id_});
+    if (ref_.size() > ref_max_) ref_max_ = ref_.size();
+    return next_id_++;
+  }
+
+  // Checks that the event the engine just popped is the reference's next.
+  void on_event(std::uint64_t id) {
+    ++popped_;
+    if (ref_.empty() || ref_.top().id != id || ref_.top().t != engine_.now()) {
+      if (order_mismatches_++ == 0) first_mismatch_ = popped_;
+    }
+    if (!ref_.empty()) ref_.pop();
+    if (engine_.queue_size() != ref_.size()) ++size_mismatches_;
+  }
+
+  Duration draw_delta() {
+    // Same-instant, picosecond, SCC cost-parameter and 2 us steps; the
+    // extra pick is a random step of up to 2^45 ps.
+    constexpr Duration kDeltas[] = {
+        0, 0, 1, 2, 5 * kNanosecond, 10 * kNanosecond, 116 * kNanosecond,
+        330 * kNanosecond, 451 * kNanosecond, 2 * kMicrosecond};
+    const std::uint64_t pick = rng_.next_below(std::size(kDeltas) + 1);
+    if (pick == std::size(kDeltas)) return rng_.next_below(Duration{1} << 45);
+    return kDeltas[pick];
+  }
+
+  bool take_budget() {
+    if (budget_ == 0) return false;
+    --budget_;
+    return true;
+  }
+
+  void add_callback(Duration d, bool far = false) {
+    const Time t = engine_.now() + d;
+    nodes_.push_back(Node{this, expect(t), far});
+    engine_.schedule_fn(t, &fire, &nodes_.back());
+  }
+
+  // Spawning schedules the process's first resume at t == now.
+  void spawn_process() { engine_.spawn(process(*this, expect(engine_.now()))); }
+
+  // Schedules up to `max` more events: callbacks, sometimes a same-instant
+  // burst sharing one delta, sometimes a new process.
+  void add_children(std::uint64_t max) {
+    const std::uint64_t lo = ref_.size() < target_depth_ ? 1 : 0;
+    const std::uint64_t n = std::min(max, lo + rng_.next_below(3));
+    const bool burst = rng_.next_below(4) == 0;
+    const Duration shared = draw_delta();
+    for (std::uint64_t i = 0; i < n && take_budget(); ++i) {
+      if (rng_.next_below(16) == 0) {
+        spawn_process();
+      } else {
+        add_callback(burst ? shared : draw_delta());
+      }
+    }
+  }
+
+  static void fire(void* p) {
+    const Node node = *static_cast<Node*>(p);
+    QueueDifferential& q = *node.q;
+    q.on_event(node.id);
+    if (node.far) q.budget_ += kBudget / 4;
+    q.add_children(3);
+  }
+
+  static Task<void> process(QueueDifferential& q, std::uint64_t id) {
+    for (;;) {
+      q.on_event(id);
+      q.add_children(2);
+      if (q.rng_.next_below(8) == 0 || !q.take_budget()) co_return;
+      const Duration d = q.draw_delta();
+      id = q.expect(q.engine_.now() + d);
+      co_await q.engine_.sleep(d);
+    }
+  }
+
+  static constexpr std::uint64_t kBudget = 4000;
+
+  Xoshiro256 rng_;
+  std::uint64_t target_depth_;
+  std::uint64_t budget_ = kBudget;
+  std::priority_queue<Ref, std::vector<Ref>, std::greater<>> ref_;
+  std::deque<Node> nodes_;
+  std::uint64_t next_id_ = 0;
+  std::uint64_t ref_max_ = 0;
+  std::uint64_t popped_ = 0;
+  std::uint64_t order_mismatches_ = 0;
+  std::uint64_t first_mismatch_ = 0;
+  std::uint64_t size_mismatches_ = 0;
+  Engine engine_;
+};
+
+TEST(Engine, PopOrderMatchesReferenceQueue) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    QueueDifferential(seed).run_to_completion();
+  }
 }
 
 TEST(Engine, LiveProcessCountTracksCompletion) {
