@@ -551,6 +551,52 @@ BENCHMARK_CAPTURE(bench_chip_construction, dies2x2, "dies:2x2:mesh:16x8")
     ->Unit(benchmark::kMicrosecond)
     ->Name("simulator/chip_construction/dies:2x2:mesh:16x8");
 
+void bench_bcast_1line(benchmark::State& state, const char* algorithm,
+                       const char* topology) {
+  // Host cost of one 1-line broadcast over every core of a prebuilt
+  // session: per-call planning and coroutine set-up, barely any transfer.
+  // A per-broadcast cost that grows faster than the chip shows as a
+  // host_ns_per_core that rises with the topology.
+  harness::BcastRunSpec spec = ocbcast_spec(1);
+  spec.algorithm_name = algorithm;
+  spec.params.parties = 0;
+  spec.config.topology = noc::Topology::parse(topology);
+  harness::BcastSession session(spec);
+  double seconds = 0.0;
+  for (auto _ : state) {
+    const Clock::time_point t0 = Clock::now();
+    const harness::BcastRunResult r = session.run();
+    seconds += seconds_since(t0);
+    benchmark::DoNotOptimize(r.events);
+  }
+  state.counters["host_ns_per_core"] =
+      seconds * 1e9 /
+      (static_cast<double>(state.iterations()) *
+       spec.config.topology.num_cores());
+}
+BENCHMARK_CAPTURE(bench_bcast_1line, ocbcast_scc, "ocbcast", "scc")
+    ->Unit(benchmark::kMicrosecond)
+    ->Name("simulator/bcast_1line/ocbcast/scc");
+BENCHMARK_CAPTURE(bench_bcast_1line, ocbcast_mesh16x16, "ocbcast",
+                  "mesh:16x16")
+    ->Unit(benchmark::kMicrosecond)
+    ->Name("simulator/bcast_1line/ocbcast/mesh:16x16");
+BENCHMARK_CAPTURE(bench_bcast_1line, ocbcast_dies2x2, "ocbcast",
+                  "dies:2x2:mesh:16x8")
+    ->Unit(benchmark::kMicrosecond)
+    ->Name("simulator/bcast_1line/ocbcast/dies:2x2:mesh:16x8");
+BENCHMARK_CAPTURE(bench_bcast_1line, hier_scc, "hier-ocbcast", "scc")
+    ->Unit(benchmark::kMicrosecond)
+    ->Name("simulator/bcast_1line/hier-ocbcast/scc");
+BENCHMARK_CAPTURE(bench_bcast_1line, hier_mesh16x16, "hier-ocbcast",
+                  "mesh:16x16")
+    ->Unit(benchmark::kMicrosecond)
+    ->Name("simulator/bcast_1line/hier-ocbcast/mesh:16x16");
+BENCHMARK_CAPTURE(bench_bcast_1line, hier_dies2x2, "hier-ocbcast",
+                  "dies:2x2:mesh:16x8")
+    ->Unit(benchmark::kMicrosecond)
+    ->Name("simulator/bcast_1line/hier-ocbcast/dies:2x2:mesh:16x8");
+
 void bench_event_loop_mesh(benchmark::State& state) {
   // The 1024-line OC-Bcast on a 256-core 16x16 mesh — the geometry-table
   // cost of a non-SCC topology at 5.3x the core count.

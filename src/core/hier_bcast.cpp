@@ -1,6 +1,7 @@
 #include "core/hier_bcast.h"
 
 #include <algorithm>
+#include <span>
 #include <sstream>
 
 #include "common/require.h"
@@ -85,24 +86,25 @@ HierarchicalBcast::Plan HierarchicalBcast::plan_for(CoreId me,
   const noc::Topology& topo = chip_->topology();
   Plan plan;
 
-  // Participating dies in die-index order, each with its members (already
-  // sorted by core id) and its leader: the global root in the root's die,
-  // the lowest participating id elsewhere.
+  // Participating dies in die-index order, each with its leader: the global
+  // root in the root's die, the lowest participating id elsewhere. A die's
+  // ids ascend, so it participates when its lowest id does, and my die's
+  // members are the prefix of its ids below `parties`.
   std::vector<int> part_dies;
   std::vector<CoreId> leaders;
   const int root_die = topo.die_of_core(root);
-  std::vector<CoreId> my_members;
   const int my_die = topo.die_of_core(me);
   for (int d = 0; d < topo.num_dies(); ++d) {
-    std::vector<CoreId> members;
-    for (CoreId c : topo.cores_of_die(d)) {
-      if (c < params_.parties) members.push_back(c);
-    }
-    if (members.empty()) continue;
+    const CoreId lowest = topo.die_leader(d);
+    if (lowest >= params_.parties) continue;
     part_dies.push_back(d);
-    leaders.push_back(d == root_die ? root : members.front());
-    if (d == my_die) my_members = std::move(members);
+    leaders.push_back(d == root_die ? root : lowest);
   }
+  const std::span<const CoreId> die_ids = topo.cores_of_die(my_die);
+  const std::span<const CoreId> my_members =
+      die_ids.first(static_cast<std::size_t>(
+          std::lower_bound(die_ids.begin(), die_ids.end(), params_.parties) -
+          die_ids.begin()));
   const int num_part = static_cast<int>(part_dies.size());
   const auto die_pos = [&](int die) {
     return static_cast<int>(std::lower_bound(part_dies.begin(),

@@ -66,7 +66,7 @@ class HierarchicalBcast final : public coll::Collective {
   std::size_t fence_line() const;
   std::size_t layout_lines() const;
 
- private:
+  // Per-broadcast tree plan (exposed for tests).
   /// Per-core view of the two-level tree for one (root, parties) instance.
   struct Plan {
     CoreId parent = -1;  ///< get/done peer (-1 at the global root)
@@ -74,8 +74,13 @@ class HierarchicalBcast final : public coll::Collective {
     std::vector<CoreId> children;  ///< slot order = child_slots order
     std::vector<int> child_slots;  ///< done-flag slot in OWN MPB per child
   };
+  /// Participant `me`'s plan under `root`, rebuilt on every run() call in
+  /// O(dies + fan-out + log cores) from the topology's die table (no scan
+  /// of the chip), so planning a broadcast on every core is linear in the
+  /// chip.
   Plan plan_for(CoreId me, CoreId root) const;
 
+ private:
   sim::Task<void> wait_children_done(scc::Core& self, const Plan& plan,
                                      std::uint64_t minimum);
 

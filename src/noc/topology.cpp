@@ -76,16 +76,20 @@ Topology::Topology(const Spec& spec) : spec_(spec) {
 
   // Per-core tables: tile, nearest same-die controller (ties to the lowest
   // global index — on the SCC floorplan this IS the quadrant assignment),
-  // and router distance to it.
+  // and router distance to it. Die membership fills in id order, so each
+  // die's ids come out ascending.
   const int mc_per_die = static_cast<int>(mc_die_tiles_.size());
-  core_tiles_.reserve(static_cast<std::size_t>(num_cores_));
-  core_mc_.reserve(static_cast<std::size_t>(num_cores_));
-  core_mem_distance_.reserve(static_cast<std::size_t>(num_cores_));
+  cores_.reserve(static_cast<std::size_t>(num_cores_));
+  die_cores_.resize(static_cast<std::size_t>(num_cores_));
+  std::vector<std::size_t> die_next(static_cast<std::size_t>(num_dies()));
+  for (std::size_t d = 0; d < die_next.size(); ++d) {
+    die_next[d] = d * static_cast<std::size_t>(num_cores_ / num_dies());
+  }
   for (CoreId c = 0; c < num_cores_; ++c) {
     const int tile = c / spec.cores_per_tile;
     const TileCoord t{tile % mesh_cols_, tile / mesh_cols_};
-    core_tiles_.push_back(t);
     const int die = die_of_tile(t);
+    die_cores_[die_next[static_cast<std::size_t>(die)]++] = c;
     int best = -1;
     int best_d = 0;
     for (int m = 0; m < mc_per_die; ++m) {
@@ -96,8 +100,7 @@ Topology::Topology(const Spec& spec) : spec_(spec) {
         best_d = d;
       }
     }
-    core_mc_.push_back(best);
-    core_mem_distance_.push_back(best_d + 1);
+    cores_.push_back({t, best, best_d + 1});
   }
 }
 
@@ -127,33 +130,6 @@ Topology Topology::multi_die(int dies_x, int dies_y, int tiles_x, int tiles_y,
   s.interposer_extra_latency = interposer_extra_latency;
   s.interposer_extra_occupancy = interposer_extra_occupancy;
   return Topology(s);
-}
-
-std::vector<CoreId> Topology::cores_of_die(int die) const {
-  OCB_REQUIRE(die >= 0 && die < num_dies(), "die index out of range");
-  const int dx = die % spec_.dies_x;
-  const int dy = die / spec_.dies_x;
-  std::vector<CoreId> out;
-  out.reserve(static_cast<std::size_t>(spec_.tiles_x * spec_.tiles_y *
-                                       spec_.cores_per_tile));
-  for (int y = dy * spec_.tiles_y; y < (dy + 1) * spec_.tiles_y; ++y) {
-    for (int x = dx * spec_.tiles_x; x < (dx + 1) * spec_.tiles_x; ++x) {
-      const CoreId first = first_core_of_tile(y * mesh_cols_ + x);
-      for (int i = 0; i < spec_.cores_per_tile; ++i) out.push_back(first + i);
-    }
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-CoreId Topology::die_leader(int die) const {
-  OCB_REQUIRE(die >= 0 && die < num_dies(), "die index out of range");
-  const int dx = die % spec_.dies_x;
-  const int dy = die / spec_.dies_x;
-  // Row-major tile indexing makes the die's top-left tile its lowest tile
-  // index, hence its first core the die's lowest core id.
-  return first_core_of_tile((dy * spec_.tiles_y) * mesh_cols_ +
-                            dx * spec_.tiles_x);
 }
 
 std::string Topology::describe() const {

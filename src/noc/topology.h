@@ -19,10 +19,10 @@
 // ROUTERS traversed, so d = Manhattan distance + 1, and accessing the
 // local MPB still goes through the local router (d = 1).
 //
-// Hot-path accessors (tile_of_core, mc_index_for_core, mem_distance) are
-// table lookups precomputed at construction, so a chip built from any
-// topology pays the same per-event geometry cost as the old global
-// constants did.
+// Hot-path accessors (tile_of_core, mc_index_for_core, mem_distance,
+// cores_of_die) are table lookups precomputed at construction, so a chip
+// built from any topology pays the same per-event geometry cost as the old
+// global constants did.
 //
 // Serialization: to_json()/from_json() round-trip the "ocb-topology-v1"
 // record; parse() accepts the bench-flag spellings "scc", "mesh:16x16",
@@ -30,6 +30,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -125,7 +126,7 @@ class Topology {
   }
   TileCoord tile_of_core(CoreId core) const {
     require_core(core);
-    return core_tiles_[static_cast<std::size_t>(core)];
+    return cores_[static_cast<std::size_t>(core)].tile;
   }
   int tile_index_of_core(CoreId core) const {
     require_core(core);
@@ -172,10 +173,18 @@ class Topology {
     return !same_die(from, to);
   }
   /// Core ids of one die, ascending (they are NOT globally contiguous on
-  /// multi-die chips: tile indices are row-major over the whole mesh).
-  std::vector<CoreId> cores_of_die(int die) const;
+  /// multi-die chips: tile indices are row-major over the whole mesh). A
+  /// view of a table built at construction, valid while this Topology
+  /// lives; no view of a temporary Topology can be taken.
+  std::span<const CoreId> cores_of_die(int die) const& {
+    OCB_REQUIRE(die >= 0 && die < num_dies(), "die index out of range");
+    const auto per_die = static_cast<std::size_t>(num_cores_ / num_dies());
+    return std::span<const CoreId>(die_cores_).subspan(
+        static_cast<std::size_t>(die) * per_die, per_die);
+  }
+  std::span<const CoreId> cores_of_die(int die) const&& = delete;
   /// Lowest core id on a die (the hierarchical broadcast's die leader).
-  CoreId die_leader(int die) const;
+  CoreId die_leader(int die) const { return cores_of_die(die).front(); }
 
   sim::Duration interposer_extra_latency() const {
     return spec_.interposer_extra_latency;
@@ -199,7 +208,7 @@ class Topology {
   /// crosses an interposer to reach DRAM).
   int mc_index_for_core(CoreId core) const {
     require_core(core);
-    return core_mc_[static_cast<std::size_t>(core)];
+    return cores_[static_cast<std::size_t>(core)].mc;
   }
   TileCoord mc_tile_for_core(CoreId core) const {
     return mc_tiles_[static_cast<std::size_t>(mc_index_for_core(core))];
@@ -207,7 +216,7 @@ class Topology {
   /// Routers between a core's tile and its controller (d for off-chip).
   int mem_distance(CoreId core) const {
     require_core(core);
-    return core_mem_distance_[static_cast<std::size_t>(core)];
+    return cores_[static_cast<std::size_t>(core)].mem_distance;
   }
 
   // --- links (directed edges between adjacent routers) --------------------
@@ -246,10 +255,17 @@ class Topology {
   int num_cores_ = 0;
   std::vector<TileCoord> mc_die_tiles_;  ///< die-local, as configured
   std::vector<TileCoord> mc_tiles_;      ///< global, die-major order
-  // Precomputed per-core tables (hot-path geometry = one indexed load).
-  std::vector<TileCoord> core_tiles_;
-  std::vector<int> core_mc_;
-  std::vector<int> core_mem_distance_;
+  // Precomputed per-core tables (hot-path geometry = one indexed load),
+  // one record per core so that copying a Topology copies few vectors.
+  struct CoreGeometry {
+    TileCoord tile;
+    int mc = 0;            ///< nearest same-die controller
+    int mem_distance = 0;  ///< routers from the tile to that controller
+  };
+  std::vector<CoreGeometry> cores_;
+  /// Core ids die-major, ascending within each die; every die holds the
+  /// same number, so die d's ids start at d * (num_cores_ / num_dies()).
+  std::vector<CoreId> die_cores_;
 };
 
 }  // namespace ocb::noc

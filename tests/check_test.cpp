@@ -152,7 +152,8 @@ TEST(CheckRegistry, UnknownNameErrorListsTheRegistry) {
 
 TEST(CheckGrid, ShippedCollectivesAreRaceFree) {
   const std::vector<std::string> algos = {
-      "ocbcast", "binomial", "scatter-allgather", "onesided-sag", "ft-ocbcast"};
+      "ocbcast",      "binomial",  "scatter-allgather",
+      "onesided-sag", "ft-ocbcast", "hier-ocbcast"};
   const std::size_t sizes[] = {kCacheLineBytes, 2048, 16 * 1024};
   const CoreId roots[] = {0, 7};
   for (const std::string& name : algos) {

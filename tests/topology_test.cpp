@@ -12,16 +12,23 @@
 //    the bench-flag spellings.
 //  * Chips built from non-SCC topologies actually run: OC-Bcast delivers
 //    on a 16x16 mesh, every builtin that accepts 50 cores delivers on a 5x5
-//    mesh (not 6 columns wide), and the hierarchical broadcast delivers on
-//    a multi-die chip for roots on any die.
+//    mesh (not 6 columns wide), and the hierarchical broadcast delivers
+//    race-free on multi-die chips for roots on any die, with dies split or
+//    left empty by the party count and roots changing back to back. Its
+//    per-call tree plan matches one built from a scan of every core.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "check/checker.h"
 #include "coll/registry.h"
 #include "common/require.h"
+#include "core/hier_bcast.h"
+#include "core/tree.h"
 #include "harness/measurement.h"
 #include "noc/geometry.h"
 #include "noc/memctrl.h"
@@ -118,23 +125,45 @@ TEST(TopologyDies, GlobalMeshAndCrossings) {
   EXPECT_FALSE(t.link_crosses_die(TileCoord{1, 0}, TileCoord{2, 0}));
   EXPECT_EQ(t.die_crossings(TileCoord{0, 0}, TileCoord{5, 3}), 2);
   EXPECT_EQ(t.die_crossings(TileCoord{1, 1}, TileCoord{2, 1}), 0);
-  // Every core belongs to exactly one die; members are ascending and
-  // leaders are their minima.
-  std::vector<CoreId> seen;
-  for (int d = 0; d < t.num_dies(); ++d) {
-    const std::vector<CoreId> members = t.cores_of_die(d);
-    ASSERT_FALSE(members.empty());
-    EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
-    EXPECT_EQ(t.die_leader(d), members.front());
-    for (CoreId c : members) {
-      EXPECT_EQ(t.die_of_core(c), d);
-      seen.push_back(c);
+}
+
+TEST(TopologyDies, DieTablePartitionsTheCores) {
+  const Topology shapes[] = {Topology::scc(), Topology::parse("mesh:5x5"),
+                             Topology::multi_die(2, 2, 3, 2),
+                             Topology::multi_die(3, 2, 1, 2, 3),
+                             Topology::parse("dies:2x2:mesh:16x8")};
+  for (const Topology& t : shapes) {
+    SCOPED_TRACE(t.describe());
+    const std::size_t per_die = static_cast<std::size_t>(
+        t.tiles_x_per_die() * t.tiles_y_per_die() * t.cores_per_tile());
+    // Every core belongs to exactly one die; members are ascending and
+    // leaders are their minima.
+    std::vector<CoreId> seen;
+    for (int d = 0; d < t.num_dies(); ++d) {
+      const std::span<const CoreId> members = t.cores_of_die(d);
+      ASSERT_EQ(members.size(), per_die);
+      EXPECT_TRUE(std::is_sorted(members.begin(), members.end()));
+      EXPECT_EQ(t.die_leader(d), members.front());
+      for (CoreId c : members) {
+        EXPECT_EQ(t.die_of_core(c), d);
+        seen.push_back(c);
+      }
+    }
+    std::sort(seen.begin(), seen.end());
+    ASSERT_EQ(static_cast<int>(seen.size()), t.num_cores());
+    for (CoreId c = 0; c < t.num_cores(); ++c) EXPECT_EQ(seen[c], c);
+    for (const int bad : {-1, t.num_dies()}) {
+      EXPECT_THROW(t.cores_of_die(bad), PreconditionError);
+      EXPECT_THROW(t.die_leader(bad), PreconditionError);
     }
   }
-  std::sort(seen.begin(), seen.end());
-  ASSERT_EQ(static_cast<int>(seen.size()), t.num_cores());
-  for (CoreId c = 0; c < t.num_cores(); ++c) EXPECT_EQ(seen[c], c);
 }
+
+// cores_of_die views the Topology's own table, so it refuses temporaries.
+template <typename T>
+concept DieSpanOf = requires(T&& t) { std::forward<T>(t).cores_of_die(0); };
+static_assert(DieSpanOf<const Topology&>);
+static_assert(!DieSpanOf<Topology>);
 
 // --- serialization ---------------------------------------------------------
 
@@ -188,30 +217,40 @@ TEST(TopologyParse, RejectsSizesBeyondInt) {
 
 // --- chips on non-SCC topologies ------------------------------------------
 
-void seed(scc::SccChip& chip, CoreId core, std::size_t bytes) {
-  auto w = chip.memory(core).host_bytes(0, bytes);
+void seed(scc::SccChip& chip, CoreId core, std::size_t offset,
+          std::size_t bytes, std::size_t round) {
+  auto w = chip.memory(core).host_bytes(offset, bytes);
   for (std::size_t i = 0; i < bytes; ++i) {
-    w[i] = static_cast<std::byte>((i * 131 + 17 + (i >> 7)) & 0xff);
+    w[i] =
+        static_cast<std::byte>((i * 131 + 17 + (i >> 7) + round * 29) & 0xff);
   }
 }
 
-/// Runs one `bcast` round from `root` over every core of `chip`; true when
-/// the run completes and every core holds the root's bytes.
-bool delivers(scc::SccChip& chip, coll::Collective& bcast, CoreId root,
-              std::size_t bytes) {
-  const int cores = chip.num_cores();
-  seed(chip, root, bytes);
-  for (CoreId c = 0; c < cores; ++c) {
-    chip.spawn(c, [&bcast, root, bytes](scc::Core& me) -> sim::Task<void> {
-      co_await bcast.run(me, root, 0, bytes);
+/// Runs `bcast` from each of `roots` back to back over its participants,
+/// round i on private-memory offset i·(bytes rounded up to whole lines);
+/// true when the run completes and every participant holds each round's
+/// root bytes.
+bool delivers(scc::SccChip& chip, coll::Collective& bcast,
+              const std::vector<CoreId>& roots, std::size_t bytes) {
+  const std::size_t stride = cache_lines_for(bytes) * kCacheLineBytes;
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    seed(chip, roots[i], i * stride, bytes, i);
+  }
+  for (CoreId c = 0; c < bcast.parties(); ++c) {
+    chip.spawn(c, [&bcast, &roots, stride,
+                   bytes](scc::Core& me) -> sim::Task<void> {
+      for (std::size_t i = 0; i < roots.size(); ++i) {
+        co_await bcast.run(me, roots[i], i * stride, bytes);
+      }
     });
   }
   if (!chip.run().completed()) return false;
-  const auto want = chip.memory(root).host_bytes(0, bytes);
-  for (CoreId c = 0; c < cores; ++c) {
-    if (c == root) continue;
-    const auto got = chip.memory(c).host_bytes(0, bytes);
-    if (!std::equal(want.begin(), want.end(), got.begin())) return false;
+  for (std::size_t i = 0; i < roots.size(); ++i) {
+    const auto want = chip.memory(roots[i]).host_bytes(i * stride, bytes);
+    for (CoreId c = 0; c < bcast.parties(); ++c) {
+      const auto got = chip.memory(c).host_bytes(i * stride, bytes);
+      if (!std::equal(want.begin(), want.end(), got.begin())) return false;
+    }
   }
   return true;
 }
@@ -252,7 +291,7 @@ TEST(TopologyChips, EveryBuiltinResolvesAllCoresOnNonSixColumnMesh) {
       continue;
     }
     EXPECT_EQ(bcast->parties(), 50) << name;
-    EXPECT_TRUE(delivers(chip, *bcast, /*root=*/7, 64 * kCacheLineBytes))
+    EXPECT_TRUE(delivers(chip, *bcast, {7}, 64 * kCacheLineBytes))
         << name;
   }
   // "adaptive": its baked-in decision table is tuned for (and bounded at)
@@ -262,30 +301,180 @@ TEST(TopologyChips, EveryBuiltinResolvesAllCoresOnNonSixColumnMesh) {
 
 // --- hierarchical broadcast ------------------------------------------------
 
-bool hier_delivers(const Topology& topo, CoreId root, std::size_t bytes,
-                   int die_k = 4) {
+/// Runs hier-ocbcast with `params` from each of `roots` back to back on one
+/// chip of `topo` (at most kNumCores cores) under the race checker; true
+/// when every participant holds every round's bytes and no race was seen.
+bool hier_delivers(const Topology& topo, const std::vector<CoreId>& roots,
+                   std::size_t bytes, const coll::Params& params) {
   scc::SccConfig cfg;
   cfg.topology = topo;
   scc::SccChip chip(cfg);
-  const auto bcast =
-      coll::make("hier-ocbcast", chip, {.parties = 0, .die_k = die_k});
-  return delivers(chip, *bcast, root, bytes);
+  check::RaceChecker checker(chip);
+  chip.add_observer(&checker);
+  const auto bcast = coll::make("hier-ocbcast", chip, params);
+  if (!delivers(chip, *bcast, roots, bytes)) return false;
+  EXPECT_EQ(checker.total_detected(), 0u) << checker.report();
+  return checker.total_detected() == 0;
 }
 
 TEST(HierBcast, DeliversOnMultiDieForRootsOnEveryDie) {
   const Topology t = Topology::multi_die(2, 2, 3, 2);
   for (int d = 0; d < t.num_dies(); ++d) {
     const CoreId root = t.cores_of_die(d).back();  // non-leader roots too
-    EXPECT_TRUE(hier_delivers(t, root, 5000)) << "root " << root;
-    EXPECT_TRUE(hier_delivers(t, t.die_leader(d), 96 * 32))
+    EXPECT_TRUE(hier_delivers(t, {root}, 5000, {.parties = 0}))
+        << "root " << root;
+    EXPECT_TRUE(hier_delivers(t, {t.die_leader(d)}, 96 * 32, {.parties = 0}))
         << "leader root, die " << d;
   }
 }
 
 TEST(HierBcast, DegradesToSingleDieAndMultiChunk) {
-  EXPECT_TRUE(hier_delivers(Topology::scc(), 0, 300 * 32));
-  EXPECT_TRUE(hier_delivers(Topology::multi_die(2, 1, 3, 4), 7, 1000 * 32,
-                            /*die_k=*/1));
+  EXPECT_TRUE(hier_delivers(Topology::scc(), {0}, 300 * 32, {.parties = 0}));
+  EXPECT_TRUE(hier_delivers(Topology::multi_die(2, 1, 3, 4), {7}, 1000 * 32,
+                            {.parties = 0, .die_k = 1}));
+}
+
+TEST(HierBcast, PartialParticipationAndRootChangesAreRaceFree) {
+  // Party counts that fill the chip; split one die and leave the dies
+  // after it empty; keep only a few cores of the first dies. Roots run back
+  // to back change die (the root-change fence) and repeat once (no fence).
+  struct Shape {
+    Topology topo;
+    std::vector<int> parties;
+  };
+  const Shape shapes[] = {
+      // Dies: {0-5, 12-17}, {6-11, 18-23}, {24-29, 36-41}, {30-35, 42-47}.
+      {Topology::multi_die(2, 2, 3, 2), {48, 30, 10}},
+      // Six dies of two 3-core tiles: {0-2, 9-11}, {3-5, 12-14}, ...
+      {Topology::multi_die(3, 2, 1, 2, 3), {36, 20, 7}}};
+  const std::pair<int, int> fanouts[] = {{2, 1}, {7, 4}};  // (k, die_k)
+  for (const Shape& shape : shapes) {
+    for (const int p : shape.parties) {
+      const std::vector<CoreId> roots = {p - 1, p / 2, p / 2, 0};
+      for (const std::size_t lines : {1u, 200u}) {
+        for (const auto& [k, die_k] : fanouts) {
+          EXPECT_TRUE(hier_delivers(shape.topo, roots,
+                                    lines * kCacheLineBytes,
+                                    {.parties = p, .k = k, .die_k = die_k}))
+              << shape.topo.describe() << " parties=" << p
+              << " lines=" << lines << " k=" << k << " die_k=" << die_k;
+        }
+      }
+    }
+  }
+}
+
+/// plan_for built the pre-die-table way: every die's participants from a
+/// scan of all cores with die_of_core (ids below `parties`, ascending), a
+/// KaryTree over each die's members and one over the participating dies.
+core::HierarchicalBcast::Plan reference_plan(
+    const Topology& t, const std::vector<std::vector<CoreId>>& members,
+    int k, int die_k, CoreId me, CoreId root) {
+  std::vector<int> part_dies;
+  std::vector<CoreId> leaders;
+  const int root_die = t.die_of_core(root);
+  for (int d = 0; d < t.num_dies(); ++d) {
+    if (members[d].empty()) continue;
+    part_dies.push_back(d);
+    leaders.push_back(d == root_die ? root : members[d].front());
+  }
+  const auto index_in = [](const auto& sorted, int value) {
+    return static_cast<int>(
+        std::lower_bound(sorted.begin(), sorted.end(), value) -
+        sorted.begin());
+  };
+  const int my_pos = index_in(part_dies, t.die_of_core(me));
+  const CoreId my_leader = leaders[my_pos];
+  const std::vector<CoreId>& mine = members[t.die_of_core(me)];
+  const int m = static_cast<int>(mine.size());
+
+  core::HierarchicalBcast::Plan plan;
+  if (m > 1) {
+    const core::KaryTree intra(m, std::min(k, m - 1),
+                               index_in(mine, my_leader));
+    const int rank = index_in(mine, me);
+    if (intra.parent_of(rank) != -1) {
+      plan.parent = mine[intra.parent_of(rank)];
+      plan.my_slot = intra.child_position(rank) - 1;
+    }
+    for (CoreId child : intra.children_of(rank)) {
+      plan.child_slots.push_back(static_cast<int>(plan.children.size()));
+      plan.children.push_back(mine[child]);
+    }
+  }
+  const int n = static_cast<int>(part_dies.size());
+  if (me == my_leader && n > 1) {
+    const core::KaryTree relay(n, std::min(die_k, n - 1),
+                               index_in(part_dies, root_die));
+    if (relay.parent_of(my_pos) != -1) {
+      plan.parent = leaders[relay.parent_of(my_pos)];
+      plan.my_slot = k + relay.child_position(my_pos) - 1;
+    }
+    for (CoreId child : relay.children_of(my_pos)) {
+      plan.children.push_back(leaders[child]);
+      plan.child_slots.push_back(k + relay.child_position(child) - 1);
+    }
+  }
+  return plan;
+}
+
+std::string plan_text(const core::HierarchicalBcast::Plan& plan) {
+  std::string out = "parent " + std::to_string(plan.parent) + " slot " +
+                    std::to_string(plan.my_slot) + " children";
+  for (std::size_t i = 0; i < plan.children.size(); ++i) {
+    out += " " + std::to_string(plan.children[i]) + "@" +
+           std::to_string(plan.child_slots[i]);
+  }
+  return out;
+}
+
+TEST(HierBcast, PlanMatchesAScanOfEveryCore) {
+  struct Shape {
+    Topology topo;
+    int roots;  ///< roots spread over the participants; 0: every one
+  };
+  const Shape shapes[] = {{Topology::scc(), 0},
+                          {Topology::parse("mesh:5x5"), 0},
+                          {Topology::multi_die(2, 2, 3, 2), 0},
+                          {Topology::multi_die(3, 2, 1, 2, 3), 0},
+                          {Topology::parse("dies:2x2:mesh:16x8"), 8}};
+  for (const Shape& shape : shapes) {
+    const Topology& t = shape.topo;
+    scc::SccConfig cfg;
+    cfg.topology = t;
+    scc::SccChip chip(cfg);
+    // On the multi-die chips: every die full; whole dies empty behind one
+    // that ends after two ids; die 0's first three ids only.
+    const int n = t.num_cores();
+    for (const int p : {n, n / 2 + 2, 3}) {
+      std::vector<std::vector<CoreId>> members(t.num_dies());
+      for (CoreId c = 0; c < p; ++c) members[t.die_of_core(c)].push_back(c);
+      std::vector<CoreId> roots;
+      for (int j = 0; j < (shape.roots == 0 ? p : shape.roots); ++j) {
+        roots.push_back(shape.roots == 0 ? j : j * (p - 1) / (shape.roots - 1));
+      }
+      for (const int k : {1, 2, 7}) {
+        for (const int die_k : {1, 2, 4}) {
+          const core::HierarchicalBcast bcast(
+              chip, {.parties = p, .k = k, .die_k = die_k});
+          for (const CoreId root : roots) {
+            for (CoreId me = 0; me < p; ++me) {
+              const auto got = bcast.plan_for(me, root);
+              const auto want = reference_plan(t, members, k, die_k, me, root);
+              ASSERT_TRUE(got.parent == want.parent &&
+                          got.my_slot == want.my_slot &&
+                          got.children == want.children &&
+                          got.child_slots == want.child_slots)
+                  << t.describe() << " parties=" << p << " k=" << k
+                  << " die_k=" << die_k << " root=" << root << " core=" << me
+                  << "\n got:  " << plan_text(got)
+                  << "\n want: " << plan_text(want);
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(HierBcast, RegistryFactoryHonorsTopology) {
