@@ -33,6 +33,7 @@
 #include "noc/topology.h"
 #include "scc/config.h"
 #include "scc/trace_json.h"
+#include "sim/counters.h"
 #include "sim/engine.h"
 #include "svc/service.h"
 
@@ -92,25 +93,8 @@ struct WorkloadRecord {
   std::uint64_t events = 0;
   double events_per_sec = 0.0;  ///< best across repetitions
   std::uint64_t max_queue_depth = 0;
-  std::uint64_t frame_allocs = 0;  ///< non-zero only under OCB_SIM_STATS
-  std::uint64_t frame_reuses = 0;
-  /// Observer-batching statistics; non-zero only under OCB_SIM_STATS.
-  /// bulk_ops_observed / bulk_ops is the fast-path hit rate under an
-  /// observer chain; bulk_fallback_lines counts per-line replays.
-  std::uint64_t bulk_ops = 0;
-  std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_quiescent_ops = 0;
-  std::uint64_t bulk_fallback_ops = 0;
-  std::uint64_t bulk_fallback_lines = 0;
+  sim::Counters counters;  ///< of the last repetition
 };
-
-void copy_bulk_stats(WorkloadRecord& w, const harness::BcastRunResult& r) {
-  w.bulk_ops = r.bulk_ops;
-  w.bulk_ops_observed = r.bulk_ops_observed;
-  w.bulk_quiescent_ops = r.bulk_quiescent_ops;
-  w.bulk_fallback_ops = r.bulk_fallback_ops;
-  w.bulk_fallback_lines = r.bulk_fallback_lines;
-}
 
 // Repeats a workload until it has either burned ~0.5 s or done `max_reps`
 // runs, and keeps the best events/sec: the committed baseline should be the
@@ -133,13 +117,7 @@ WorkloadRecord best_of(const std::string& name, int max_reps, Fn&& once) {
     }
     w.events = r.events;
     w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    w.bulk_ops = r.bulk_ops;
-    w.bulk_ops_observed = r.bulk_ops_observed;
-    w.bulk_quiescent_ops = r.bulk_quiescent_ops;
-    w.bulk_fallback_ops = r.bulk_fallback_ops;
-    w.bulk_fallback_lines = r.bulk_fallback_lines;
+    w.counters = r.counters;
   }
   return w;
 }
@@ -151,9 +129,7 @@ WorkloadRecord run_ocbcast_workload(std::size_t lines) {
     WorkloadRecord w;
     w.events = r.events;
     w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
+    w.counters = r.counters;
     return w;
   });
 }
@@ -171,9 +147,7 @@ WorkloadRecord run_ocbcast_mesh_workload() {
     WorkloadRecord w;
     w.events = r.events;
     w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
+    w.counters = r.counters;
     return w;
   });
 }
@@ -191,18 +165,15 @@ WorkloadRecord run_ocbcast_checked_workload() {
     WorkloadRecord w;
     w.events = r.events;
     w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
+    w.counters = r.counters;
     return w;
   });
 }
 
 // The same broadcast with a JsonTraceCollector sink installed: every
-// transaction is recorded as a TraceEvent (the legacy per-line stream, so
-// the rendered bytes stay identical to a chain-off run; the span-style
-// bulk sink is a separate opt-in). The collector is cleared between
-// repetitions so memory stays bounded.
+// transaction is recorded as a TraceEvent (the per-line stream, so the
+// rendered bytes stay identical to a chain-off run). Each repetition
+// gets a fresh collector, so memory stays bounded.
 WorkloadRecord run_ocbcast_traced_workload() {
   return best_of("ocbcast_1024_traced", 10, [] {
     harness::BcastSession session(ocbcast_spec(1024));
@@ -212,9 +183,7 @@ WorkloadRecord run_ocbcast_traced_workload() {
     WorkloadRecord w;
     w.events = r.events;
     w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
+    w.counters = r.counters;
     return w;
   });
 }
@@ -231,9 +200,7 @@ WorkloadRecord run_adaptive_workload() {
     WorkloadRecord w;
     w.events = r.events;
     w.max_queue_depth = r.max_queue_depth;
-    w.frame_allocs = r.frame_allocs;
-    w.frame_reuses = r.frame_reuses;
-    copy_bulk_stats(w, r);
+    w.counters = r.counters;
     return w;
   });
 }
@@ -256,11 +223,7 @@ WorkloadRecord run_service_workload() {
     WorkloadRecord w;
     w.events = m.engine_events;
     w.max_queue_depth = m.engine_max_queue_depth;
-    w.bulk_ops = m.bulk_ops;
-    w.bulk_ops_observed = m.bulk_ops_observed;
-    w.bulk_quiescent_ops = m.bulk_quiescent_ops;
-    w.bulk_fallback_ops = m.bulk_fallback_ops;
-    w.bulk_fallback_lines = m.bulk_fallback_lines;
+    w.counters = m.counters;
     return w;
   });
 }
@@ -289,13 +252,7 @@ void append_record(std::ostringstream& out, const WorkloadRecord& w,
       << "      \"events\": " << w.events << ",\n"
       << "      \"events_per_sec\": " << rate << ",\n"
       << "      \"max_queue_depth\": " << w.max_queue_depth << ",\n"
-      << "      \"frame_allocs\": " << w.frame_allocs << ",\n"
-      << "      \"frame_reuses\": " << w.frame_reuses << ",\n"
-      << "      \"bulk_ops\": " << w.bulk_ops << ",\n"
-      << "      \"bulk_ops_observed\": " << w.bulk_ops_observed << ",\n"
-      << "      \"bulk_quiescent_ops\": " << w.bulk_quiescent_ops << ",\n"
-      << "      \"bulk_fallback_ops\": " << w.bulk_fallback_ops << ",\n"
-      << "      \"bulk_fallback_lines\": " << w.bulk_fallback_lines << "\n"
+      << "      " << w.counters.to_json(",\n      ") << "\n"
       << "    }" << (last ? "\n" : ",\n");
 }
 
@@ -459,9 +416,6 @@ void bench_event_loop_throughput(benchmark::State& state) {
   state.counters["events_per_run"] =
       static_cast<double>(events) / static_cast<double>(state.iterations());
   state.counters["max_queue_depth"] = static_cast<double>(last.max_queue_depth);
-  // Frame-pool counters are all zero unless built with -DOCB_SIM_STATS=ON.
-  state.counters["frame_allocs"] = static_cast<double>(last.frame_allocs);
-  state.counters["frame_reuses"] = static_cast<double>(last.frame_reuses);
 }
 BENCHMARK(bench_event_loop_throughput)
     ->Arg(96)

@@ -34,10 +34,14 @@ produce(COMMAND "${BENCH_DIR}/bench_fig8b_throughput"
   --json_out=results/fig8b_throughput.json)
 produce(COMMAND "${BENCH_DIR}/bench_service_traffic"
   --json_out=results/bench_service_traffic.json)
+produce(COMMAND "${BENCH_DIR}/bench_fig3_putget")
+produce(COMMAND "${BENCH_DIR}/bench_table1_params")
 produce(COMMAND "${BENCH_DIR}/bench_fig4_contention")
 produce(COMMAND "${BENCH_DIR}/bench_whatif_scaling")
 produce(COMMAND "${EXAMPLES_DIR}/trace_timeline"
   STDOUT trace_timeline.stdout)
+produce(COMMAND "${EXAMPLES_DIR}/topology_explorer"
+  STDOUT topology_explorer.stdout)
 file(RENAME "${WORK_DIR}/trace_timeline.trace.json"
   "${WORK_DIR}/results/trace_timeline.trace.json")
 
@@ -45,11 +49,14 @@ foreach(golden
     fig8a_latency.json
     fig8b_throughput.json
     bench_service_traffic.json
+    fig3_putget.csv
+    table1_params.csv
     fig4_contention.csv
     whatif_scaling.csv
     whatif_topology.json
     trace_timeline.stdout
-    trace_timeline.trace.json)
+    trace_timeline.trace.json
+    topology_explorer.stdout)
   execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
       "${WORK_DIR}/results/${golden}" "${SOURCE_DIR}/results/${golden}"
     RESULT_VARIABLE rc)

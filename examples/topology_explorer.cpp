@@ -7,23 +7,25 @@
 
 #include "common/format.h"
 #include "model/primitives.h"
-#include "noc/memctrl.h"
 #include "noc/routing.h"
+#include "noc/topology.h"
 
 using namespace ocb;
 
 namespace {
 
+const noc::Topology& scc() { return noc::Topology::scc(); }
+
 void print_floorplan() {
   std::printf("SCC floorplan: 24 tiles (2 cores each), memory controllers at "
               "the marked corners\n\n");
-  for (int y = 0; y < kMeshRows; ++y) {
-    for (int x = 0; x < kMeshCols; ++x) {
-      const int tile = noc::tile_index(noc::TileCoord{x, y});
-      const CoreId c0 = noc::first_core_of_tile(tile);
+  for (int y = 0; y < scc().mesh_rows(); ++y) {
+    for (int x = 0; x < scc().mesh_cols(); ++x) {
+      const int tile = scc().tile_index(noc::TileCoord{x, y});
+      const CoreId c0 = scc().first_core_of_tile(tile);
       bool is_mc = false;
-      for (const noc::TileCoord& mc : noc::kMcTiles) {
-        if (mc.x == x && mc.y == y) is_mc = true;
+      for (int m = 0; m < scc().num_memory_controllers(); ++m) {
+        if (scc().mc_tile(m) == noc::TileCoord{x, y}) is_mc = true;
       }
       std::printf("[%2d,%2d%s]", c0, c0 + 1, is_mc ? "*" : " ");
     }
@@ -33,13 +35,13 @@ void print_floorplan() {
 }
 
 void print_route(CoreId from, CoreId to) {
-  const noc::TileCoord src = noc::tile_of_core(from);
-  const noc::TileCoord dst = noc::tile_of_core(to);
+  const noc::TileCoord src = scc().tile_of_core(from);
+  const noc::TileCoord dst = scc().tile_of_core(to);
   std::printf("X-Y route core %d -> core %d: ", from, to);
-  for (const noc::TileCoord& t : noc::xy_route(src, dst)) {
+  for (const noc::TileCoord& t : noc::xy_route(scc(), src, dst)) {
     std::printf("(%d,%d) ", t.x, t.y);
   }
-  std::printf(" [%d routers]\n", noc::routers_traversed(src, dst));
+  std::printf(" [%d routers]\n", noc::Topology::routers_traversed(src, dst));
 }
 
 void print_cost_surface() {
@@ -61,12 +63,12 @@ void print_cost_surface() {
 void print_mc_assignment() {
   TextTable table({"core", "tile", "mc_router", "hops_to_mc"});
   for (CoreId c : {0, 5, 11, 17, 22, 24, 30, 40, 47}) {
-    const noc::TileCoord t = noc::tile_of_core(c);
-    const noc::TileCoord mc = noc::mc_tile_for_core(c);
+    const noc::TileCoord t = scc().tile_of_core(c);
+    const noc::TileCoord mc = scc().mc_tile_for_core(c);
     table.add_row({std::to_string(c),
                    "(" + std::to_string(t.x) + "," + std::to_string(t.y) + ")",
                    "(" + std::to_string(mc.x) + "," + std::to_string(mc.y) + ")",
-                   std::to_string(noc::mem_distance(c))});
+                   std::to_string(scc().mem_distance(c))});
   }
   std::printf("Quadrant memory-controller assignment (sample)\n%s\n",
               table.str().c_str());

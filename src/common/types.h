@@ -16,13 +16,6 @@ using CoreId = int;
 /// Number of cores on the SCC.
 inline constexpr int kNumCores = 48;
 
-/// Number of tiles (two cores each).
-inline constexpr int kNumTiles = 24;
-
-/// Mesh dimensions: 6 columns x 4 rows of tiles.
-inline constexpr int kMeshCols = 6;
-inline constexpr int kMeshRows = 4;
-
 /// The unit of data transmission on the SCC: one 32-byte cache line.
 inline constexpr std::size_t kCacheLineBytes = 32;
 

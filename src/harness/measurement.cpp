@@ -7,7 +7,6 @@
 #include "check/checker.h"
 #include "common/require.h"
 #include "common/rng.h"
-#include "noc/memctrl.h"
 #include "rma/rma.h"
 #include "sim/condition.h"
 
@@ -118,13 +117,7 @@ BcastRunResult BcastSession::run() {
   out.simulated_ms = sim::to_seconds(run.end_time) * 1e3;
   out.end_time = run.end_time;
   out.max_queue_depth = run.max_queue_depth;
-  out.frame_allocs = run.frame_allocs;
-  out.frame_reuses = run.frame_reuses;
-  out.bulk_ops = run.bulk_ops;
-  out.bulk_ops_observed = run.bulk_ops_observed;
-  out.bulk_quiescent_ops = run.bulk_quiescent_ops;
-  out.bulk_fallback_ops = run.bulk_fallback_ops;
-  out.bulk_fallback_lines = run.bulk_fallback_lines;
+  out.counters = run.counters;
   for (int it = spec_.warmup; it < total; ++it) {
     const auto i = static_cast<std::size_t>(it);
     const sim::Time last = *std::max_element(finish[i].begin(), finish[i].end());
@@ -163,10 +156,12 @@ BcastRunResult run_broadcast(const BcastRunSpec& spec) {
 }
 
 std::pair<CoreId, CoreId> core_pair_at_mpb_distance(int d) {
-  for (CoreId a = 0; a < kNumCores; ++a) {
-    for (CoreId b = 0; b < kNumCores; ++b) {
+  const noc::Topology& scc = noc::Topology::scc();
+  for (CoreId a = 0; a < scc.num_cores(); ++a) {
+    for (CoreId b = 0; b < scc.num_cores(); ++b) {
       if (a == b) continue;  // prefer distinct cores (d=1 = tile-mate access)
-      if (noc::routers_traversed(noc::tile_of_core(a), noc::tile_of_core(b)) == d) {
+      if (noc::Topology::routers_traversed(scc.tile_of_core(a),
+                                           scc.tile_of_core(b)) == d) {
         return {a, b};
       }
     }
@@ -176,8 +171,9 @@ std::pair<CoreId, CoreId> core_pair_at_mpb_distance(int d) {
 }
 
 CoreId core_at_mem_distance(int d) {
-  for (CoreId c = 0; c < kNumCores; ++c) {
-    if (noc::mem_distance(c) == d) return c;
+  const noc::Topology& scc = noc::Topology::scc();
+  for (CoreId c = 0; c < scc.num_cores(); ++c) {
+    if (scc.mem_distance(c) == d) return c;
   }
   OCB_REQUIRE(false, "no core at requested memory distance");
   return 0;
@@ -221,7 +217,8 @@ double measure_op_completion_us(const scc::SccConfig& config, OpKind kind,
 ContentionResult measure_mpb_contention(const scc::SccConfig& config, int n_cores,
                                         std::size_t lines, bool use_get,
                                         int iterations) {
-  OCB_REQUIRE(n_cores >= 1 && n_cores <= kNumCores, "core count out of range");
+  OCB_REQUIRE(n_cores >= 1 && n_cores <= config.topology.num_cores(),
+              "core count out of range");
   scc::SccChip chip(config);
   sim::Rendezvous rendezvous(chip.engine(), static_cast<std::size_t>(n_cores));
   std::vector<RunningStats> per_core(static_cast<std::size_t>(n_cores));
@@ -261,21 +258,23 @@ ContentionResult measure_mpb_contention(const scc::SccConfig& config, int n_core
 MeshStressResult measure_mesh_stress(const scc::SccConfig& config, std::size_t lines) {
   // Victim: the core on tile (2,2) gets from the core on tile (3,2); the
   // response data crosses the (3,2)->(2,2) link.
-  const CoreId victim = noc::first_core_of_tile(noc::tile_index(noc::TileCoord{2, 2}));
-  const CoreId victim_src =
-      noc::first_core_of_tile(noc::tile_index(noc::TileCoord{3, 2}));
+  const noc::Topology& topo = config.topology;
+  const auto first_core_at = [&topo](int x, int y) {
+    return topo.first_core_of_tile(topo.tile_index(noc::TileCoord{x, y}));
+  };
+  const CoreId victim = first_core_at(2, 2);
+  const CoreId victim_src = first_core_at(3, 2);
 
   auto run_once = [&](bool loaded) {
     scc::SccChip chip(config);
     RunningStats victim_stats;
     if (loaded) {
-      for (CoreId c = 0; c < kNumCores; ++c) {
-        const noc::TileCoord t = noc::tile_of_core(c);
+      for (CoreId c = 0; c < topo.num_cores(); ++c) {
+        const noc::TileCoord t = topo.tile_of_core(c);
         if (t.y == 2 && (t.x == 2 || t.x == 3)) continue;  // victim tiles idle
         // Get from the row-2 core on the opposite side so the X-Y response
         // route crosses the stressed link (paper §3.3).
-        const noc::TileCoord src_tile{t.x >= 3 ? 0 : 5, 2};
-        const CoreId src = noc::first_core_of_tile(noc::tile_index(src_tile));
+        const CoreId src = first_core_at(t.x >= 3 ? 0 : topo.mesh_cols() - 1, 2);
         chip.spawn(c, [&, src](scc::Core& me) -> sim::Task<void> {
           for (int it = 0; it < 64; ++it) {
             co_await rma::get_mpb_to_mpb(me, 0, rma::MpbAddr{src, 0}, 128);

@@ -24,6 +24,7 @@
 #include "common/stats.h"
 #include "scc/chip.h"
 #include "scc/config.h"
+#include "sim/counters.h"
 
 namespace ocb::check {
 class RaceChecker;
@@ -57,25 +58,11 @@ struct BcastRunResult {
   sim::Time end_time = 0;  ///< simulated clock when the queue drained
   /// Engine-lifetime high-water mark of the event queue (sim::RunResult).
   std::uint64_t max_queue_depth = 0;
-  /// Coroutine-frame allocator counters for this run() call; non-zero only
-  /// when built with OCB_SIM_STATS (see sim/frame_pool.h).
-  std::uint64_t frame_allocs = 0;
-  std::uint64_t frame_reuses = 0;
+  /// Host-side counters of this run() call (sim/counters.h).
+  sim::Counters counters;
   /// Race-checker results for this run() call (spec.check / OCB_CHECK).
   std::uint64_t race_violations = 0;
   std::string race_report{};
-  /// Observer-batching statistics for this run() call (nonzero only in
-  /// OCB_SIM_STATS builds): coalesced ops launched, ops launched while an
-  /// observer chain was installed (the fast path the capability model
-  /// keeps open), ops that booked closed-form in the quiescent regime,
-  /// and ops (with their line count) that fell back to the per-line path
-  /// because an observer's bulk window was closed or the BulkOp pool was
-  /// exhausted.
-  std::uint64_t bulk_ops = 0;
-  std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_quiescent_ops = 0;
-  std::uint64_t bulk_fallback_ops = 0;
-  std::uint64_t bulk_fallback_lines = 0;
 };
 
 /// Reusable measurement session: one chip and one algorithm instance
@@ -130,14 +117,16 @@ double measure_op_completion_us(const scc::SccConfig& config, OpKind kind,
                                 CoreId actor, CoreId target, std::size_t lines,
                                 int iterations = 16);
 
-/// Finds a (actor, target) core pair whose MPB distance is exactly `d`
-/// routers; throws if none exists (valid d: 1..9 on the 6x4 mesh).
+/// Finds an SCC (Topology::scc()) core pair whose MPB distance is exactly
+/// `d` routers; throws if none exists (valid d: 1..9 on the 6x4 mesh).
 std::pair<CoreId, CoreId> core_pair_at_mpb_distance(int d);
 
-/// Finds a core whose memory-controller distance is exactly `d` (1..4).
+/// Finds an SCC core whose memory-controller distance is exactly `d`
+/// (1..4).
 CoreId core_at_mem_distance(int d);
 
-/// Figure 4: n cores concurrently accessing core 0's MPB.
+/// Figure 4: n cores (at most config.topology.num_cores()) concurrently
+/// accessing core 0's MPB.
 struct ContentionResult {
   double avg_us = 0.0;
   std::vector<double> per_core_us;  ///< one entry per participating core
@@ -152,8 +141,9 @@ ContentionResult measure_mpb_contention(const scc::SccConfig& config, int n_core
                                         std::size_t lines, bool use_get,
                                         int iterations = 16);
 
-/// §3.3 mesh stress: victim get latency across the (2,2)-(3,2) link while
-/// every remote core hammers flows through that link, vs. unloaded.
+/// §3.3 mesh stress: victim get latency across the (2,2)-(3,2) link of
+/// config.topology while every remote core hammers flows through that
+/// link, vs. unloaded.
 struct MeshStressResult {
   double loaded_us = 0.0;
   double unloaded_us = 0.0;

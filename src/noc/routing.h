@@ -11,9 +11,9 @@
 // model adds the topology's interposer extras for such links).
 #pragma once
 
+#include <cstdint>
 #include <vector>
 
-#include "noc/geometry.h"
 #include "noc/topology.h"
 
 namespace ocb::noc {
@@ -45,21 +45,5 @@ std::vector<LinkId> xy_route_links(const Topology& topo, TileCoord src,
 /// to pick flows through a chosen link.
 bool route_uses_link(const Topology& topo, TileCoord src, TileCoord dst,
                      TileCoord from, TileCoord towards);
-
-// --- SCC shims (see geometry.h header comment) -----------------------------
-
-inline LinkId link_id(TileCoord from, Direction dir) {
-  return link_id(Topology::scc(), from, dir);
-}
-inline std::vector<TileCoord> xy_route(TileCoord src, TileCoord dst) {
-  return xy_route(Topology::scc(), src, dst);
-}
-inline std::vector<LinkId> xy_route_links(TileCoord src, TileCoord dst) {
-  return xy_route_links(Topology::scc(), src, dst);
-}
-inline bool route_uses_link(TileCoord src, TileCoord dst, TileCoord from,
-                            TileCoord towards) {
-  return route_uses_link(Topology::scc(), src, dst, from, towards);
-}
 
 }  // namespace ocb::noc

@@ -3,7 +3,6 @@
 #include "common/require.h"
 #include "mem/mpb.h"
 #include "mem/private_memory.h"
-#include "noc/memctrl.h"
 #include "noc/mesh.h"
 #include "scc/chip.h"
 #include "scc/core.h"

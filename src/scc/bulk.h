@@ -65,7 +65,7 @@
 #include <vector>
 
 #include "common/types.h"
-#include "noc/geometry.h"
+#include "noc/topology.h"
 #include "scc/observer.h"
 #include "sim/time.h"
 

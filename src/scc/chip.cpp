@@ -51,19 +51,18 @@ Core& SccChip::core(CoreId id) {
 BulkOp* SccChip::try_acquire_bulk(CoreId id, std::size_t lines) {
   if (!coalescing_active()) return nullptr;
   config_.topology.require_core(id);
-  if (!observers_.empty() && !bulk_window_clear(id)) {
-    note_bulk_fallback(lines);
-    return nullptr;
+  if (observers_.empty() || bulk_window_clear(id)) {
+    auto& pool = bulk_pools_[static_cast<std::size_t>(id)];
+    for (const auto& op : pool) {
+      if (!op->in_flight()) return op.get();
+    }
+    if (pool.size() < kBulkPoolSize) {
+      pool.push_back(std::make_unique<BulkOp>(core(id)));
+      return pool.back().get();
+    }
   }
-  auto& pool = bulk_pools_[static_cast<std::size_t>(id)];
-  for (const auto& op : pool) {
-    if (!op->in_flight()) return op.get();
-  }
-  if (pool.size() < kBulkPoolSize) {
-    pool.push_back(std::make_unique<BulkOp>(core(id)));
-    return pool.back().get();
-  }
-  note_bulk_fallback(lines);
+  ++counters_.bulk_fallback_ops;
+  counters_.bulk_fallback_lines += lines;
   return nullptr;
 }
 
@@ -102,12 +101,8 @@ void SccChip::refresh_coalescing() {
 }
 
 void SccChip::TraceSinkObserver::on_bulk(const BulkTxn& txn) {
-  if (bulk) {
-    bulk(txn);
-    return;
-  }
-  // Legacy sinks get the synthesized per-line stream. Reads/writes are
-  // no-ops for a sink, so skip the default synthesis' value recovery.
+  // The synthesized per-line stream. Reads/writes are no-ops for a sink,
+  // so skip the default synthesis' value recovery.
   sink({TraceOp::kBusy, txn.core, txn.core, 0, txn.issue, txn.kickoff});
   for (std::size_t line = 0; line < txn.lines; ++line) {
     for (int hi = 0; hi < 2; ++hi) {
@@ -162,14 +157,9 @@ void SccChip::spawn(CoreId id, std::function<sim::Task<void>(Core&)> program) {
 }
 
 sim::RunResult SccChip::run(std::uint64_t max_events) {
-  const BulkObserverStats before = bulk_stats_;
+  const sim::Counters before = counters_;
   sim::RunResult result = engine_.run(max_events);
-  result.bulk_ops = bulk_stats_.ops - before.ops;
-  result.bulk_ops_observed = bulk_stats_.ops_observed - before.ops_observed;
-  result.bulk_quiescent_ops = bulk_stats_.quiescent_ops - before.quiescent_ops;
-  result.bulk_fallback_ops = bulk_stats_.fallback_ops - before.fallback_ops;
-  result.bulk_fallback_lines =
-      bulk_stats_.fallback_lines - before.fallback_lines;
+  result.counters += counters_ - before;
   return result;
 }
 
@@ -187,10 +177,9 @@ void SccChip::remove_observer(TransactionObserver* observer) {
   refresh_coalescing();
 }
 
-void SccChip::set_trace_sink(TraceSink sink, BulkTraceSink bulk) {
+void SccChip::set_trace_sink(TraceSink sink) {
   const bool was_installed = static_cast<bool>(trace_observer_.sink);
   trace_observer_.sink = std::move(sink);
-  trace_observer_.bulk = std::move(bulk);
   const bool want_installed = static_cast<bool>(trace_observer_.sink);
   if (want_installed && !was_installed) add_observer(&trace_observer_);
   if (!want_installed && was_installed) remove_observer(&trace_observer_);

@@ -25,11 +25,11 @@
 #include "mem/mpb.h"
 #include "mem/private_memory.h"
 #include "noc/mesh.h"
-#include "noc/memctrl.h"
 #include "scc/config.h"
 #include "scc/core.h"
 #include "scc/observer.h"
 #include "scc/trace.h"
+#include "sim/counters.h"
 #include "sim/engine.h"
 
 namespace ocb::scc {
@@ -90,10 +90,8 @@ class SccChip {
   /// sink; sugar for an internal observer that forwards on_complete events
   /// (see scc/trace.h). Kept for the common "just give me the events" case.
   /// The sink observer is bulk-capable: coalesced ops on a quiescent chip
-  /// deliver the synthesized per-line events (byte-identical stream), or —
-  /// when `bulk` is provided — one span-style BulkTxn record per op
-  /// (see JsonTraceCollector::bulk_sink).
-  void set_trace_sink(TraceSink sink, BulkTraceSink bulk = {});
+  /// deliver the synthesized per-line events (byte-identical stream).
+  void set_trace_sink(TraceSink sink);
   bool tracing() const { return static_cast<bool>(trace_observer_.sink); }
 
   // Chain dispatch, called by Core (and the rma sync layer for
@@ -162,44 +160,19 @@ class SccChip {
   /// AND over the chain's per-op gate promises for `core` at now().
   bool bulk_window_clear(CoreId core);
 
-  /// Observer-batch hit/fallback counters (increments compiled in only
-  /// with OCB_SIM_STATS). Cumulative over the chip's lifetime; run()
-  /// reports per-run deltas in RunResult.
-  struct BulkObserverStats {
-    std::uint64_t ops = 0;            ///< coalesced ops launched
-    std::uint64_t ops_observed = 0;   ///< ... with observers installed
-    std::uint64_t quiescent_ops = 0;  ///< ... taking the closed-form path
-    std::uint64_t fallback_ops = 0;   ///< ops denied the fast path
-    std::uint64_t fallback_lines = 0;  ///< lines those ops replayed per-line
-  };
-  const BulkObserverStats& bulk_stats() const { return bulk_stats_; }
+  /// Bulk-path counters (sim::Counters): BulkOp counts each launch here.
   void note_bulk_op(bool observed, bool quiescent) {
-#ifdef OCB_SIM_STATS
-    ++bulk_stats_.ops;
-    if (observed) ++bulk_stats_.ops_observed;
-    if (quiescent) ++bulk_stats_.quiescent_ops;
-#else
-    (void)observed;
-    (void)quiescent;
-#endif
-  }
-  void note_bulk_fallback(std::size_t lines) {
-#ifdef OCB_SIM_STATS
-    ++bulk_stats_.fallback_ops;
-    bulk_stats_.fallback_lines += lines;
-#else
-    (void)lines;
-#endif
+    ++counters_.bulk_ops;
+    if (observed) ++counters_.bulk_ops_observed;
+    if (quiescent) ++counters_.bulk_quiescent_ops;
   }
 
  private:
   /// The set_trace_sink sugar: a chain member owned by the chip. Passive
   /// and fully batched — quiescent coalesced ops reach it via on_bulk,
-  /// which forwards a span-style record to `bulk` when set and otherwise
-  /// expands to the byte-identical legacy per-line event stream.
+  /// which expands to the byte-identical per-line event stream.
   struct TraceSinkObserver final : TransactionObserver {
     TraceSink sink;
-    BulkTraceSink bulk;
     bool is_passive() const override { return true; }
     bool needs_per_line_reads() const override { return false; }
     bool needs_per_line_writes() const override { return false; }
@@ -234,7 +207,8 @@ class SccChip {
   std::vector<TransactionObserver*> perline_write_;
   std::vector<TransactionObserver*> perline_complete_;
   std::vector<TransactionObserver*> bulk_summary_;
-  BulkObserverStats bulk_stats_;
+  /// Lifetime bulk-path counters; run() reports per-run deltas.
+  sim::Counters counters_;
   TraceSinkObserver trace_observer_;
   std::vector<bool> crash_notified_;
   bool coalescing_active_ = false;

@@ -18,7 +18,7 @@
 
 #include "common/rng.h"
 #include "common/types.h"
-#include "noc/geometry.h"
+#include "noc/topology.h"
 #include "sim/condition.h"
 #include "sim/task.h"
 #include "sim/time.h"

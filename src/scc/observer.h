@@ -52,8 +52,6 @@
 // fast-path-on-vs-off equivalence is asserted by observer_fastpath_test.
 #pragma once
 
-#include <functional>
-
 #include "common/types.h"
 #include "scc/trace.h"
 #include "sim/time.h"
@@ -196,8 +194,5 @@ class TransactionObserver {
   /// storage — exact, since every needs-free observer left them alone).
   virtual void on_bulk(const BulkTxn& txn);
 };
-
-/// Span-style consumer for coalesced ops (see SccChip::set_trace_sink).
-using BulkTraceSink = std::function<void(const BulkTxn&)>;
 
 }  // namespace ocb::scc

@@ -95,20 +95,6 @@ std::string JsonTraceCollector::to_json() const {
   return out;
 }
 
-BulkTraceSink JsonTraceCollector::bulk_sink() {
-  return [this](const BulkTxn& txn) {
-    Span s;
-    s.name = std::string(trace_op_name(txn.half[0].op)) + "+" +
-             trace_op_name(txn.half[1].op) + " x" + std::to_string(txn.lines);
-    s.category = "bulk-rma";
-    s.core = txn.core;
-    s.start = txn.issue;
-    s.end = txn.end;
-    s.args_json = "\"lines\":" + std::to_string(txn.lines);
-    add_span(std::move(s));
-  };
-}
-
 bool JsonTraceCollector::write_file(const std::string& path) const {
   std::FILE* f = std::fopen(path.c_str(), "w");
   if (f == nullptr) return false;

@@ -15,7 +15,6 @@
 #include <string>
 #include <vector>
 
-#include "scc/observer.h"
 #include "scc/trace.h"
 
 namespace ocb::scc {
@@ -51,14 +50,6 @@ class JsonTraceCollector {
   TraceSink sink() {
     return [this](const TraceEvent& e) { events_.push_back(e); };
   }
-
-  /// Optional companion for set_trace_sink's second argument: coalesced
-  /// quiescent ops then land as one span-style record each ("bulk-rma"
-  /// category, the op's full [issue, end) interval, line count in args)
-  /// instead of being expanded to 2*lines+1 per-line events. Opting in
-  /// changes the rendered bytes (fewer, aggregated records) — leave it
-  /// unset for the legacy per-line-identical stream.
-  BulkTraceSink bulk_sink();
 
   void add_flow(Flow flow) { flows_.push_back(std::move(flow)); }
   void add_span(Span span) { spans_.push_back(std::move(span)); }

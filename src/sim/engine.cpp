@@ -96,9 +96,7 @@ void Engine::spawn(Task<void> task, std::string (*describe)(void*),
 }
 
 RunResult Engine::run(std::uint64_t max_events) {
-#ifdef OCB_SIM_STATS
-  const FramePool::Stats pool_before = FramePool::stats();
-#endif
+  const Counters frames_before = FramePool::counters();
   std::uint64_t processed = 0;
   while (size_ != 0 && processed < max_events) {
     const Event ev = pop();
@@ -122,11 +120,7 @@ RunResult Engine::run(std::uint64_t max_events) {
   result.stalled_processes = live_processes();
   result.end_time = now_;
   result.max_queue_depth = max_queue_depth_;
-#ifdef OCB_SIM_STATS
-  const FramePool::Stats pool_after = FramePool::stats();
-  result.frame_allocs = pool_after.fresh - pool_before.fresh;
-  result.frame_reuses = pool_after.reused - pool_before.reused;
-#endif
+  result.counters = FramePool::counters() - frames_before;
   if (live_processes() > 0) {
     for (std::size_t i = 0; i < roots_.size(); ++i) {
       const Root& root = roots_[i];

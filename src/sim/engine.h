@@ -32,6 +32,7 @@
 #include <string>
 #include <vector>
 
+#include "sim/counters.h"
 #include "sim/frame_pool.h"
 #include "sim/task.h"
 #include "sim/time.h"
@@ -89,22 +90,10 @@ struct RunResult {
   /// Deepest the event queue ever got (engine lifetime): a queue-pressure
   /// regression shows up here rather than being inferred from wall time.
   std::uint64_t max_queue_depth = 0;
-  /// Coroutine-frame allocation counters for this run (deltas; non-zero
-  /// only when built with OCB_SIM_STATS): frames taken from the system
-  /// allocator vs. recycled through the sim::FramePool free lists.
-  std::uint64_t frame_allocs = 0;
-  std::uint64_t frame_reuses = 0;
-  /// Coalesced-RMA observer-batch counters for this run (deltas; filled by
-  /// SccChip::run, zero for plain Engine runs and non-OCB_SIM_STATS
-  /// builds): ops that took the fast path (and how many of those ran with
-  /// observers installed / closed-form), plus ops denied the fast path at
-  /// acquisition (gate window not clear, per-core pool exhausted) and the
-  /// lines those ops replayed through the per-line reference path.
-  std::uint64_t bulk_ops = 0;
-  std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_quiescent_ops = 0;
-  std::uint64_t bulk_fallback_ops = 0;
-  std::uint64_t bulk_fallback_lines = 0;
+  /// Host-side counters of this run (deltas). The frame counters come
+  /// from this engine's thread; the bulk-path counters are added by
+  /// SccChip::run and stay zero for plain Engine runs.
+  Counters counters;
   /// One entry per stalled process: its spawn label plus the wait reason it
   /// last reported (see Engine::spawn), e.g. "core 12: flag-wait mpb[7]:3".
   /// Makes fault-induced hangs diagnosable without a debugger.

@@ -18,7 +18,7 @@ constexpr std::uintptr_t kUnpooled = ~std::uintptr_t{0};
 
 struct ThreadCache {
   std::vector<void*> free_list[kClasses];
-  FramePool::Stats stats;
+  Counters counters;
 
   ~ThreadCache() {
     for (auto& list : free_list) {
@@ -53,14 +53,10 @@ void* FramePool::allocate(std::size_t bytes) {
   if (!list.empty()) {
     block = list.back();
     list.pop_back();
-#ifdef OCB_SIM_STATS
-    ++tc.stats.reused;
-#endif
+    ++tc.counters.frame_reuses;
   } else {
     block = ::operator new(cls * kGranularity);
-#ifdef OCB_SIM_STATS
-    ++tc.stats.fresh;
-#endif
+    ++tc.counters.frame_allocs;
   }
   void* user = static_cast<char*>(block) + kHeader;
   header_of(user) = cls - 1;
@@ -78,6 +74,6 @@ void FramePool::deallocate(void* p) noexcept {
   cache().free_list[cls].push_back(block);
 }
 
-FramePool::Stats FramePool::stats() { return cache().stats; }
+Counters FramePool::counters() { return cache().counters; }
 
 }  // namespace ocb::sim

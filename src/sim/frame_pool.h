@@ -14,25 +14,19 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
+
+#include "sim/counters.h"
 
 namespace ocb::sim {
 
 class FramePool {
  public:
-  /// Allocation counters for one thread. `fresh` counts frames that went
-  /// to the system allocator, `reused` counts free-list hits. Only
-  /// maintained when built with OCB_SIM_STATS (zero otherwise).
-  struct Stats {
-    std::uint64_t fresh = 0;
-    std::uint64_t reused = 0;
-  };
-
   static void* allocate(std::size_t bytes);
   static void deallocate(void* p) noexcept;
 
-  /// This thread's lifetime counters (engine::run reports deltas).
-  static Stats stats();
+  /// This thread's lifetime frame counters (the bulk-path fields stay
+  /// zero); Engine::run reports deltas.
+  static Counters counters();
 };
 
 }  // namespace ocb::sim

@@ -357,11 +357,7 @@ ServiceMetrics BroadcastService::run() {
   m.makespan = rr.end_time;
   m.engine_events = rr.events_processed;
   m.engine_max_queue_depth = rr.max_queue_depth;
-  m.bulk_ops = rr.bulk_ops;
-  m.bulk_ops_observed = rr.bulk_ops_observed;
-  m.bulk_quiescent_ops = rr.bulk_quiescent_ops;
-  m.bulk_fallback_ops = rr.bulk_fallback_ops;
-  m.bulk_fallback_lines = rr.bulk_fallback_lines;
+  m.counters = rr.counters;
   for (const RequestOutcome& out : outcomes_) {
     if (out.rejected) continue;
     ++m.completed;

@@ -47,6 +47,7 @@
 #include "common/types.h"
 #include "mem/mpb_slots.h"
 #include "scc/config.h"
+#include "sim/counters.h"
 #include "sim/task.h"
 #include "sim/time.h"
 #include "svc/traffic.h"
@@ -127,16 +128,11 @@ struct ServiceMetrics {
   /// Simulator-side counters (sim::RunResult), for the speed bench.
   std::uint64_t engine_events = 0;
   std::uint64_t engine_max_queue_depth = 0;
-  /// Observer-batching counters (sim::RunResult, nonzero only in
-  /// OCB_SIM_STATS builds). Host-side diagnostics: they depend on the
+  /// Host-side counters of the run (sim/counters.h). They depend on the
   /// coalescing configuration, so — unlike everything above — they are
   /// deliberately NOT part of to_json(), which must stay bit-identical
   /// with the fast path on or off.
-  std::uint64_t bulk_ops = 0;
-  std::uint64_t bulk_ops_observed = 0;
-  std::uint64_t bulk_quiescent_ops = 0;
-  std::uint64_t bulk_fallback_ops = 0;
-  std::uint64_t bulk_fallback_lines = 0;
+  sim::Counters counters;
 
   /// Goodput over the run: delivered_bytes / makespan.
   double throughput_mbps() const;

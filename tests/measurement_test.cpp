@@ -143,10 +143,13 @@ TEST(OpMeasurement, MatchesModelAcrossDistances) {
 }
 
 TEST(OpMeasurement, PairFinders) {
+  const noc::Topology& scc = noc::Topology::scc();
   for (int d = 1; d <= 9; ++d) {
     const auto [a, b] = core_pair_at_mpb_distance(d);
     EXPECT_NE(a, b);
-    EXPECT_EQ(noc::routers_traversed(noc::tile_of_core(a), noc::tile_of_core(b)), d);
+    EXPECT_EQ(noc::Topology::routers_traversed(scc.tile_of_core(a),
+                                               scc.tile_of_core(b)),
+              d);
   }
   EXPECT_THROW(core_pair_at_mpb_distance(10), PreconditionError);
   EXPECT_THROW(core_at_mem_distance(5), PreconditionError);
@@ -198,6 +201,16 @@ TEST(Contention, SingleLinePutsShowSameKneeShape) {
   const ContentionResult all = measure_mpb_contention(cfg, 48, 1, false, 4);
   EXPECT_LT(few.avg_us, one.avg_us * 1.25);
   EXPECT_GT(all.avg_us, one.avg_us * 1.5);
+}
+
+TEST(Contention, AccessorCountBoundedByTheConfiguredChip) {
+  // The bound is the config's chip, not the SCC's 48 cores.
+  scc::SccConfig cfg;
+  cfg.topology = noc::Topology::mesh(8, 8, /*cores_per_tile=*/1);
+  const ContentionResult all = measure_mpb_contention(cfg, 64, 8, true, 2);
+  EXPECT_EQ(all.per_core_us.size(), 64u);
+  for (double us : all.per_core_us) EXPECT_GT(us, 0.0);
+  EXPECT_THROW(measure_mpb_contention(cfg, 65, 8, true, 2), PreconditionError);
 }
 
 TEST(MeshStress, LoadedLinkDoesNotSlowVictim) {

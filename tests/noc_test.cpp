@@ -1,58 +1,62 @@
-// Unit and property tests for the NoC: geometry, X-Y routing, mesh timing,
+// Unit and property tests for the NoC on the paper's SCC floorplan
+// (noc::Topology::scc()): geometry, X-Y routing, mesh timing,
 // memory-controller placement.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
-#include "noc/geometry.h"
-#include "noc/memctrl.h"
 #include "noc/mesh.h"
 #include "noc/routing.h"
+#include "noc/topology.h"
 #include "sim/engine.h"
 
 namespace ocb::noc {
 namespace {
 
+const Topology& scc() { return Topology::scc(); }
+
 TEST(Geometry, TileIndexRoundTrip) {
-  for (int i = 0; i < kNumTiles; ++i) {
-    EXPECT_EQ(tile_index(tile_coord(i)), i);
+  for (int i = 0; i < scc().num_tiles(); ++i) {
+    EXPECT_EQ(scc().tile_index(scc().tile_coord(i)), i);
   }
-  EXPECT_EQ(tile_index(TileCoord{0, 0}), 0);
-  EXPECT_EQ(tile_index(TileCoord{5, 0}), 5);
-  EXPECT_EQ(tile_index(TileCoord{0, 1}), 6);
-  EXPECT_EQ(tile_index(TileCoord{5, 3}), 23);
+  EXPECT_EQ(scc().tile_index(TileCoord{0, 0}), 0);
+  EXPECT_EQ(scc().tile_index(TileCoord{5, 0}), 5);
+  EXPECT_EQ(scc().tile_index(TileCoord{0, 1}), 6);
+  EXPECT_EQ(scc().tile_index(TileCoord{5, 3}), 23);
 }
 
 TEST(Geometry, CoresPairPerTile) {
   for (CoreId c = 0; c < kNumCores; ++c) {
-    EXPECT_EQ(tile_index_of_core(c), c / 2);
+    EXPECT_EQ(scc().tile_index_of_core(c), c / 2);
   }
-  EXPECT_EQ(first_core_of_tile(0), 0);
-  EXPECT_EQ(first_core_of_tile(23), 46);
-  EXPECT_EQ(tile_of_core(0), (TileCoord{0, 0}));
-  EXPECT_EQ(tile_of_core(47), (TileCoord{5, 3}));
+  EXPECT_EQ(scc().first_core_of_tile(0), 0);
+  EXPECT_EQ(scc().first_core_of_tile(23), 46);
+  EXPECT_EQ(scc().tile_of_core(0), (TileCoord{0, 0}));
+  EXPECT_EQ(scc().tile_of_core(47), (TileCoord{5, 3}));
 }
 
 TEST(Geometry, BoundsChecked) {
-  EXPECT_THROW(tile_index(TileCoord{6, 0}), PreconditionError);
-  EXPECT_THROW(tile_index(TileCoord{0, 4}), PreconditionError);
-  EXPECT_THROW(tile_coord(24), PreconditionError);
-  EXPECT_THROW(tile_of_core(48), PreconditionError);
-  EXPECT_THROW(tile_of_core(-1), PreconditionError);
+  EXPECT_THROW(scc().tile_index(TileCoord{6, 0}), PreconditionError);
+  EXPECT_THROW(scc().tile_index(TileCoord{0, 4}), PreconditionError);
+  EXPECT_THROW(scc().tile_coord(24), PreconditionError);
+  EXPECT_THROW(scc().tile_of_core(48), PreconditionError);
+  EXPECT_THROW(scc().tile_of_core(-1), PreconditionError);
 }
 
 TEST(Geometry, RoutersTraversedIsManhattanPlusOne) {
-  EXPECT_EQ(routers_traversed(TileCoord{0, 0}, TileCoord{0, 0}), 1);
-  EXPECT_EQ(routers_traversed(TileCoord{0, 0}, TileCoord{5, 3}), 9);
-  EXPECT_EQ(routers_traversed(TileCoord{2, 2}, TileCoord{3, 2}), 2);
+  EXPECT_EQ(Topology::routers_traversed(TileCoord{0, 0}, TileCoord{0, 0}), 1);
+  EXPECT_EQ(Topology::routers_traversed(TileCoord{0, 0}, TileCoord{5, 3}), 9);
+  EXPECT_EQ(Topology::routers_traversed(TileCoord{2, 2}, TileCoord{3, 2}), 2);
 }
 
 TEST(Geometry, MaxDistanceOnMeshIsNine) {
   int max_d = 0;
-  for (int a = 0; a < kNumTiles; ++a) {
-    for (int b = 0; b < kNumTiles; ++b) {
-      max_d = std::max(max_d, routers_traversed(tile_coord(a), tile_coord(b)));
+  for (int a = 0; a < scc().num_tiles(); ++a) {
+    for (int b = 0; b < scc().num_tiles(); ++b) {
+      max_d = std::max(max_d, Topology::routers_traversed(scc().tile_coord(a),
+                                                          scc().tile_coord(b)));
     }
   }
   EXPECT_EQ(max_d, 9) << "the paper's Figure 3 spans 1..9 hops";
@@ -62,15 +66,16 @@ TEST(Geometry, MaxDistanceOnMeshIsNine) {
 class XyRouteProperty : public ::testing::TestWithParam<int> {};
 
 TEST_P(XyRouteProperty, RouteShape) {
-  const TileCoord src = tile_coord(GetParam() / kNumTiles);
-  const TileCoord dst = tile_coord(GetParam() % kNumTiles);
-  const auto route = xy_route(src, dst);
-  ASSERT_EQ(static_cast<int>(route.size()), manhattan(src, dst) + 1);
+  const TileCoord src = scc().tile_coord(GetParam() / scc().num_tiles());
+  const TileCoord dst = scc().tile_coord(GetParam() % scc().num_tiles());
+  const auto route = xy_route(scc(), src, dst);
+  ASSERT_EQ(static_cast<int>(route.size()), Topology::manhattan(src, dst) + 1);
   EXPECT_EQ(route.front(), src);
   EXPECT_EQ(route.back(), dst);
   bool seen_y_move = false;
   for (std::size_t i = 0; i + 1 < route.size(); ++i) {
-    EXPECT_EQ(manhattan(route[i], route[i + 1]), 1) << "adjacent steps only";
+    EXPECT_EQ(Topology::manhattan(route[i], route[i + 1]), 1)
+        << "adjacent steps only";
     const bool x_move = route[i].x != route[i + 1].x;
     if (x_move) {
       EXPECT_FALSE(seen_y_move) << "X-Y routing: all X steps before any Y step";
@@ -78,38 +83,43 @@ TEST_P(XyRouteProperty, RouteShape) {
       seen_y_move = true;
     }
   }
-  const auto links = xy_route_links(src, dst);
+  const auto links = xy_route_links(scc(), src, dst);
   EXPECT_EQ(links.size(), route.size() - 1);
   for (LinkId l : links) {
     EXPECT_GE(l, 0);
-    EXPECT_LT(l, Topology::scc().num_link_slots());
+    EXPECT_LT(l, scc().num_link_slots());
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTilePairs, XyRouteProperty,
-                         ::testing::Range(0, kNumTiles * kNumTiles));
+INSTANTIATE_TEST_SUITE_P(
+    AllTilePairs, XyRouteProperty,
+    ::testing::Range(0, scc().num_tiles() * scc().num_tiles()));
 
 TEST(Routing, LinkIdsUniquePerDirectedEdge) {
-  EXPECT_NE(link_id(TileCoord{2, 2}, Direction::kEast),
-            link_id(TileCoord{3, 2}, Direction::kWest));
-  EXPECT_THROW(link_id(TileCoord{5, 0}, Direction::kEast), PreconditionError);
-  EXPECT_THROW(link_id(TileCoord{0, 0}, Direction::kWest), PreconditionError);
-  EXPECT_THROW(link_id(TileCoord{0, 0}, Direction::kNorth), PreconditionError);
-  EXPECT_THROW(link_id(TileCoord{0, 3}, Direction::kSouth), PreconditionError);
+  EXPECT_NE(link_id(scc(), TileCoord{2, 2}, Direction::kEast),
+            link_id(scc(), TileCoord{3, 2}, Direction::kWest));
+  EXPECT_THROW(link_id(scc(), TileCoord{5, 0}, Direction::kEast),
+               PreconditionError);
+  EXPECT_THROW(link_id(scc(), TileCoord{0, 0}, Direction::kWest),
+               PreconditionError);
+  EXPECT_THROW(link_id(scc(), TileCoord{0, 0}, Direction::kNorth),
+               PreconditionError);
+  EXPECT_THROW(link_id(scc(), TileCoord{0, 3}, Direction::kSouth),
+               PreconditionError);
 }
 
 TEST(Routing, RouteUsesLinkMatchesPaperStressPattern) {
   // §3.3: a get by (5,1) from (0,2) moves data (0,2) -> (5,1); X-first
   // routing crosses (2,2)->(3,2).
-  EXPECT_TRUE(route_uses_link(TileCoord{0, 2}, TileCoord{5, 1}, TileCoord{2, 2},
-                              TileCoord{3, 2}));
+  EXPECT_TRUE(route_uses_link(scc(), TileCoord{0, 2}, TileCoord{5, 1},
+                              TileCoord{2, 2}, TileCoord{3, 2}));
   // The reverse direction uses the opposite link.
-  EXPECT_FALSE(route_uses_link(TileCoord{5, 2}, TileCoord{0, 1}, TileCoord{2, 2},
-                               TileCoord{3, 2}));
-  EXPECT_TRUE(route_uses_link(TileCoord{5, 2}, TileCoord{0, 1}, TileCoord{3, 2},
-                              TileCoord{2, 2}));
-  EXPECT_THROW(route_uses_link(TileCoord{0, 0}, TileCoord{1, 0}, TileCoord{0, 0},
-                               TileCoord{2, 0}),
+  EXPECT_FALSE(route_uses_link(scc(), TileCoord{5, 2}, TileCoord{0, 1},
+                               TileCoord{2, 2}, TileCoord{3, 2}));
+  EXPECT_TRUE(route_uses_link(scc(), TileCoord{5, 2}, TileCoord{0, 1},
+                              TileCoord{3, 2}, TileCoord{2, 2}));
+  EXPECT_THROW(route_uses_link(scc(), TileCoord{0, 0}, TileCoord{1, 0},
+                               TileCoord{0, 0}, TileCoord{2, 0}),
                PreconditionError);
 }
 
@@ -119,14 +129,14 @@ TEST(Mesh, UncontendedLatencyIsRoutersTimesLhop) {
   // Space departures far enough apart that earlier packets cannot congest
   // later ones (each holds a link for only 2.5 us total here).
   sim::Time depart = 0;
-  for (int a = 0; a < kNumTiles; ++a) {
-    for (int b = 0; b < kNumTiles; ++b) {
+  for (int a = 0; a < scc().num_tiles(); ++a) {
+    for (int b = 0; b < scc().num_tiles(); ++b) {
       depart += 1'000'000;
-      const TileCoord src = tile_coord(a);
-      const TileCoord dst = tile_coord(b);
+      const TileCoord src = scc().tile_coord(a);
+      const TileCoord dst = scc().tile_coord(b);
       const sim::Time arrival = mesh.reserve_path(depart, src, dst);
       EXPECT_EQ(arrival, depart + 5000u * static_cast<sim::Time>(
-                                      routers_traversed(src, dst)));
+                                      Topology::routers_traversed(src, dst)));
     }
   }
 }
@@ -153,7 +163,7 @@ TEST(Mesh, DisjointLinksDoNotInteract) {
 TEST(Mesh, LinkStatsCount) {
   sim::Engine e;
   Mesh mesh(e, Topology::scc(), 5000, 2500);
-  const LinkId east00 = link_id(TileCoord{0, 0}, Direction::kEast);
+  const LinkId east00 = link_id(scc(), TileCoord{0, 0}, Direction::kEast);
   EXPECT_EQ(mesh.link_packets(east00), 0u);
   mesh.reserve_path(0, TileCoord{0, 0}, TileCoord{2, 0});
   EXPECT_EQ(mesh.link_packets(east00), 1u);
@@ -233,14 +243,14 @@ TEST(Mesh, RouteWalkBooksTheReferenceRoute) {
 }
 
 TEST(MemCtrl, QuadrantAssignment) {
-  EXPECT_EQ(mc_index_for_core(0), 0);                       // tile (0,0)
-  EXPECT_EQ(mc_tile_for_core(0), (TileCoord{0, 0}));
-  EXPECT_EQ(mc_index_for_core(11), 1);                      // tile (5,0)
-  EXPECT_EQ(mc_tile_for_core(11), (TileCoord{5, 0}));
-  EXPECT_EQ(mc_index_for_core(24), 2);                      // tile (0,2)
-  EXPECT_EQ(mc_tile_for_core(24), (TileCoord{0, 2}));
-  EXPECT_EQ(mc_index_for_core(47), 3);                      // tile (5,3)
-  EXPECT_EQ(mc_tile_for_core(47), (TileCoord{5, 2}));
+  EXPECT_EQ(scc().mc_index_for_core(0), 0);                 // tile (0,0)
+  EXPECT_EQ(scc().mc_tile_for_core(0), (TileCoord{0, 0}));
+  EXPECT_EQ(scc().mc_index_for_core(11), 1);                // tile (5,0)
+  EXPECT_EQ(scc().mc_tile_for_core(11), (TileCoord{5, 0}));
+  EXPECT_EQ(scc().mc_index_for_core(24), 2);                // tile (0,2)
+  EXPECT_EQ(scc().mc_tile_for_core(24), (TileCoord{0, 2}));
+  EXPECT_EQ(scc().mc_index_for_core(47), 3);                // tile (5,3)
+  EXPECT_EQ(scc().mc_tile_for_core(47), (TileCoord{5, 2}));
 }
 
 TEST(MemCtrl, DistancesSpanOneToFour) {
@@ -248,7 +258,7 @@ TEST(MemCtrl, DistancesSpanOneToFour) {
   int min_d = 99;
   int max_d = 0;
   for (CoreId c = 0; c < kNumCores; ++c) {
-    const int d = mem_distance(c);
+    const int d = scc().mem_distance(c);
     min_d = std::min(min_d, d);
     max_d = std::max(max_d, d);
     EXPECT_GE(d, 1);
@@ -259,8 +269,11 @@ TEST(MemCtrl, DistancesSpanOneToFour) {
 }
 
 TEST(MemCtrl, EveryQuadrantHasTwelveCores) {
-  std::array<int, kNumMemoryControllers> counts{};
-  for (CoreId c = 0; c < kNumCores; ++c) ++counts[static_cast<std::size_t>(mc_index_for_core(c))];
+  ASSERT_EQ(scc().num_memory_controllers(), 4);
+  std::array<int, 4> counts{};
+  for (CoreId c = 0; c < kNumCores; ++c) {
+    ++counts[static_cast<std::size_t>(scc().mc_index_for_core(c))];
+  }
   for (int n : counts) EXPECT_EQ(n, 12);
 }
 

@@ -9,7 +9,9 @@
 // verdicts and their full provenance (seqs, times, stages), rendered
 // trace JSON bytes, fault outcomes and injection counts, and service SLO
 // metrics must be bit-identical with the fast path forced on vs off.
-// These tests run every registry algorithm both ways and compare.
+// These tests run every registry algorithm both ways and compare. The
+// last test checks the sim::Counters that count the fast path's hits and
+// fallbacks.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -17,11 +19,13 @@
 
 #include "check/checker.h"
 #include "coll/registry.h"
+#include "fault/injector.h"
 #include "harness/fault_sweep.h"
 #include "harness/measurement.h"
 #include "rma/rma.h"
 #include "scc/chip.h"
 #include "scc/trace_json.h"
+#include "sim/counters.h"
 #include "svc/service.h"
 
 namespace ocb {
@@ -118,8 +122,7 @@ TEST(ObserverFastpath, TraceJsonBytesAreBitIdentical) {
     for (int arm = 0; arm < 2; ++arm) {
       harness::BcastSession session(spec_for(name, arm == 0));
       scc::JsonTraceCollector trace;
-      // The legacy per-line sink (no bulk companion): coalesced ops must
-      // synthesize the exact per-line event stream.
+      // Coalesced ops must synthesize the exact per-line event stream.
       session.chip().set_trace_sink(trace.sink());
       EXPECT_EQ(session.chip().coalescing_active(), arm == 0) << name;
       const harness::BcastRunResult r = session.run();
@@ -212,6 +215,73 @@ TEST(ObserverFastpath, ServiceMetricsAreBitIdentical) {
     // to_json renders counts, makespan, throughput, and all three
     // latency histograms — bit-identity covers the whole SLO surface.
     EXPECT_EQ(json[0], json[1]) << algorithm;
+  }
+}
+
+// --- counters ---------------------------------------------------------------
+
+// Every run reports its own sim::Counters deltas in the default build:
+// which path each multi-line RMA op took, and how the frame pool served
+// the per-line path.
+TEST(Counters, CountEachRunsBulkPath) {
+  harness::BcastRunSpec spec;
+  spec.message_bytes = 1024 * kCacheLineBytes;
+  spec.iterations = 1;
+  spec.warmup = 0;
+
+  harness::BcastSession session(spec);
+  const sim::Counters first = session.run().counters;
+  EXPECT_GT(first.bulk_ops, 0u);
+  EXPECT_GT(first.bulk_quiescent_ops, 0u);
+  // Observed only when OCB_CHECK installed the race checker on the session.
+  EXPECT_EQ(first.bulk_ops_observed,
+            session.checker() != nullptr ? first.bulk_ops : 0u);
+  EXPECT_EQ(first.bulk_fallback_ops, 0u);
+  EXPECT_EQ(first.bulk_fallback_lines, 0u);
+  // A second call on the same chip reports its own delta, not a total.
+  const sim::Counters second = session.run().counters;
+  EXPECT_EQ(second.bulk_ops, first.bulk_ops);
+  EXPECT_EQ(second.bulk_ops_observed, first.bulk_ops_observed);
+  EXPECT_EQ(second.bulk_quiescent_ops, first.bulk_quiescent_ops);
+  EXPECT_EQ(second.bulk_fallback_ops, first.bulk_fallback_ops);
+  EXPECT_EQ(second.bulk_fallback_lines, first.bulk_fallback_lines);
+
+  // The checker is bulk-capable: every coalesced op runs observed.
+  harness::BcastRunSpec checked = spec;
+  checked.check = true;
+  const sim::Counters observed = harness::run_broadcast(checked).counters;
+  EXPECT_GT(observed.bulk_ops, 0u);
+  EXPECT_EQ(observed.bulk_ops_observed, observed.bulk_ops);
+
+  // A planned stall closes core 5's bulk window, so its ops fall back.
+  fault::FaultPlan plan;
+  plan.stalls.push_back({5, 0, sim::kMicrosecond});
+  fault::FaultInjector injector(plan);
+  harness::BcastSession stalled(spec);
+  stalled.chip().add_observer(&injector);
+  const sim::Counters fallback = stalled.run().counters;
+  EXPECT_GT(fallback.bulk_fallback_ops, 0u);
+  EXPECT_GE(fallback.bulk_fallback_lines, fallback.bulk_fallback_ops);
+
+  harness::BcastRunSpec per_line = spec;
+  per_line.config.coalescing = false;
+  const sim::Counters frames = harness::run_broadcast(per_line).counters;
+  EXPECT_EQ(frames.bulk_ops, 0u);
+  EXPECT_GT(frames.frame_reuses, 0u);
+
+  // The service carries them too, but keeps them out of its SLO JSON.
+  svc::TrafficSpec traffic;
+  traffic.requests = 12;
+  traffic.mean_gap_ns = 30'000;
+  traffic.sizes = {{kCacheLineBytes, 2}, {4096, 2}, {16384, 1}};
+  traffic.seed = 99;
+  const svc::ServiceMetrics m = svc::run_service(svc::ServiceConfig{}, traffic);
+  EXPECT_GT(m.counters.bulk_ops, 0u);
+  const std::string json = m.to_json();
+  for (const char* name :
+       {"frame_allocs", "frame_reuses", "bulk_ops", "bulk_ops_observed",
+        "bulk_quiescent_ops", "bulk_fallback_ops", "bulk_fallback_lines"}) {
+    EXPECT_EQ(json.find(name), std::string::npos) << name;
   }
 }
 

@@ -120,9 +120,10 @@ TEST_P(RmaTiming, MatchesModelFormulas) {
   const model::ModelParams p = model::ModelParams::paper();
   scc::SccConfig cfg;
   cfg.cache_enabled = false;  // model formulas assume cold memory reads
-  const int d_mpb =
-      noc::routers_traversed(noc::tile_of_core(c.actor), noc::tile_of_core(c.target));
-  const int d_mem = noc::mem_distance(c.actor);
+  const noc::Topology& scc = noc::Topology::scc();
+  const int d_mpb = noc::Topology::routers_traversed(scc.tile_of_core(c.actor),
+                                                     scc.tile_of_core(c.target));
+  const int d_mem = scc.mem_distance(c.actor);
 
   {
     scc::SccChip chip(cfg);

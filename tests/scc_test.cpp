@@ -8,7 +8,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "noc/memctrl.h"
+#include "noc/topology.h"
 #include "scc/chip.h"
 
 namespace ocb::scc {
@@ -75,8 +75,9 @@ TEST(SccChip, CoreIdentityAndDistances) {
   SccChip chip;
   for (CoreId c = 0; c < kNumCores; ++c) {
     EXPECT_EQ(chip.core(c).id(), c);
-    EXPECT_EQ(chip.core(c).tile(), noc::tile_of_core(c));
-    EXPECT_EQ(chip.core(c).mem_distance(), noc::mem_distance(c));
+    EXPECT_EQ(chip.core(c).tile(), noc::Topology::scc().tile_of_core(c));
+    EXPECT_EQ(chip.core(c).mem_distance(),
+              noc::Topology::scc().mem_distance(c));
     EXPECT_EQ(chip.core(c).mpb_distance(c), 1);
   }
   EXPECT_EQ(chip.core(0).mpb_distance(47), 9);
@@ -144,7 +145,7 @@ TEST_P(MemTimingAtDistance, MemReadAndWriteCompletion) {
   const int d = GetParam();
   CoreId core = -1;
   for (CoreId c = 0; c < kNumCores; ++c) {
-    if (noc::mem_distance(c) == d) {
+    if (noc::Topology::scc().mem_distance(c) == d) {
       core = c;
       break;
     }

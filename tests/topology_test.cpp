@@ -1,11 +1,12 @@
 // noc::Topology — the geometry API behind every chip (DESIGN.md §14).
 //
 // Four contracts are gated here:
-//  * Topology::scc() reproduces the legacy global-constant geometry
-//    bit-for-bit: tile/core maps, the quadrant memory-controller
-//    assignment, and distances. (The timeline-level half of this gate —
-//    fig4 / fault_test / trace_timeline byte-identity — runs in CI against
-//    captured baselines.)
+//  * Topology::scc() is the paper's floorplan: 24 tiles in 6x4, two cores
+//    per tile, the quadrant memory-controller assignment, and distances.
+//    Topology is the only geometry API, so this is the one place those
+//    numbers are checked. (The timeline-level half of this gate — the
+//    goldens-check outputs and fault_test — compares whole runs with
+//    committed results.)
 //  * Non-default meshes validate: out-of-range cores/tiles are rejected
 //    with the chip's own bounds, not the SCC's.
 //  * The "ocb-topology-v1" JSON record round-trips, and parse() accepts
@@ -30,8 +31,6 @@
 #include "core/hier_bcast.h"
 #include "core/tree.h"
 #include "harness/measurement.h"
-#include "noc/geometry.h"
-#include "noc/memctrl.h"
 #include "noc/topology.h"
 #include "scc/chip.h"
 
@@ -46,12 +45,12 @@ using noc::Topology;
 TEST(TopologyScc, ReproducesLegacyConstants) {
   const Topology& t = Topology::scc();
   EXPECT_EQ(t.num_cores(), kNumCores);
-  EXPECT_EQ(t.num_tiles(), kNumTiles);
-  EXPECT_EQ(t.mesh_cols(), kMeshCols);
-  EXPECT_EQ(t.mesh_rows(), kMeshRows);
+  EXPECT_EQ(t.num_tiles(), 24);
+  EXPECT_EQ(t.mesh_cols(), 6);
+  EXPECT_EQ(t.mesh_rows(), 4);
   EXPECT_EQ(t.cores_per_tile(), 2);
   EXPECT_EQ(t.num_dies(), 1);
-  EXPECT_EQ(t.num_memory_controllers(), noc::kNumMemoryControllers);
+  EXPECT_EQ(t.num_memory_controllers(), 4);
   for (CoreId c = 0; c < kNumCores; ++c) {
     // Legacy layout: cores 2t, 2t+1 on tile t; tiles row-major on 6x4.
     EXPECT_EQ(t.tile_index_of_core(c), c / 2);
@@ -66,15 +65,6 @@ TEST(TopologyScc, ReproducesLegacyConstants) {
   const TileCoord mc_tiles[] = {{0, 0}, {5, 0}, {0, 2}, {5, 2}};
   for (int m = 0; m < 4; ++m) EXPECT_EQ(t.mc_tile(m), mc_tiles[m]);
   EXPECT_EQ(t.describe(), "scc");
-}
-
-TEST(TopologyScc, GeometryShimsForwardToScc) {
-  // The legacy free helpers must stay exact aliases of Topology::scc().
-  for (CoreId c = 0; c < kNumCores; ++c) {
-    EXPECT_EQ(noc::tile_of_core(c), Topology::scc().tile_of_core(c));
-    EXPECT_EQ(noc::mc_index_for_core(c), Topology::scc().mc_index_for_core(c));
-    EXPECT_EQ(noc::mem_distance(c), Topology::scc().mem_distance(c));
-  }
 }
 
 // --- non-default meshes ----------------------------------------------------
