@@ -38,6 +38,7 @@ produce(COMMAND "${BENCH_DIR}/bench_fig3_putget")
 produce(COMMAND "${BENCH_DIR}/bench_table1_params")
 produce(COMMAND "${BENCH_DIR}/bench_fig4_contention")
 produce(COMMAND "${BENCH_DIR}/bench_whatif_scaling")
+produce(COMMAND "${BENCH_DIR}/bench_fault_overhead")
 produce(COMMAND "${EXAMPLES_DIR}/trace_timeline"
   STDOUT trace_timeline.stdout)
 produce(COMMAND "${EXAMPLES_DIR}/topology_explorer"
@@ -54,6 +55,7 @@ foreach(golden
     fig4_contention.csv
     whatif_scaling.csv
     whatif_topology.json
+    fault_overhead.csv
     trace_timeline.stdout
     trace_timeline.trace.json
     topology_explorer.stdout)

@@ -33,6 +33,21 @@ struct CacheLine {
   friend bool operator==(const CacheLine&, const CacheLine&) = default;
 };
 
+/// FNV-1a 64: the payload checksum of the fault-tolerant protocols. RMA
+/// transfers fold it over the lines a core observes (rma/rma.h), so both
+/// the per-line loop and scc::BulkOp need it below the rma layer.
+inline constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
+inline constexpr std::uint64_t kFnvPrime = 0x100000001b3ULL;
+
+/// Folds one cache line into a running FNV-1a 64 hash.
+constexpr std::uint64_t fold_line(std::uint64_t h, const CacheLine& cl) {
+  for (std::byte b : cl.bytes) {
+    h ^= static_cast<std::uint64_t>(b);
+    h *= kFnvPrime;
+  }
+  return h;
+}
+
 /// Number of cache lines needed to hold `bytes` bytes (ceiling division).
 constexpr std::size_t cache_lines_for(std::size_t bytes) {
   return (bytes + kCacheLineBytes - 1) / kCacheLineBytes;

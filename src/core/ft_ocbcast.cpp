@@ -4,7 +4,6 @@
 #include <sstream>
 
 #include "common/require.h"
-#include "rma/checksum.h"
 #include "rma/rma.h"
 
 namespace ocb::core {
@@ -103,7 +102,7 @@ std::uint64_t staged_tag(std::uint64_t seq, std::uint64_t sum) {
   std::uint64_t h = rma::checked_flag_tag(seq);
   for (int i = 0; i < 8; ++i) {
     h ^= (sum >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
+    h *= kFnvPrime;
   }
   return h;
 }
@@ -220,11 +219,11 @@ sim::Task<void> FtOcBcast::root_chunk(scc::Core& self, const KaryTree& tree,
   DeliveryReport& rep = reports_[static_cast<std::size_t>(self.id())];
   const std::uint64_t expected =
       rma::host_checksum_mem(self.chip(), self.id(), mem_off, lines);
-  std::uint64_t sum;
+  std::uint64_t sum = 0;
   int tries = 0;
   for (;;) {
-    sum = co_await rma::put_mem_to_mpb_sum(
-        self, rma::MpbAddr{self.id(), buffer_line(parity)}, mem_off, lines);
+    co_await rma::put_mem_to_mpb(
+        self, rma::MpbAddr{self.id(), buffer_line(parity)}, mem_off, lines, &sum);
     if (sum == expected) break;
     ++rep.checksum_retries;
     ++tries;
@@ -353,8 +352,9 @@ sim::Task<bool> FtOcBcast::follower_chunk(
     const bool rerouted = source != parent;
     if (is_leaf) {
       if (rerouted) rma::note_optimistic_begin(self);
-      const std::uint64_t got = co_await rma::get_mpb_to_mem_sum(
-          self, mem_off, rma::MpbAddr{source, buffer_line(parity)}, lines);
+      std::uint64_t got = 0;
+      co_await rma::get_mpb_to_mem(
+          self, mem_off, rma::MpbAddr{source, buffer_line(parity)}, lines, &got);
       if (rerouted) rma::note_optimistic_end(self);
       // Leaves land straight in private memory (§5.4): half the line
       // transactions, and the checksum covers the whole observed path.
@@ -366,9 +366,10 @@ sim::Task<bool> FtOcBcast::follower_chunk(
     } else {
       co_await wait_children_done(self, tree, children, reuse_min);
       if (rerouted) rma::note_optimistic_begin(self);
-      const std::uint64_t got = co_await rma::get_mpb_to_mpb_sum(
-          self, buffer_line(parity), rma::MpbAddr{source, buffer_line(parity)},
-          lines);
+      std::uint64_t got = 0;
+      co_await rma::get_mpb_to_mpb(self, buffer_line(parity),
+                                   rma::MpbAddr{source, buffer_line(parity)},
+                                   lines, &got);
       if (rerouted) rma::note_optimistic_end(self);
       if (got != st.sum) {
         ++rep.checksum_retries;
@@ -395,8 +396,9 @@ sim::Task<bool> FtOcBcast::follower_chunk(
       // caught and retried from the intact buffer).
       int tries = 0;
       for (;;) {
-        const std::uint64_t landed = co_await rma::get_mpb_to_mem_sum(
-            self, mem_off, rma::MpbAddr{me, buffer_line(parity)}, lines);
+        std::uint64_t landed = 0;
+        co_await rma::get_mpb_to_mem(
+            self, mem_off, rma::MpbAddr{me, buffer_line(parity)}, lines, &landed);
         if (landed == st.sum) break;
         ++rep.checksum_retries;
         ++tries;

@@ -7,9 +7,12 @@
 //  * End-to-end checksums. Every stager publishes a per-buffer "staged
 //    line" — (chunk sequence, FNV-1a 64 of the chunk) in one cache line —
 //    next to its payload buffers. Getters fold the checksum over the lines
-//    they actually observed (rma/checksum.h) and re-fetch on mismatch, so
-//    transient read corruption never propagates down the tree or into
-//    private memory.
+//    they actually observed (the `sum` output of the rma/rma.h operations)
+//    and re-fetch on mismatch, so transient read corruption never
+//    propagates down the tree or into private memory. The payload moves
+//    through the same put/get as every other collective, so it takes the
+//    coalesced scc::BulkOp path wherever the chip grants one (every core
+//    with no stall or crash planned against it).
 //
 //  * Watchdogs + reliable flag writes. Every flag wait carries a deadline
 //    (rma/reliable.h); control-line writes are verified by read-back with

@@ -11,17 +11,23 @@ FaultInjector::FaultInjector(FaultPlan plan)
       crash_reported_(plan_.crashes.size(), false) {
   // Pre-sample the plan's per-line needs and per-core gate effects once
   // (the plan is immutable for the injector's lifetime; see injector.h).
-  // The injector's gate table is dimensioned for the SCC; fault plans on
-  // larger topologies would need a dynamic table and are rejected early.
+  // The gate table follows the plan, so on a chip larger than the plan's
+  // cores every unnamed core reads as clear; the core ids a plan may name
+  // are still bounded by the SCC's.
+  auto mark_timing_fault = [this](CoreId core) {
+    const auto i = static_cast<std::size_t>(core);
+    if (i >= timing_faults_.size()) timing_faults_.resize(i + 1, false);
+    timing_faults_[i] = true;
+  };
   for (const StallInterval& s : plan_.stalls) {
     OCB_REQUIRE(s.core >= 0 && s.core < kNumCores,
                 "fault plan stall core out of the injector's range");
-    timing_faults_[static_cast<std::size_t>(s.core)] = true;
+    mark_timing_fault(s.core);
   }
   for (const FailStop& f : plan_.crashes) {
     OCB_REQUIRE(f.core >= 0 && f.core < kNumCores,
                 "fault plan crash core out of the injector's range");
-    timing_faults_[static_cast<std::size_t>(f.core)] = true;
+    mark_timing_fault(f.core);
   }
   perline_reads_ = plan_.rates.mpb_read > 0.0 || plan_.rates.mem_read > 0.0;
   perline_writes_ = plan_.rates.mpb_write > 0.0 ||

@@ -14,7 +14,6 @@
 //   chip.add_observer(&injector);         // non-owning; outlive the run
 #pragma once
 
-#include <array>
 #include <vector>
 
 #include "common/rng.h"
@@ -49,7 +48,8 @@ class FaultInjector final : public scc::TransactionObserver {
   bool needs_per_line_writes() const override { return perline_writes_; }
   bool needs_per_line_completes() const override { return false; }
   bool bulk_window_clear(CoreId core, sim::Time /*now*/) override {
-    return !timing_faults_[static_cast<std::size_t>(core)];
+    const auto i = static_cast<std::size_t>(core);
+    return i >= timing_faults_.size() || !timing_faults_[i];
   }
   /// Reached only when every per-line need is false (zero rates, no stuck
   /// lines): a per-line replay would draw and mutate nothing, so the
@@ -66,7 +66,10 @@ class FaultInjector final : public scc::TransactionObserver {
   InjectionStats stats_;
   std::vector<bool> stall_applied_;    // parallel to plan_.stalls
   std::vector<bool> crash_reported_;   // parallel to plan_.crashes
-  std::array<bool, kNumCores> timing_faults_{};  // any planned stall/crash
+  // Any planned stall/crash, indexed by core and sized to the highest core
+  // the plan names: the chip may be larger, and an unnamed core's window
+  // is clear.
+  std::vector<bool> timing_faults_;
   bool perline_reads_ = false;   // any read-corruption rate > 0
   bool perline_writes_ = false;  // any write rate > 0 or stuck lines
 };

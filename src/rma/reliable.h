@@ -28,12 +28,15 @@ struct WatchdogPolicy {
   sim::Duration write_backoff = 2 * sim::kMicrosecond;
 };
 
-/// wait_flag with a deadline. Returns the accepted value, or nullopt if
-/// `timeout` of simulated time elapsed without `pred` holding (after one
-/// final re-read, so a set that raced the timer is not missed).
-template <typename Pred>
+/// wait_flag with a deadline, reading the line through `decode`
+/// (decode_flag, or decode_checked_flag for checked lines). Returns the
+/// accepted value, or nullopt if `timeout` of simulated time elapsed
+/// without `pred` holding (after one final re-read, so a set that raced
+/// the timer is not missed).
+template <typename Decode, typename Pred>
 sim::Task<std::optional<FlagValue>> wait_flag_watchdog(scc::Core& self,
-                                                       MpbAddr flag, Pred pred,
+                                                       MpbAddr flag,
+                                                       Decode decode, Pred pred,
                                                        sim::Duration timeout) {
   note_flag_wait(self, flag);
   const sim::Time deadline = self.now() + timeout;
@@ -41,7 +44,7 @@ sim::Task<std::optional<FlagValue>> wait_flag_watchdog(scc::Core& self,
     std::uint64_t epoch = 0;
     CacheLine cl;
     co_await self.mpb_read_line(flag.owner, flag.line, cl, &epoch);
-    const FlagValue v = decode_flag(cl);
+    const FlagValue v = decode(cl);
     if (pred(v)) {
       note_flag_acquire(self, flag, v);
       co_return v;
@@ -58,7 +61,7 @@ sim::Task<std::optional<FlagValue>> wait_flag_watchdog(scc::Core& self,
     // but before the trigger registered our wait.
     CacheLine last;
     co_await self.mpb_read_line(flag.owner, flag.line, last);
-    const FlagValue lv = decode_flag(last);
+    const FlagValue lv = decode(last);
     if (pred(lv)) {
       note_flag_acquire(self, flag, lv);
       co_return lv;
@@ -72,8 +75,8 @@ sim::Task<std::optional<FlagValue>> wait_flag_at_least_watchdog(
     scc::Core& self, MpbAddr flag, FlagValue minimum, sim::Duration timeout);
 
 /// Writes `value` and verifies it took hold, retrying with doubling backoff
-/// per `policy`. `accepted` decides what a read-back must satisfy (defaults
-/// to exact equality; monotone protocols pass >=). Returns false if every
+/// per `policy`. `accepted` decides what a read-back must satisfy (exact
+/// equality, or >= for monotone protocols). Returns false if every
 /// attempt read back an unacceptable value.
 template <typename Accept>
 sim::Task<bool> set_flag_reliable(scc::Core& self, MpbAddr flag, FlagValue value,
@@ -90,9 +93,6 @@ sim::Task<bool> set_flag_reliable(scc::Core& self, MpbAddr flag, FlagValue value
   }
 }
 
-sim::Task<bool> set_flag_reliable(scc::Core& self, MpbAddr flag, FlagValue value,
-                                  const WatchdogPolicy& policy);
-
 // --- Self-validating ("checked") flags ------------------------------------
 //
 // A checked flag line carries its value plus an FNV-1a tag over the value
@@ -105,10 +105,10 @@ sim::Task<bool> set_flag_reliable(scc::Core& self, MpbAddr flag, FlagValue value
 
 /// FNV-1a over the eight value bytes.
 inline std::uint64_t checked_flag_tag(FlagValue v) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+  std::uint64_t h = kFnvOffsetBasis;
   for (int i = 0; i < 8; ++i) {
     h ^= (v >> (8 * i)) & 0xff;
-    h *= 0x100000001b3ULL;
+    h *= kFnvPrime;
   }
   return h;
 }

@@ -17,9 +17,11 @@ void require_mem_offset(std::size_t offset) {
   OCB_REQUIRE(offset % kCacheLineBytes == 0, "private-memory offset must be line-aligned");
 }
 
-}  // namespace
-
-// Each op takes the coalesced fast path (scc/bulk.h) when the chip grants
+// All four operations, in BulkOp::run's terms: `mpb_owner`/`mpb_line` is
+// the (usually remote) MPB side, `local_index` the caller's MPB line or
+// private-memory byte offset (scc::BulkKind says which).
+//
+// The op takes the coalesced fast path (scc/bulk.h) when the chip grants
 // it one (SccChip::try_acquire_bulk) — timing-identical by construction,
 // asserted by tests/coalescing_equivalence_test.cpp and
 // tests/observer_fastpath_test.cpp — and otherwise the per-line loop,
@@ -31,77 +33,81 @@ void require_mem_offset(std::size_t offset) {
 // concurrent reference ops. It also fails per-op when an observer's bulk
 // window is not clear (a fault plan with a pending stall/crash for this
 // core), which routes exactly the perturbed cores through the gates.
-
-sim::Task<void> put_mpb_to_mpb(scc::Core& self, MpbAddr dst, std::size_t src_line,
-                               std::size_t lines) {
-  require_mpb_range(src_line, lines);
-  require_mpb_range(dst.line, lines);
-  scc::SccChip& chip = self.chip();
-  if (scc::BulkOp* bulk = chip.try_acquire_bulk(self.id(), lines)) {
-    co_await bulk->run(scc::BulkKind::kPutMpbToMpb, chip.config().o_put_mpb, dst.owner,
-                       dst.line, src_line, lines);
+// Both paths fold `sum` at the same point: after the line's read and its
+// on_read observation, before its write.
+sim::Task<void> transfer(scc::Core& self, scc::BulkKind kind,
+                         sim::Duration op_overhead, CoreId mpb_owner,
+                         std::size_t mpb_line, std::size_t local_index,
+                         std::size_t lines, std::uint64_t* sum) {
+  const bool from_mem = kind == scc::BulkKind::kPutMemToMpb;
+  const bool to_mem = kind == scc::BulkKind::kGetMpbToMem;
+  if (from_mem || to_mem) {
+    require_mem_offset(local_index);
+  } else {
+    require_mpb_range(local_index, lines);
+  }
+  require_mpb_range(mpb_line, lines);
+  if (sum != nullptr) *sum = kFnvOffsetBasis;
+  if (scc::BulkOp* bulk = self.chip().try_acquire_bulk(self.id(), lines)) {
+    co_await bulk->run(kind, op_overhead, mpb_owner, mpb_line, local_index,
+                       lines, sum);
     co_return;
   }
-  co_await self.busy(chip.config().o_put_mpb);
+  co_await self.busy(op_overhead);
+  const bool put = kind == scc::BulkKind::kPutMpbToMpb || from_mem;
+  const CoreId src_owner = put ? self.id() : mpb_owner;
+  const CoreId dst_owner = put ? mpb_owner : self.id();
+  const std::size_t src_line = put ? local_index : mpb_line;
+  const std::size_t dst_line = put ? mpb_line : local_index;
   for (std::size_t i = 0; i < lines; ++i) {
     CacheLine cl;
-    co_await self.mpb_read_line(self.id(), src_line + i, cl);
-    co_await self.mpb_write_line(dst.owner, dst.line + i, cl);
+    if (from_mem) {
+      co_await self.mem_read_line(local_index + i * kCacheLineBytes, cl);
+    } else {
+      co_await self.mpb_read_line(src_owner, src_line + i, cl);
+    }
+    if (sum != nullptr) *sum = fold_line(*sum, cl);
+    if (to_mem) {
+      co_await self.mem_write_line(local_index + i * kCacheLineBytes, cl);
+    } else {
+      co_await self.mpb_write_line(dst_owner, dst_line + i, cl);
+    }
   }
+}
+
+}  // namespace
+
+sim::Task<void> put_mpb_to_mpb(scc::Core& self, MpbAddr dst, std::size_t src_line,
+                               std::size_t lines, std::uint64_t* sum) {
+  return transfer(self, scc::BulkKind::kPutMpbToMpb, self.chip().config().o_put_mpb,
+                  dst.owner, dst.line, src_line, lines, sum);
 }
 
 sim::Task<void> put_mem_to_mpb(scc::Core& self, MpbAddr dst, std::size_t src_offset,
-                               std::size_t lines) {
-  require_mem_offset(src_offset);
-  require_mpb_range(dst.line, lines);
-  scc::SccChip& chip = self.chip();
-  if (scc::BulkOp* bulk = chip.try_acquire_bulk(self.id(), lines)) {
-    co_await bulk->run(scc::BulkKind::kPutMemToMpb, chip.config().o_put_mem, dst.owner,
-                       dst.line, src_offset, lines);
-    co_return;
-  }
-  co_await self.busy(chip.config().o_put_mem);
-  for (std::size_t i = 0; i < lines; ++i) {
-    CacheLine cl;
-    co_await self.mem_read_line(src_offset + i * kCacheLineBytes, cl);
-    co_await self.mpb_write_line(dst.owner, dst.line + i, cl);
-  }
+                               std::size_t lines, std::uint64_t* sum) {
+  return transfer(self, scc::BulkKind::kPutMemToMpb, self.chip().config().o_put_mem,
+                  dst.owner, dst.line, src_offset, lines, sum);
 }
 
 sim::Task<void> get_mpb_to_mpb(scc::Core& self, std::size_t dst_line, MpbAddr src,
-                               std::size_t lines) {
-  require_mpb_range(src.line, lines);
-  require_mpb_range(dst_line, lines);
-  scc::SccChip& chip = self.chip();
-  if (scc::BulkOp* bulk = chip.try_acquire_bulk(self.id(), lines)) {
-    co_await bulk->run(scc::BulkKind::kGetMpbToMpb, chip.config().o_get_mpb, src.owner,
-                       src.line, dst_line, lines);
-    co_return;
-  }
-  co_await self.busy(chip.config().o_get_mpb);
-  for (std::size_t i = 0; i < lines; ++i) {
-    CacheLine cl;
-    co_await self.mpb_read_line(src.owner, src.line + i, cl);
-    co_await self.mpb_write_line(self.id(), dst_line + i, cl);
-  }
+                               std::size_t lines, std::uint64_t* sum) {
+  return transfer(self, scc::BulkKind::kGetMpbToMpb, self.chip().config().o_get_mpb,
+                  src.owner, src.line, dst_line, lines, sum);
 }
 
 sim::Task<void> get_mpb_to_mem(scc::Core& self, std::size_t dst_offset, MpbAddr src,
-                               std::size_t lines) {
-  require_mem_offset(dst_offset);
-  require_mpb_range(src.line, lines);
-  scc::SccChip& chip = self.chip();
-  if (scc::BulkOp* bulk = chip.try_acquire_bulk(self.id(), lines)) {
-    co_await bulk->run(scc::BulkKind::kGetMpbToMem, chip.config().o_get_mem, src.owner,
-                       src.line, dst_offset, lines);
-    co_return;
-  }
-  co_await self.busy(chip.config().o_get_mem);
+                               std::size_t lines, std::uint64_t* sum) {
+  return transfer(self, scc::BulkKind::kGetMpbToMem, self.chip().config().o_get_mem,
+                  src.owner, src.line, dst_offset, lines, sum);
+}
+
+std::uint64_t host_checksum_mem(scc::SccChip& chip, CoreId core,
+                                std::size_t offset, std::size_t lines) {
+  std::uint64_t h = kFnvOffsetBasis;
   for (std::size_t i = 0; i < lines; ++i) {
-    CacheLine cl;
-    co_await self.mpb_read_line(src.owner, src.line + i, cl);
-    co_await self.mem_write_line(dst_offset + i * kCacheLineBytes, cl);
+    h = fold_line(h, chip.memory(core).load(offset + i * kCacheLineBytes));
   }
+  return h;
 }
 
 }  // namespace ocb::rma

@@ -71,9 +71,11 @@ BulkOp::Half BulkOp::mem_half(std::size_t offset, bool write) const {
 
 BulkOp::Awaiter BulkOp::run(BulkKind kind, sim::Duration op_overhead,
                             CoreId mpb_owner, std::size_t mpb_line,
-                            std::size_t local_index, std::size_t lines) {
+                            std::size_t local_index, std::size_t lines,
+                            std::uint64_t* sum) {
   op_overhead_ = op_overhead;
   lines_ = lines;
+  sum_ = sum;
   switch (kind) {
     case BulkKind::kPutMpbToMpb:
       half_[0] = mpb_half(id_, local_index, /*write=*/false);
@@ -157,6 +159,7 @@ bool BulkOp::try_quiescent(sim::Time start) {
           chip_->observe_complete_quiescent(
               {TraceOp::kCacheHit, id_, id_, index, begin, t});
         }
+        fold_read();
         if (record) {
           schedule_[line_ * 2 + static_cast<std::size_t>(half_idx_)] = {
               begin, t, t, /*cache_hit=*/true};
@@ -278,6 +281,7 @@ void BulkOp::on_hit() {
     chip_->observe_complete(
         {TraceOp::kCacheHit, id_, id_, index, seg_start_, now});
   }
+  fold_read();
   advance();
 }
 
@@ -314,9 +318,9 @@ void BulkOp::on_complete() {
 }
 
 // Loads/stores and their read/write observations, in the reference's
-// order: MPB read = load, observe; MPB/mem write = observe, store iff the
-// chain commits (mem writes still insert into the cache model either
-// way); mem read = load, observe, insert.
+// order: MPB read = load, observe, fold; MPB/mem write = observe, store
+// iff the chain commits (mem writes still insert into the cache model
+// either way); mem read = load, observe, fold, insert.
 void BulkOp::do_access(sim::Time now, bool quiescent) {
   const Half& h = half_[half_idx_];
   const std::size_t index = h.base + line_ * h.stride;
@@ -339,6 +343,7 @@ void BulkOp::do_access(sim::Time now, bool quiescent) {
           chip_->observe_read(txn, value_);
         }
       }
+      fold_read();
     }
   } else if (h.write) {
     bool commit = true;
@@ -359,6 +364,7 @@ void BulkOp::do_access(sim::Time now, bool quiescent) {
         chip_->observe_read(txn, value_);
       }
     }
+    fold_read();
     if (cache_enabled_) self_->cache().insert(index);
   }
 }

@@ -55,6 +55,12 @@
 //     that need them, and observers that opted out of per-line delivery
 //     get one on_bulk(BulkTxn) carrying the full schedule.
 //
+// Checksums ride along: run()'s optional `sum` folds each source line as
+// this core observed it — after on_read, so injected read corruption is
+// in the fold — at the point the per-line loop folds, in both regimes and
+// on cache hits. FT-OC-Bcast's verified transfers are plain rma/rma.h
+// operations with a `sum`, so its payload coalesces like any other op.
+//
 // The equivalence is asserted by tests/coalescing_equivalence_test.cpp and
 // tests/observer_fastpath_test.cpp, and discussed in DESIGN.md ("Fast-path
 // transaction coalescing", "Observer capability model").
@@ -62,6 +68,7 @@
 
 #include <coroutine>
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "common/types.h"
@@ -121,8 +128,12 @@ class BulkOp {
   /// would produce. `op_overhead` is the per-operation software cost
   /// (o_put_mpb et al.) the per-line path pays via busy(). Caller has
   /// already validated ranges (rma.cpp does) and checked in_flight().
+  /// A non-null `sum` accumulates fold_line over each source line as this
+  /// core observed it (after on_read), in line order, in both regimes —
+  /// the per-line loop's fold point.
   Awaiter run(BulkKind kind, sim::Duration op_overhead, CoreId mpb_owner,
-              std::size_t mpb_line, std::size_t local_index, std::size_t lines);
+              std::size_t mpb_line, std::size_t local_index, std::size_t lines,
+              std::uint64_t* sum = nullptr);
 
   /// True while an op is running on this core's BulkOp. A plain core has at
   /// most one RMA op in flight, but the broadcast service (svc/) multiplexes
@@ -168,6 +179,10 @@ class BulkOp {
   /// dispatching on_read/on_write in the reference order. `quiescent`
   /// selects the closed-form dispatch lists over the full chain.
   void do_access(sim::Time now, bool quiescent);
+  /// Folds the line just read (value_, as observed) into the op's sum.
+  void fold_read() {
+    if (sum_ != nullptr) *sum_ = fold_line(*sum_, value_);
+  }
 
   static void start_tramp(void* op) { static_cast<BulkOp*>(op)->on_start(); }
   static void seg_tramp(void* op) { static_cast<BulkOp*>(op)->on_seg(); }
@@ -214,6 +229,7 @@ class BulkOp {
   sim::Time seg_start_ = 0;  ///< parity chain: current segment's start
   std::coroutine_handle<> cont_{};
   CacheLine value_{};
+  std::uint64_t* sum_ = nullptr;  ///< run()'s `sum`, in the suspended caller
   /// Reference-path timestamps recorded by the closed-form path when an
   /// on_bulk recipient is installed (lines*2 entries, reused across ops).
   std::vector<BulkHalfTimes> schedule_;

@@ -53,6 +53,11 @@ void expect_equivalent(const char* name, int k, std::size_t lines) {
   // (required for exactness — see scc/bulk.h); only quiescent ops collapse
   // events, so never more, sometimes fewer.
   EXPECT_LE(on.events, off.events);
+
+  // The on arm really coalesced, with nothing spilling per-line.
+  EXPECT_GT(on.counters.bulk_ops, 0u);
+  EXPECT_EQ(on.counters.bulk_fallback_ops, 0u);
+  EXPECT_EQ(off.counters.bulk_ops, 0u);
 }
 
 TEST(CoalescingEquivalence, OcBcast) {
@@ -60,7 +65,8 @@ TEST(CoalescingEquivalence, OcBcast) {
 }
 
 TEST(CoalescingEquivalence, FtOcBcastWithoutFaults) {
-  // FT-OC-Bcast with no fault hook installed stays fast-path eligible.
+  // FT-OC-Bcast's checksummed transfers are plain rma/rma.h operations, so
+  // its payload coalesces and its checksums are folded on the fast path.
   expect_equivalent("ft-ocbcast", 7, 130);
 }
 

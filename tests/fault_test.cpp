@@ -17,6 +17,7 @@
 #include "fault/injector.h"
 #include "harness/fault_sweep.h"
 #include "harness/measurement.h"
+#include "noc/topology.h"
 
 namespace ocb {
 namespace {
@@ -261,6 +262,21 @@ TEST(FaultHarness, EveryBuiltinRunsFaultFreeByName) {
     EXPECT_TRUE(out.all_survivors_correct()) << name;
     EXPECT_EQ(out.parties, kNumCores) << name;
     EXPECT_EQ(out.delivered, kNumCores) << name;
+  }
+}
+
+// On a chip larger than the SCC the injector still answers for every core
+// the chip serves: one the plan never names has a clear bulk window.
+TEST(FaultHarness, FaultFreeRunsOnAChipLargerThanTheScc) {
+  for (const char* name : {"ocbcast", "ft-ocbcast"}) {
+    harness::FaultRunSpec spec = base_spec(8 * 1024);
+    spec.algorithm_name = name;
+    spec.config.topology = noc::Topology::mesh(8, 8, 1);
+    spec.params.parties = 0;  // the whole chip
+    const harness::FaultRunOutcome out = run_fault_once(spec);
+    EXPECT_EQ(out.parties, 64) << name;
+    EXPECT_TRUE(out.all_survivors_correct()) << name;
+    EXPECT_EQ(out.delivered, 64) << name;
   }
 }
 

@@ -19,6 +19,7 @@
 
 #include "check/checker.h"
 #include "coll/registry.h"
+#include "core/ft_ocbcast.h"
 #include "fault/injector.h"
 #include "harness/fault_sweep.h"
 #include "harness/measurement.h"
@@ -134,41 +135,165 @@ TEST(ObserverFastpath, TraceJsonBytesAreBitIdentical) {
 }
 
 // --- fault-injected runs ----------------------------------------------------
+//
+// FT-OC-Bcast's payload rides the coalesced path on every core whose bulk
+// window is clear, so each fault kind must leave the whole outcome, race
+// report included, unchanged with the fast path on vs off. Only on == off
+// is asserted: some of these plans fail today (survivors give up, the
+// checker reports races), and a fix may change what they report.
 
-harness::FaultRunSpec fault_spec(bool coalescing) {
+struct NamedPlan {
+  const char* name;
   harness::FaultRunSpec spec;
-  spec.message_bytes = 16 * 1024;
-  spec.plan.seed = 7;
-  spec.plan.rates.mpb_read = 2e-4;
-  spec.plan.rates.mpb_write = 1e-4;
-  spec.plan.stalls.push_back({9, 40 * sim::kMicrosecond, 60 * sim::kMicrosecond});
-  spec.plan.crashes.push_back({17, 30 * sim::kMicrosecond});
-  spec.config.coalescing = coalescing;
+};
+
+harness::FaultRunSpec checked_fault_spec(std::uint64_t seed,
+                                         std::size_t bytes = 64 * 1024) {
+  harness::FaultRunSpec spec;
+  spec.message_bytes = bytes;
+  spec.plan.seed = seed;
   spec.check_races = true;
   return spec;
 }
 
-TEST(ObserverFastpath, FaultOutcomesAreBitIdentical) {
-  const harness::FaultRunOutcome on = run_fault_once(fault_spec(true));
-  const harness::FaultRunOutcome off = run_fault_once(fault_spec(false));
+/// fault_test's envelope: read corruption plus one fail-stop that moves
+/// with the plan seed.
+harness::FaultRunSpec envelope_spec(std::uint64_t seed) {
+  harness::FaultRunSpec spec = checked_fault_spec(seed);
+  spec.plan.rates.mpb_read = 1e-5;
+  spec.plan.crashes.push_back({static_cast<CoreId>(1 + seed % 46),
+                               (5 + 3 * (seed % 15)) * sim::kMicrosecond});
+  return spec;
+}
 
-  EXPECT_EQ(on.drained, off.drained);
-  EXPECT_EQ(on.parties, off.parties);
-  EXPECT_EQ(on.crashed, off.crashed);
-  EXPECT_EQ(on.survivors, off.survivors);
-  EXPECT_EQ(on.correct, off.correct);
-  EXPECT_EQ(on.gave_up, off.gave_up);
-  EXPECT_EQ(on.delivered, off.delivered);
-  EXPECT_EQ(on.stalled_processes, off.stalled_processes);
-  EXPECT_EQ(on.stalled_details, off.stalled_details);
-  EXPECT_DOUBLE_EQ(on.latency_us, off.latency_us);
-  EXPECT_EQ(on.injections.reads_corrupted, off.injections.reads_corrupted);
-  EXPECT_EQ(on.injections.writes_corrupted, off.injections.writes_corrupted);
-  EXPECT_EQ(on.injections.writes_suppressed, off.injections.writes_suppressed);
-  EXPECT_EQ(on.injections.stalls_applied, off.injections.stalls_applied);
-  EXPECT_EQ(on.injections.crashes_applied, off.injections.crashes_applied);
-  EXPECT_EQ(on.race_violations, off.race_violations);
-  EXPECT_EQ(on.race_report, off.race_report);
+harness::FaultRunSpec core13_spec(std::uint64_t seed) {
+  harness::FaultRunSpec spec = checked_fault_spec(seed);
+  spec.plan.rates.mpb_read = 1e-4;
+  spec.plan.crashes.push_back({13, 40 * sim::kMicrosecond});
+  return spec;
+}
+
+std::vector<NamedPlan> fault_plans() {
+  std::vector<NamedPlan> plans;
+  harness::FaultRunSpec spec = checked_fault_spec(3);
+  spec.plan.rates.mpb_read = 1e-3;
+  spec.plan.rates.mem_read = 1e-3;
+  plans.push_back({"read corruption", spec});
+
+  spec = checked_fault_spec(4);
+  spec.plan.rates.mpb_write = 1e-4;
+  plans.push_back({"write corruption", spec});
+
+  spec = checked_fault_spec(21);
+  spec.plan.stuck_lines.push_back({0, 1, 0, 120 * sim::kMicrosecond});
+  plans.push_back({"stuck done line", spec});
+
+  spec = checked_fault_spec(23);
+  spec.plan.stalls.push_back(
+      {9, 10 * sim::kMicrosecond, 100 * sim::kMicrosecond});
+  plans.push_back({"stall", spec});
+
+  spec = checked_fault_spec(31);
+  spec.plan.crashes.push_back({1, 30 * sim::kMicrosecond});
+  plans.push_back({"fail-stop", spec});
+
+  spec = checked_fault_spec(7, 16 * 1024);
+  spec.plan.rates.mpb_read = 2e-4;
+  spec.plan.rates.mpb_write = 1e-4;
+  spec.plan.stalls.push_back({9, 40 * sim::kMicrosecond, 60 * sim::kMicrosecond});
+  spec.plan.crashes.push_back({17, 30 * sim::kMicrosecond});
+  plans.push_back({"combination", spec});
+
+  plans.push_back({"envelope seed 1022", envelope_spec(1022)});
+  plans.push_back({"envelope seed 5011", envelope_spec(5011)});
+  plans.push_back({"envelope seed 15003", envelope_spec(15003)});
+  plans.push_back({"core 13 seed 2", core13_spec(2)});
+  plans.push_back({"core 13 seed 5", core13_spec(5)});
+  return plans;
+}
+
+TEST(ObserverFastpath, FaultOutcomesAreBitIdentical) {
+  for (const NamedPlan& p : fault_plans()) {
+    SCOPED_TRACE(p.name);
+    harness::FaultRunSpec on_spec = p.spec;
+    on_spec.config.coalescing = true;
+    harness::FaultRunSpec off_spec = p.spec;
+    off_spec.config.coalescing = false;
+    const harness::FaultRunOutcome on = run_fault_once(on_spec);
+    const harness::FaultRunOutcome off = run_fault_once(off_spec);
+
+    EXPECT_EQ(on.drained, off.drained);
+    EXPECT_EQ(on.parties, off.parties);
+    EXPECT_EQ(on.crashed, off.crashed);
+    EXPECT_EQ(on.survivors, off.survivors);
+    EXPECT_EQ(on.correct, off.correct);
+    EXPECT_EQ(on.gave_up, off.gave_up);
+    EXPECT_EQ(on.delivered, off.delivered);
+    EXPECT_EQ(on.stalled_processes, off.stalled_processes);
+    EXPECT_EQ(on.stalled_details, off.stalled_details);
+    EXPECT_DOUBLE_EQ(on.latency_us, off.latency_us);
+    EXPECT_LE(on.events, off.events);
+    EXPECT_EQ(on.injections.reads_corrupted, off.injections.reads_corrupted);
+    EXPECT_EQ(on.injections.writes_corrupted, off.injections.writes_corrupted);
+    EXPECT_EQ(on.injections.writes_suppressed,
+              off.injections.writes_suppressed);
+    EXPECT_EQ(on.injections.stalls_applied, off.injections.stalls_applied);
+    EXPECT_EQ(on.injections.crashes_applied, off.injections.crashes_applied);
+    EXPECT_EQ(on.race_violations, off.race_violations);
+    EXPECT_EQ(on.race_report, off.race_report);
+  }
+}
+
+// Per-core delivery reports of one read-corruption run, built by hand so
+// the FT collective's reports are reachable: the checksum fold on the
+// coalesced path must catch corrupted reads exactly as the per-line path
+// does, retry for retry.
+TEST(ObserverFastpath, FtDeliveryReportsAreBitIdentical) {
+  constexpr std::size_t kBytes = 64 * 1024;
+  std::vector<core::DeliveryReport> reports[2];
+  sim::Counters counters[2];
+  for (int arm = 0; arm < 2; ++arm) {
+    scc::SccConfig cfg;
+    cfg.coalescing = arm == 0;
+    scc::SccChip chip(cfg);
+    fault::FaultPlan plan;
+    plan.seed = 5;
+    plan.rates.mpb_read = 1e-3;
+    plan.rates.mem_read = 1e-3;
+    fault::FaultInjector injector(plan);
+    chip.add_observer(&injector);
+    core::FtOcBcast bcast(chip);
+    auto region = chip.memory(0).host_bytes(0, kBytes);
+    for (std::size_t i = 0; i < region.size(); ++i) {
+      region[i] = static_cast<std::byte>(i * 13 + 5);
+    }
+    for (CoreId c = 0; c < kNumCores; ++c) {
+      chip.spawn(c, [&bcast](scc::Core& me) -> sim::Task<void> {
+        co_await bcast.run(me, 0, 0, kBytes);
+      });
+    }
+    const sim::RunResult run = chip.run();
+    EXPECT_TRUE(run.completed());
+    counters[arm] = run.counters;
+    for (CoreId c = 0; c < kNumCores; ++c) reports[arm].push_back(bcast.report(c));
+  }
+  // Every op of the on arm coalesced: the corruption was caught there.
+  EXPECT_GT(counters[0].bulk_ops, 0u);
+  EXPECT_EQ(counters[0].bulk_fallback_ops, 0u);
+  std::uint64_t retries = 0;
+  for (CoreId c = 0; c < kNumCores; ++c) {
+    const core::DeliveryReport& on = reports[0][static_cast<std::size_t>(c)];
+    const core::DeliveryReport& off = reports[1][static_cast<std::size_t>(c)];
+    EXPECT_EQ(on.participated, off.participated) << "core " << c;
+    EXPECT_EQ(on.delivered, off.delivered) << "core " << c;
+    EXPECT_EQ(on.gave_up, off.gave_up) << "core " << c;
+    EXPECT_EQ(on.checksum_retries, off.checksum_retries) << "core " << c;
+    EXPECT_EQ(on.watchdog_timeouts, off.watchdog_timeouts) << "core " << c;
+    EXPECT_EQ(on.reroutes, off.reroutes) << "core " << c;
+    EXPECT_EQ(on.substituted_acks, off.substituted_acks) << "core " << c;
+    retries += on.checksum_retries;
+  }
+  EXPECT_GT(retries, 0u);
 }
 
 // A zero-rate injector (the common "FT run, no faults today" shape) is
@@ -262,6 +387,13 @@ TEST(Counters, CountEachRunsBulkPath) {
   const sim::Counters fallback = stalled.run().counters;
   EXPECT_GT(fallback.bulk_fallback_ops, 0u);
   EXPECT_GE(fallback.bulk_fallback_lines, fallback.bulk_fallback_ops);
+
+  // FT-OC-Bcast's checksummed transfers coalesce like every other op.
+  harness::BcastRunSpec ft = spec;
+  ft.algorithm_name = "ft-ocbcast";
+  const sim::Counters ft_counters = harness::run_broadcast(ft).counters;
+  EXPECT_GT(ft_counters.bulk_ops, 0u);
+  EXPECT_EQ(ft_counters.bulk_fallback_ops, 0u);
 
   harness::BcastRunSpec per_line = spec;
   per_line.config.coalescing = false;

@@ -2,6 +2,10 @@
 // model formulas (7)-(12), bounds, and flags.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "fault/injector.h"
 #include "model/primitives.h"
 #include "rma/flags.h"
 #include "rma/rma.h"
@@ -169,6 +173,194 @@ INSTANTIATE_TEST_SUITE_P(
                       TimingCase{16, 10, 36}, // mid-mesh
                       TimingCase{96, 0, 3},   // a full OC-Bcast chunk
                       TimingCase{1, 13, 13}));  // local MPB, d=1
+
+// --- the checksum output ------------------------------------------------------
+//
+// Every operation folds the lines it read into `sum` at one point — after
+// the read and its on_read observation — on the per-line loop, on BulkOp's
+// closed form (idle chip) and on its parity chain (busy chip). Each op
+// runs twice, so a private-memory source is cache-hit the second time.
+
+enum class SumOp { kPutMpbToMpb, kPutMemToMpb, kGetMpbToMpb, kGetMpbToMem };
+enum class Regime { kPerLine, kClosedForm, kParityChain };
+
+struct SumCase {
+  SumOp op;
+  Regime regime;
+};
+
+constexpr CoreId kActor = 9;
+constexpr CoreId kRemote = 22;
+constexpr CoreId kBystander = 30;
+constexpr std::size_t kSumLines = 8;
+constexpr std::size_t kLanding = 100;  // destination MPB line
+
+sim::Task<void> run_op(scc::Core& me, SumOp op, std::uint64_t* sum) {
+  switch (op) {
+    case SumOp::kPutMpbToMpb:
+      return put_mpb_to_mpb(me, MpbAddr{kRemote, kLanding}, 0, kSumLines, sum);
+    case SumOp::kPutMemToMpb:
+      return put_mem_to_mpb(me, MpbAddr{kRemote, kLanding}, 0, kSumLines, sum);
+    case SumOp::kGetMpbToMpb:
+      return get_mpb_to_mpb(me, kLanding, MpbAddr{kRemote, 0}, kSumLines, sum);
+    case SumOp::kGetMpbToMem:
+      break;
+  }
+  return get_mpb_to_mem(me, 0, MpbAddr{kRemote, 0}, kSumLines, sum);
+}
+
+std::uint64_t mpb_fold(scc::SccChip& chip, CoreId core, std::size_t first) {
+  std::uint64_t h = kFnvOffsetBasis;
+  for (std::size_t i = 0; i < kSumLines; ++i) {
+    h = fold_line(h, chip.mpb(core).load(first + i));
+  }
+  return h;
+}
+
+std::uint64_t source_fold(scc::SccChip& chip, SumOp op) {
+  switch (op) {
+    case SumOp::kPutMpbToMpb:
+      return mpb_fold(chip, kActor, 0);
+    case SumOp::kPutMemToMpb:
+      return host_checksum_mem(chip, kActor, 0, kSumLines);
+    case SumOp::kGetMpbToMpb:
+    case SumOp::kGetMpbToMem:
+      break;
+  }
+  return mpb_fold(chip, kRemote, 0);
+}
+
+std::uint64_t destination_fold(scc::SccChip& chip, SumOp op) {
+  switch (op) {
+    case SumOp::kPutMpbToMpb:
+    case SumOp::kPutMemToMpb:
+      return mpb_fold(chip, kRemote, kLanding);
+    case SumOp::kGetMpbToMpb:
+      return mpb_fold(chip, kActor, kLanding);
+    case SumOp::kGetMpbToMem:
+      break;
+  }
+  return host_checksum_mem(chip, kActor, 0, kSumLines);
+}
+
+struct SumRun {
+  std::uint64_t clean = 0;           // source fold before the run
+  std::vector<std::uint64_t> sums;   // per op
+  std::vector<std::uint64_t> landed; // destination fold after each op
+  std::vector<sim::Time> done;       // each op's completion instant
+  sim::RunResult run;
+};
+
+/// `corrupt_reads` installs an injector flipping a bit in every MPB and
+/// private-memory read the chip makes.
+SumRun run_sum_case(const SumCase& c, bool with_sum, bool corrupt_reads) {
+  scc::SccConfig cfg;
+  cfg.coalescing = c.regime != Regime::kPerLine;
+  scc::SccChip chip(cfg);
+  seed_mpb(chip, kActor, 0, kSumLines, 0x21);
+  seed_mpb(chip, kRemote, 0, kSumLines, 0x63);
+  auto mem = chip.memory(kActor).host_bytes(0, kSumLines * kCacheLineBytes);
+  for (std::size_t i = 0; i < mem.size(); ++i) {
+    mem[i] = static_cast<std::byte>(i * 7 + 1);
+  }
+  fault::FaultPlan plan;
+  plan.rates.mpb_read = 1.0;
+  plan.rates.mem_read = 1.0;
+  fault::FaultInjector injector(plan);
+  if (corrupt_reads) chip.add_observer(&injector);
+
+  SumRun out;
+  out.clean = source_fold(chip, c.op);
+  if (c.regime == Regime::kParityChain) {
+    // One long get keeps the event queue non-empty for the actor's whole
+    // run, contending for the remote MPB's port.
+    chip.spawn(kBystander, [](scc::Core& me) -> sim::Task<void> {
+      co_await get_mpb_to_mpb(me, 0, MpbAddr{kRemote, 0}, 128);
+    });
+  }
+  chip.spawn(kActor, [&](scc::Core& me) -> sim::Task<void> {
+    for (int rep = 0; rep < 2; ++rep) {
+      std::uint64_t sum = 0;
+      co_await run_op(me, c.op, with_sum ? &sum : nullptr);
+      out.sums.push_back(sum);
+      out.landed.push_back(destination_fold(chip, c.op));
+      out.done.push_back(me.now());
+    }
+  });
+  out.run = chip.run();
+  EXPECT_TRUE(out.run.completed());
+  return out;
+}
+
+void expect_regime(const SumRun& r, Regime regime) {
+  const sim::Counters& n = r.run.counters;
+  switch (regime) {
+    case Regime::kPerLine:
+      EXPECT_EQ(n.bulk_ops, 0u);
+      break;
+    case Regime::kClosedForm:
+      EXPECT_EQ(n.bulk_ops, 2u);
+      EXPECT_EQ(n.bulk_quiescent_ops, 2u);
+      break;
+    case Regime::kParityChain:
+      EXPECT_EQ(n.bulk_ops, 3u);  // the actor's two and the bystander's
+      EXPECT_EQ(n.bulk_quiescent_ops, 0u);
+      break;
+  }
+  EXPECT_EQ(n.bulk_fallback_ops, 0u);
+}
+
+class RmaChecksum : public ::testing::TestWithParam<SumCase> {};
+
+TEST_P(RmaChecksum, FoldsTheLinesAsObserved) {
+  const SumCase c = GetParam();
+  const SumRun plain = run_sum_case(c, /*with_sum=*/false, false);
+  const SumRun clean = run_sum_case(c, /*with_sum=*/true, false);
+  const SumRun faulty = run_sum_case(c, /*with_sum=*/true, true);
+  expect_regime(clean, c.regime);
+  expect_regime(faulty, c.regime);
+
+  ASSERT_EQ(clean.sums.size(), 2u);
+  ASSERT_EQ(faulty.sums.size(), 2u);
+  for (std::size_t op = 0; op < 2; ++op) {
+    // Clean: the fold of the bytes the op moved.
+    EXPECT_EQ(clean.sums[op], clean.clean) << "op " << op;
+    EXPECT_EQ(clean.landed[op], clean.clean) << "op " << op;
+    // Every read corrupted: the fold of what the core saw, which is what
+    // landed (writes are clean), not what the source holds.
+    EXPECT_EQ(faulty.sums[op], faulty.landed[op]) << "op " << op;
+    EXPECT_NE(faulty.sums[op], faulty.clean) << "op " << op;
+  }
+
+  // The fold is host arithmetic: no timestamp or event moves.
+  EXPECT_EQ(clean.done, plain.done);
+  EXPECT_EQ(clean.run.end_time, plain.run.end_time);
+  EXPECT_EQ(clean.run.events_processed, plain.run.events_processed);
+}
+
+std::string sum_case_name(const ::testing::TestParamInfo<SumCase>& info) {
+  static const char* const kOps[] = {"PutMpbToMpb", "PutMemToMpb",
+                                     "GetMpbToMpb", "GetMpbToMem"};
+  static const char* const kRegimes[] = {"PerLine", "ClosedForm",
+                                         "ParityChain"};
+  return std::string(kOps[static_cast<int>(info.param.op)]) + "_" +
+         kRegimes[static_cast<int>(info.param.regime)];
+}
+
+std::vector<SumCase> all_sum_cases() {
+  std::vector<SumCase> cases;
+  for (SumOp op : {SumOp::kPutMpbToMpb, SumOp::kPutMemToMpb,
+                   SumOp::kGetMpbToMpb, SumOp::kGetMpbToMem}) {
+    for (Regime regime :
+         {Regime::kPerLine, Regime::kClosedForm, Regime::kParityChain}) {
+      cases.push_back({op, regime});
+    }
+  }
+  return cases;
+}
+
+INSTANTIATE_TEST_SUITE_P(OpsAndRegimes, RmaChecksum,
+                         ::testing::ValuesIn(all_sum_cases()), sum_case_name);
 
 // --- bounds ----------------------------------------------------------------
 
