@@ -86,7 +86,7 @@ Outcome run_variant(Variant variant) {
             const rma::FlagValue want = static_cast<rma::FlagValue>(r) + 1;
             for (;;) {
               const rma::FlagValue v = co_await rma::read_flag(
-                  me, rma::MpbAddr{me.id(), bcast.notify_line()});
+                  me, rma::MpbAddr{me.id(), bcast.layout().notify_line()});
               if (v >= want) break;
               co_await me.busy(kQuantum);
               ++quanta;

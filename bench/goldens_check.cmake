@@ -39,6 +39,8 @@ produce(COMMAND "${BENCH_DIR}/bench_table1_params")
 produce(COMMAND "${BENCH_DIR}/bench_fig4_contention")
 produce(COMMAND "${BENCH_DIR}/bench_whatif_scaling")
 produce(COMMAND "${BENCH_DIR}/bench_fault_overhead")
+produce(COMMAND "${BENCH_DIR}/bench_ablation_design")
+produce(COMMAND "${BENCH_DIR}/bench_extension_collectives")
 produce(COMMAND "${EXAMPLES_DIR}/trace_timeline"
   STDOUT trace_timeline.stdout)
 produce(COMMAND "${EXAMPLES_DIR}/topology_explorer"
@@ -58,7 +60,10 @@ foreach(golden
     fault_overhead.csv
     trace_timeline.stdout
     trace_timeline.trace.json
-    topology_explorer.stdout)
+    topology_explorer.stdout
+    ablation_design.csv
+    extension_reduce.csv
+    extension_ossag.csv)
   execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
       "${WORK_DIR}/results/${golden}" "${SOURCE_DIR}/results/${golden}"
     RESULT_VARIABLE rc)

@@ -1,6 +1,8 @@
 #include "check/checker.h"
 
 #include <algorithm>
+#include <cstdlib>
+#include <cstring>
 #include <sstream>
 
 #include "scc/chip.h"
@@ -299,6 +301,11 @@ void RaceChecker::add_flows_to(scc::JsonTraceCollector& trace) const {
     trace.add_flow({name.str(), v.first_core, v.first_time, v.second_core,
                     v.second_time});
   }
+}
+
+bool requested_by_env() {
+  const char* v = std::getenv("OCB_CHECK");
+  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
 }
 
 }  // namespace ocb::check

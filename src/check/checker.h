@@ -229,4 +229,9 @@ class RaceChecker final : public scc::TransactionObserver {
   std::uint64_t next_seq_ = 0;
 };
 
+/// True when the OCB_CHECK environment variable asks for checked runs: set,
+/// non-empty and not "0". The harness and the service then install a
+/// RaceChecker on their chips.
+bool requested_by_env();
+
 }  // namespace ocb::check

@@ -35,18 +35,20 @@ struct Params {
   int parties = kNumCores;
   /// Tree fan-out (OC-Bcast family).
   int k = 7;
-  /// Fan-out of the relay tree over die leaders ("hier-ocbcast" only).
+  /// Fan-out of the relay tree over die leaders ("hier-ocbcast" only; it
+  /// adds die_k done lines to the layout).
   int die_k = 4;
   /// M_oc, the pipelining chunk (OC-Bcast family).
   std::size_t chunk_lines = 96;
   /// §4.2; off = one buffer of chunk_lines (ablation).
   bool double_buffering = true;
-  /// §5.4: leaves get straight into private memory ("ocbcast" only;
-  /// "ft-ocbcast" always does this).
+  /// §5.4: leaves get straight into private memory ("ocbcast" and
+  /// "hier-ocbcast", which share one chunk loop; "ft-ocbcast" always does
+  /// this).
   bool leaf_direct_to_memory = false;
   /// Ablation of the binary notification tree: the parent sets all k
   /// children's notifyFlags itself, sequentially (what §4.1 argues
-  /// against). "ocbcast" only.
+  /// against). "ocbcast" only; "hier-ocbcast" always notifies this way.
   bool sequential_notification = false;
   /// First MPB line of the instance's layout. The broadcast service leases
   /// disjoint line ranges (mem/mpb_slots.h) so concurrent collectives never

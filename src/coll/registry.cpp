@@ -6,7 +6,6 @@
 #include "common/require.h"
 #include "core/binomial.h"
 #include "core/ft_ocbcast.h"
-#include "core/hier_bcast.h"
 #include "core/ocbcast.h"
 #include "core/onesided_sag.h"
 #include "core/scatter_allgather.h"
@@ -35,7 +34,8 @@ std::map<std::string, Factory>& table() {
       return std::make_unique<core::OneSidedScatterAllgather>(chip, p);
     };
     m["hier-ocbcast"] = [](scc::SccChip& chip, const Params& p) {
-      return std::make_unique<core::HierarchicalBcast>(chip, p);
+      return std::make_unique<core::OcBcast>(chip, p,
+                                             core::OcBcast::Tree::kDieAware);
     };
     m["ft-ocbcast"] = [](scc::SccChip& chip, const Params& p) {
       return std::make_unique<core::FtOcBcast>(chip, p);

@@ -1,5 +1,7 @@
 #include "common/rng.h"
 
+#include <cstring>
+
 namespace ocb {
 
 namespace {
@@ -45,6 +47,19 @@ std::uint64_t Xoshiro256::next_below(std::uint64_t bound) {
 double Xoshiro256::next_double() {
   // 53 top bits -> [0,1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
+}
+
+void fill_pattern(std::span<std::byte> region, std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  std::size_t i = 0;
+  while (i + 8 <= region.size()) {
+    const std::uint64_t v = rng.next();
+    std::memcpy(region.data() + i, &v, 8);
+    i += 8;
+  }
+  for (; i < region.size(); ++i) {
+    region[i] = static_cast<std::byte>(rng.next() & 0xff);
+  }
 }
 
 }  // namespace ocb

@@ -6,7 +6,9 @@
 // xoshiro256** for the stream (public-domain algorithms by Blackman/Vigna).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 
 namespace ocb {
 
@@ -50,5 +52,10 @@ class Xoshiro256 {
  private:
   std::uint64_t s_[4];
 };
+
+/// Fills `region` with the seeded payload pattern of the harness, the fault
+/// sweeps and the service: one xoshiro256** draw per 8 bytes (host byte
+/// order), then one draw per tail byte.
+void fill_pattern(std::span<std::byte> region, std::uint64_t seed);
 
 }  // namespace ocb

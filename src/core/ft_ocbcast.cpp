@@ -24,39 +24,29 @@ constexpr int kGetRetries = 3;
 /// Total detect+fetch attempts per chunk before a core gives up.
 constexpr int kMaxChunkAttempts = 64;
 
+TreeLayout checked_layout(const scc::SccChip& chip, const coll::Params& p) {
+  OCB_REQUIRE(p.parties >= 2 && p.parties <= chip.topology().num_cores(),
+              "party count out of range");
+  OCB_REQUIRE(p.k >= 1 && p.k <= p.parties - 1,
+              "fan-out must be in [1, parties-1]");
+  OCB_REQUIRE(p.chunk_lines >= 1, "chunk must be at least one line");
+  const TreeLayout layout = TreeLayout::of(p, p.k, /*staged=*/true);
+  OCB_REQUIRE(layout.fits(),
+              "FT-OC-Bcast layout (flags + staged + buffers + fence) exceeds "
+              "the 256-line MPB");
+  return layout;
+}
+
 }  // namespace
 
 FtOcBcast::FtOcBcast(scc::SccChip& chip, const coll::Params& params)
     : chip_(&chip),
       params_(params),
-      buffer_count_(params.double_buffering ? 2 : 1),
-      fence_(chip,
-             [&] {
-               OCB_REQUIRE(params.parties >= 2 &&
-                               params.parties <= chip.topology().num_cores(),
-                           "party count out of range");
-               OCB_REQUIRE(params.k >= 1 && params.k <= params.parties - 1,
-                           "fan-out must be in [1, parties-1]");
-               OCB_REQUIRE(params.chunk_lines >= 1,
-                           "chunk must be at least one line");
-               const std::size_t buffers = params.double_buffering ? 2 : 1;
-               const std::size_t fence_base =
-                   params.mpb_base_line + 1 + static_cast<std::size_t>(params.k) +
-                   buffers + buffers * params.chunk_lines;
-               OCB_REQUIRE(fence_base <= kMpbCacheLines,
-                           "FT-OC-Bcast layout exceeds the 256-line MPB");
-               return fence_base;
-             }(),
-             params.parties) {
+      layout_(checked_layout(chip, params)),
+      calls_(chip, layout_.fence_line(), params.parties) {
   const auto n = static_cast<std::size_t>(chip.topology().num_cores());
-  chunks_so_far_.assign(n, 0);
-  last_root_.assign(n, -1);
   reports_.assign(n, DeliveryReport{});
   presumed_dead_.assign(n, std::vector<bool>(n, false));
-  const std::size_t end = params_.mpb_base_line + layout_lines();
-  OCB_REQUIRE(end <= kMpbCacheLines,
-              "FT-OC-Bcast layout (flags + staged + buffers + fence) exceeds "
-              "the 256-line MPB");
 }
 
 std::string FtOcBcast::name() const {
@@ -64,33 +54,6 @@ std::string FtOcBcast::name() const {
   os << "ft-oc-bcast k=" << params_.k;
   if (!params_.double_buffering) os << " single-buffer";
   return os.str();
-}
-
-std::size_t FtOcBcast::done_line(int child_slot) const {
-  OCB_REQUIRE(child_slot >= 0 && child_slot < params_.k, "child slot out of range");
-  return params_.mpb_base_line + 1 + static_cast<std::size_t>(child_slot);
-}
-
-std::size_t FtOcBcast::staged_line(std::uint64_t parity) const {
-  OCB_REQUIRE(parity < buffer_count_, "buffer parity out of range");
-  return params_.mpb_base_line + 1 + static_cast<std::size_t>(params_.k) + parity;
-}
-
-std::size_t FtOcBcast::buffer_line(std::uint64_t parity) const {
-  OCB_REQUIRE(parity < buffer_count_, "buffer parity out of range");
-  return params_.mpb_base_line + 1 + static_cast<std::size_t>(params_.k) +
-         buffer_count_ + parity * params_.chunk_lines;
-}
-
-std::size_t FtOcBcast::fence_line() const {
-  return params_.mpb_base_line + 1 + static_cast<std::size_t>(params_.k) +
-         buffer_count_ + buffer_count_ * params_.chunk_lines;
-}
-
-std::size_t FtOcBcast::layout_lines() const {
-  return 1 + static_cast<std::size_t>(params_.k) + buffer_count_ +
-         buffer_count_ * params_.chunk_lines +
-         static_cast<std::size_t>(fence_.rounds());
 }
 
 namespace {
@@ -132,7 +95,7 @@ sim::Task<void> FtOcBcast::write_staged_reliable(scc::Core& self,
                                                  std::uint64_t seq,
                                                  std::uint64_t sum) {
   const CacheLine want = encode_staged(seq, sum);
-  const std::size_t line = staged_line(parity);
+  const std::size_t line = layout_.staged_line(parity);
   co_await self.busy(self.chip().config().o_put_mpb);
   sim::Duration backoff = kWatchdog.write_backoff;
   for (int attempt = 0;; ++attempt) {
@@ -160,7 +123,7 @@ sim::Task<void> FtOcBcast::wait_children_done(scc::Core& self,
   for (std::size_t j = 0; j < children.size(); ++j) {
     const CoreId cj = children[j];
     if (!dead[static_cast<std::size_t>(cj)]) {
-      const rma::MpbAddr flag{me, done_line(static_cast<int>(j))};
+      const rma::MpbAddr flag{me, layout_.done_line(static_cast<int>(j))};
       int probes = 0;
       for (;;) {
         const std::optional<rma::FlagValue> v =
@@ -184,7 +147,7 @@ sim::Task<void> FtOcBcast::wait_children_done(scc::Core& self,
     for (std::size_t g = 0; g < grandchildren.size(); ++g) {
       const CoreId gc = grandchildren[g];
       if (dead[static_cast<std::size_t>(gc)]) continue;
-      const rma::MpbAddr flag{cj, done_line(static_cast<int>(g))};
+      const rma::MpbAddr flag{cj, layout_.done_line(static_cast<int>(g))};
       int probes = 0;
       for (;;) {
         const std::optional<rma::FlagValue> v =
@@ -223,7 +186,8 @@ sim::Task<void> FtOcBcast::root_chunk(scc::Core& self, const KaryTree& tree,
   int tries = 0;
   for (;;) {
     co_await rma::put_mem_to_mpb(
-        self, rma::MpbAddr{self.id(), buffer_line(parity)}, mem_off, lines, &sum);
+        self, rma::MpbAddr{self.id(), layout_.buffer_line(parity)}, mem_off,
+        lines, &sum);
     if (sum == expected) break;
     ++rep.checksum_retries;
     ++tries;
@@ -233,9 +197,9 @@ sim::Task<void> FtOcBcast::root_chunk(scc::Core& self, const KaryTree& tree,
   }
   co_await write_staged_reliable(self, parity, seq, sum);
   for (CoreId target : own) {
-    co_await rma::set_flag_reliable(self, rma::MpbAddr{target, notify_line()},
-                                    seq, kWatchdog,
-                                    [seq](rma::FlagValue v) { return v >= seq; });
+    co_await rma::set_flag_reliable(
+        self, rma::MpbAddr{target, layout_.notify_line()}, seq, kWatchdog,
+        [seq](rma::FlagValue v) { return v >= seq; });
   }
 }
 
@@ -250,6 +214,8 @@ sim::Task<bool> FtOcBcast::follower_chunk(
   const CoreId parent = tree.parent_of(me);
   const int my_slot = tree.child_position(me) - 1;
   const bool is_leaf = children.empty();
+  const std::size_t staged = layout_.staged_line(parity);
+  const std::size_t buffer = layout_.buffer_line(parity);
 
   // Current data source: static parent, walked toward the root past any
   // peer this core has already presumed dead.
@@ -263,7 +229,7 @@ sim::Task<bool> FtOcBcast::follower_chunk(
   if (use_notify) {
     const std::optional<rma::FlagValue> hint =
         co_await rma::wait_flag_at_least_watchdog(
-            self, rma::MpbAddr{me, notify_line()}, seq,
+            self, rma::MpbAddr{me, layout_.notify_line()}, seq,
             kWatchdog.timeout);
     if (!hint.has_value()) {
       ++rep.watchdog_timeouts;
@@ -272,7 +238,8 @@ sim::Task<bool> FtOcBcast::follower_chunk(
   }
   // Keep the notification tree flowing regardless (hint-only for receivers).
   for (CoreId target : forward) {
-    co_await rma::set_flag(self, rma::MpbAddr{target, notify_line()}, seq);
+    co_await rma::set_flag(self, rma::MpbAddr{target, layout_.notify_line()},
+                           seq);
   }
 
   int attempts = 0;
@@ -284,25 +251,22 @@ sim::Task<bool> FtOcBcast::follower_chunk(
     // --- Detect: poll the source's staged line for this parity ----------
     Staged st;
     {
-      rma::note_flag_wait(self, rma::MpbAddr{source, staged_line(parity)});
+      rma::note_flag_wait(self, rma::MpbAddr{source, staged});
       int probes = 0;
       bool detected = false;
       while (!detected) {
         std::uint64_t epoch = 0;
         CacheLine sl;
-        co_await self.mpb_read_line(source, staged_line(parity), sl, &epoch);
+        co_await self.mpb_read_line(source, staged, sl, &epoch);
         st = decode_staged(sl);
         if (st.valid && st.seq >= seq) {
-          rma::note_flag_acquire(self, rma::MpbAddr{source, staged_line(parity)},
-                                 st.seq);
+          rma::note_flag_acquire(self, rma::MpbAddr{source, staged}, st.seq);
           detected = true;
           break;
         }
-        self.set_wait_note("staged-wait", source,
-                           static_cast<int>(staged_line(parity)));
+        self.set_wait_note("staged-wait", source, static_cast<int>(staged));
         // Trigger reference taken after the read (see rma::wait_flag).
-        sim::Trigger& trig =
-            self.chip().mpb(source).line_trigger(staged_line(parity));
+        sim::Trigger& trig = self.chip().mpb(source).line_trigger(staged);
         const bool woken =
             co_await trig.wait_for(kWatchdog.timeout, epoch);
         self.set_wait_note("running");
@@ -353,8 +317,8 @@ sim::Task<bool> FtOcBcast::follower_chunk(
     if (is_leaf) {
       if (rerouted) rma::note_optimistic_begin(self);
       std::uint64_t got = 0;
-      co_await rma::get_mpb_to_mem(
-          self, mem_off, rma::MpbAddr{source, buffer_line(parity)}, lines, &got);
+      co_await rma::get_mpb_to_mem(self, mem_off, rma::MpbAddr{source, buffer},
+                                   lines, &got);
       if (rerouted) rma::note_optimistic_end(self);
       // Leaves land straight in private memory (§5.4): half the line
       // transactions, and the checksum covers the whole observed path.
@@ -367,8 +331,7 @@ sim::Task<bool> FtOcBcast::follower_chunk(
       co_await wait_children_done(self, tree, children, reuse_min);
       if (rerouted) rma::note_optimistic_begin(self);
       std::uint64_t got = 0;
-      co_await rma::get_mpb_to_mpb(self, buffer_line(parity),
-                                   rma::MpbAddr{source, buffer_line(parity)},
+      co_await rma::get_mpb_to_mpb(self, buffer, rma::MpbAddr{source, buffer},
                                    lines, &got);
       if (rerouted) rma::note_optimistic_end(self);
       if (got != st.sum) {
@@ -383,12 +346,12 @@ sim::Task<bool> FtOcBcast::follower_chunk(
 
     // --- Ack (into the static parent's MPB, alive or not) ---------------
     co_await rma::set_checked_flag_reliable(
-        self, rma::MpbAddr{parent, done_line(my_slot)}, seq, kWatchdog);
+        self, rma::MpbAddr{parent, layout_.done_line(my_slot)}, seq, kWatchdog);
 
     if (!is_leaf) {
       for (CoreId target : own) {
         co_await rma::set_flag_reliable(
-            self, rma::MpbAddr{target, notify_line()}, seq, kWatchdog,
+            self, rma::MpbAddr{target, layout_.notify_line()}, seq, kWatchdog,
             [seq](rma::FlagValue v) { return v >= seq; });
       }
       // Land the chunk from the own buffer, verified against the checksum
@@ -397,8 +360,8 @@ sim::Task<bool> FtOcBcast::follower_chunk(
       int tries = 0;
       for (;;) {
         std::uint64_t landed = 0;
-        co_await rma::get_mpb_to_mem(
-            self, mem_off, rma::MpbAddr{me, buffer_line(parity)}, lines, &landed);
+        co_await rma::get_mpb_to_mem(self, mem_off, rma::MpbAddr{me, buffer},
+                                     lines, &landed);
         if (landed == st.sum) break;
         ++rep.checksum_retries;
         ++tries;
@@ -427,30 +390,26 @@ sim::Task<void> FtOcBcast::run(scc::Core& self, CoreId root, std::size_t offset,
   const std::size_t m_lines = cache_lines_for(bytes);
   const std::size_t chunk = params_.chunk_lines;
   const std::size_t n_chunks = (m_lines + chunk - 1) / chunk;
-  const std::uint64_t base = chunks_so_far_[static_cast<std::size_t>(me)];
-  chunks_so_far_[static_cast<std::size_t>(me)] += n_chunks;
+  const std::uint64_t base = calls_.claim(me, n_chunks);
 
   DeliveryReport& rep = reports_[static_cast<std::size_t>(me)];
   rep.participated = true;
 
-  // Root-change fence, exactly as in OcBcast (the fence itself is not
-  // fault-tolerant; root rotation requires a fault-free interlude, see
-  // docs/PROTOCOLS.md).
-  const CoreId prev_root = last_root_[static_cast<std::size_t>(me)];
-  last_root_[static_cast<std::size_t>(me)] = root;
-  if (prev_root != -1 && prev_root != root) {
-    co_await fence_.wait(self);
-  }
+  // The family's root-change fence (core/pipeline.h). The fence itself is
+  // not fault-tolerant; root rotation requires a fault-free interlude, see
+  // docs/PROTOCOLS.md.
+  if (calls_.root_changed(me, root)) co_await calls_.fence(self);
 
   bool use_notify = me != root;
+  const std::size_t buffers = layout_.buffers;
 
   for (std::size_t c = 0; c < n_chunks; ++c) {
     const std::uint64_t seq = base + c + 1;
-    const std::uint64_t parity = (base + c) % buffer_count_;
+    const std::uint64_t parity = (base + c) % buffers;
     const std::size_t lines =
         c + 1 < n_chunks ? chunk : m_lines - (n_chunks - 1) * chunk;
     const std::size_t mem_off = offset + c * chunk * kCacheLineBytes;
-    const std::uint64_t reuse_min = c >= buffer_count_ ? seq - buffer_count_ : 0;
+    const std::uint64_t reuse_min = c >= buffers ? seq - buffers : 0;
 
     if (me == root) {
       self.set_stage("ft-oc-bcast:root");

@@ -37,15 +37,9 @@
 // retries gives up and reports it (DeliveryReport::gave_up) instead of
 // wedging the survivors.
 //
-// MPB layout per core (base b, fan-out k, B buffers of m lines):
-//
-//   b+0                      notifyFlag (sequence hint)
-//   b+1      .. b+k          doneFlag[k]
-//   b+k+1    .. b+k+B        staged line per buffer: (seq, checksum)
-//   b+k+B+1  .. +B*m         buffer 0 [, buffer 1]
-//   then                     fence barrier lines (root changes)
-//
-// Defaults (k=7, B=2, m=96): 208 of 256 lines.
+// MPB layout: the family's (core/pipeline.h) with D = k done slots and a
+// staged line per buffer — (chunk sequence, checksum) — ahead of the
+// buffers. Defaults (k=7, B=2, m=96): 208 of 256 lines.
 #pragma once
 
 #include <algorithm>
@@ -53,8 +47,8 @@
 #include <vector>
 
 #include "coll/collective.h"
+#include "core/pipeline.h"
 #include "core/tree.h"
-#include "rma/barrier.h"
 #include "rma/reliable.h"
 #include "scc/chip.h"
 
@@ -90,13 +84,8 @@ class FtOcBcast final : public coll::Collective {
     std::fill(reports_.begin(), reports_.end(), DeliveryReport{});
   }
 
-  // MPB layout (exposed for tests).
-  std::size_t notify_line() const { return params_.mpb_base_line; }
-  std::size_t done_line(int child_slot) const;
-  std::size_t staged_line(std::uint64_t parity) const;
-  std::size_t buffer_line(std::uint64_t parity) const;
-  std::size_t fence_line() const;
-  std::size_t layout_lines() const;
+  /// MPB layout: D = k done slots plus a staged line per buffer.
+  const TreeLayout& layout() const { return layout_; }
 
  private:
   struct Staged {
@@ -139,10 +128,8 @@ class FtOcBcast final : public coll::Collective {
 
   scc::SccChip* chip_;
   coll::Params params_;
-  std::size_t buffer_count_;
-  rma::FlagBarrier fence_;
-  std::vector<std::uint64_t> chunks_so_far_;
-  std::vector<CoreId> last_root_;
+  TreeLayout layout_;
+  CallSequence calls_;
   std::vector<DeliveryReport> reports_;
   /// presumed_dead_[viewer][peer]: viewer's local suspicion; never shared
   /// (each core routes around failures on its own evidence).

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/require.h"
+#include "rma/flags.h"
 
 namespace ocb::core {
 
@@ -41,47 +42,24 @@ const char* reduce_op_name(ReduceOp op) {
 OcReduce::OcReduce(scc::SccChip& chip, OcReduceOptions options)
     : chip_(&chip),
       options_(options),
-      fence_(chip,
-             [&] {
-               OCB_REQUIRE(options.parties >= 2 &&
-                               options.parties <= chip.topology().num_cores(),
-                           "party count out of range");
-               OCB_REQUIRE(options.k >= 1 && options.k <= options.parties - 1,
-                           "fan-out must be in [1, parties-1]");
-               OCB_REQUIRE(options.chunk_lines >= 1,
-                           "chunk must be at least one line");
-               const std::size_t fence_base =
-                   options.mpb_base_line + 1 + static_cast<std::size_t>(options.k) +
-                   2 * options.chunk_lines;
-               OCB_REQUIRE(
-                   fence_base <= kMpbCacheLines,
-                   "OC-Reduce layout (k+1 flags + buffers) exceeds the 256-line MPB");
-               return fence_base;
-             }(),
-             options.parties) {
-  const auto n = static_cast<std::size_t>(chip.topology().num_cores());
-  chunks_so_far_.assign(n, 0);
-  last_root_.assign(n, -1);
-  OCB_REQUIRE(options_.mpb_base_line + layout_lines() <= kMpbCacheLines,
-              "OC-Reduce layout (k+1 flags + buffers + fence) exceeds the "
-              "256-line MPB");
-}
-
-std::size_t OcReduce::layout_lines() const {
-  return 1 + static_cast<std::size_t>(options_.k) + 2 * options_.chunk_lines +
-         static_cast<std::size_t>(fence_.rounds());
-}
-
-std::size_t OcReduce::ready_line(int child_slot) const {
-  OCB_REQUIRE(child_slot >= 0 && child_slot < options_.k, "child slot out of range");
-  return options_.mpb_base_line + 1 + static_cast<std::size_t>(child_slot);
-}
-
-std::size_t OcReduce::buffer_line(std::uint64_t parity) const {
-  OCB_REQUIRE(parity < 2, "buffer parity out of range");
-  return options_.mpb_base_line + 1 + static_cast<std::size_t>(options_.k) +
-         parity * options_.chunk_lines;
-}
+      layout_([&] {
+        OCB_REQUIRE(options.parties >= 2 &&
+                        options.parties <= chip.topology().num_cores(),
+                    "party count out of range");
+        OCB_REQUIRE(options.k >= 1 && options.k <= options.parties - 1,
+                    "fan-out must be in [1, parties-1]");
+        OCB_REQUIRE(options.chunk_lines >= 1, "chunk must be at least one line");
+        const TreeLayout layout{
+            .base = options.mpb_base_line,
+            .done_slots = options.k,
+            .chunk_lines = options.chunk_lines,
+            .fence_rounds = rma::FlagBarrier::rounds_for(options.parties)};
+        OCB_REQUIRE(layout.fits(),
+                    "OC-Reduce layout (k+1 flags + buffers + fence) exceeds "
+                    "the 256-line MPB");
+        return layout;
+      }()),
+      calls_(chip, layout_.fence_line(), options.parties) {}
 
 sim::Task<void> OcReduce::run(scc::Core& self, CoreId root, std::size_t in_offset,
                               std::size_t out_offset, std::size_t count,
@@ -100,17 +78,10 @@ sim::Task<void> OcReduce::run(scc::Core& self, CoreId root, std::size_t in_offse
 
   const std::size_t chunk_elems = options_.chunk_lines * kDoublesPerLine;
   const std::size_t n_chunks = (count + chunk_elems - 1) / chunk_elems;
-  const std::uint64_t base = chunks_so_far_[static_cast<std::size_t>(me)];
-  chunks_so_far_[static_cast<std::size_t>(me)] += n_chunks;
-
-  // Fence on a root change: the tree (and hence every flag line's writer)
-  // changes, and a straggler must not mistake this call's flags for its
-  // previous call's (see ocbcast.h; same hazard, mirrored).
-  const CoreId prev_root = last_root_[static_cast<std::size_t>(me)];
-  last_root_[static_cast<std::size_t>(me)] = root;
-  if (prev_root != -1 && prev_root != root) {
-    co_await fence_.wait(self);
-  }
+  const std::uint64_t base = calls_.claim(me, n_chunks);
+  // Fence on a root change (core/pipeline.h; same hazard, mirrored).
+  if (calls_.root_changed(me, root)) co_await calls_.fence(self);
+  const std::size_t consumed = layout_.notify_line();
 
   std::vector<double> acc(chunk_elems);
   std::vector<double> incoming(kDoublesPerLine);
@@ -118,6 +89,7 @@ sim::Task<void> OcReduce::run(scc::Core& self, CoreId root, std::size_t in_offse
   for (std::size_t c = 0; c < n_chunks; ++c) {
     const std::uint64_t seq = base + c + 1;
     const std::uint64_t parity = (base + c) % 2;
+    const std::size_t buffer = layout_.buffer_line(parity);
     const std::size_t elems = std::min(chunk_elems, count - c * chunk_elems);
     const std::size_t lines = (elems + kDoublesPerLine - 1) / kDoublesPerLine;
     const std::size_t chunk_byte0 = c * options_.chunk_lines * kCacheLineBytes;
@@ -137,10 +109,10 @@ sim::Task<void> OcReduce::run(scc::Core& self, CoreId root, std::size_t in_offse
     for (std::size_t j = 0; j < children.size(); ++j) {
       const CoreId child = children[j];
       co_await rma::wait_flag_at_least(
-          self, rma::MpbAddr{me, ready_line(static_cast<int>(j))}, seq);
+          self, rma::MpbAddr{me, layout_.done_line(static_cast<int>(j))}, seq);
       for (std::size_t i = 0; i < lines; ++i) {
         CacheLine cl;
-        co_await self.mpb_read_line(child, buffer_line(parity) + i, cl);
+        co_await self.mpb_read_line(child, buffer + i, cl);
         std::memcpy(incoming.data(), cl.bytes.data(), kCacheLineBytes);
         const std::size_t first = i * kDoublesPerLine;
         const std::size_t n = std::min(kDoublesPerLine, elems - std::min(elems, first));
@@ -148,7 +120,7 @@ sim::Task<void> OcReduce::run(scc::Core& self, CoreId root, std::size_t in_offse
           acc[first + e] = combine(op, acc[first + e], incoming[e]);
         }
       }
-      co_await rma::set_flag(self, rma::MpbAddr{child, consumed_line()}, seq);
+      co_await rma::set_flag(self, rma::MpbAddr{child, consumed}, seq);
     }
     if (!children.empty()) {
       co_await self.busy(static_cast<sim::Duration>(children.size()) *
@@ -173,20 +145,19 @@ sim::Task<void> OcReduce::run(scc::Core& self, CoreId root, std::size_t in_offse
     // already proved the buffers free).
     self.set_stage("oc-reduce:stage");
     const std::uint64_t reuse_min = c >= 2 ? seq - 2 : 0;
-    co_await rma::wait_flag_at_least(self, rma::MpbAddr{me, consumed_line()},
-                                     reuse_min);
+    co_await rma::wait_flag_at_least(self, rma::MpbAddr{me, consumed}, reuse_min);
     for (std::size_t i = 0; i < lines; ++i) {
       CacheLine cl;
       std::memcpy(cl.bytes.data(), acc.data() + i * kDoublesPerLine, kCacheLineBytes);
-      co_await self.mpb_write_line(me, buffer_line(parity) + i, cl);
+      co_await self.mpb_write_line(me, buffer + i, cl);
     }
-    co_await rma::set_flag(self, rma::MpbAddr{parent, ready_line(my_slot)}, seq);
+    co_await rma::set_flag(self, rma::MpbAddr{parent, layout_.done_line(my_slot)}, seq);
   }
 
   // Free-MPB guarantee: the parent has consumed every staged chunk before
   // this call returns (mirrors OcBcast's end-wait).
   if (me != root) {
-    co_await rma::wait_flag_at_least(self, rma::MpbAddr{me, consumed_line()},
+    co_await rma::wait_flag_at_least(self, rma::MpbAddr{me, consumed},
                                      base + n_chunks);
   }
 }
@@ -206,9 +177,8 @@ OcAllreduce::OcAllreduce(scc::SccChip& chip, OcAllreduceOptions options)
              {.parties = options.parties,
               .k = options.bcast_k,
               .chunk_lines = options.chunk_lines,
-              // The reduce layout occupies [0, 1 + reduce_k + 2*chunk + fence).
-              .mpb_base_line = 1 + static_cast<std::size_t>(options.reduce_k) +
-                               2 * options.chunk_lines + 6}) {}
+              // The reduce layout starts at line 0.
+              .mpb_base_line = reduce_.layout().lines()}) {}
 
 sim::Task<void> OcAllreduce::run(scc::Core& self, std::size_t in_offset,
                                  std::size_t out_offset, std::size_t count,

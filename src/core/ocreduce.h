@@ -14,19 +14,12 @@
 //     seq is staged" — the parent polls locally;
 //   * consumedFlag (1 line, child's MPB, written by the parent): "I have
 //     read your chunk seq" — gates the child's buffer reuse.
-// Values are absolute chunk sequence numbers, monotone across calls, so
-// back-to-back reductions and changing roots are safe for the same reason
-// as in OcBcast.
+// Values are absolute chunk sequence numbers, monotone across calls, and a
+// ROOT change fences exactly as in OC-Bcast (core/pipeline.h).
 //
-// MPB layout per core (same footprint as OC-Bcast):
-//   line 0          consumedFlag
-//   lines 1..k      readyFlag[j]
-//   lines k+1..     buffer 0, buffer 1 (chunk_lines each)
-//   then            fence barrier flags (dissemination rounds)
-//
-// Like OcBcast, a ROOT change reassigns flag-line writers, so run()
-// fences with an internal dissemination barrier when the root differs
-// from the previous call's.
+// MPB layout: the family's (core/pipeline.h) with D = k and B = 2, the same
+// footprint as OC-Bcast; the notify line carries consumedFlag and done
+// slot j carries child j's readyFlag.
 //
 // Elements are doubles; the arithmetic happens host-side at full precision
 // while each merge is charged as compute time per element. A parent's cost
@@ -38,9 +31,7 @@
 #include <array>
 
 #include "core/ocbcast.h"
-#include "core/tree.h"
-#include "rma/barrier.h"
-#include "rma/flags.h"
+#include "core/pipeline.h"
 
 namespace ocb::core {
 
@@ -70,19 +61,13 @@ class OcReduce {
                       std::size_t out_offset, std::size_t count, ReduceOp op);
 
   const OcReduceOptions& options() const { return options_; }
-
-  std::size_t consumed_line() const { return options_.mpb_base_line; }
-  std::size_t ready_line(int child_slot) const;
-  std::size_t buffer_line(std::uint64_t parity) const;
-  /// Total MPB lines the layout occupies starting at mpb_base_line.
-  std::size_t layout_lines() const;
+  const TreeLayout& layout() const { return layout_; }
 
  private:
   scc::SccChip* chip_;
   OcReduceOptions options_;
-  rma::FlagBarrier fence_;
-  std::vector<std::uint64_t> chunks_so_far_;
-  std::vector<CoreId> last_root_;
+  TreeLayout layout_;
+  CallSequence calls_;
 };
 
 /// Allreduce = OC-Reduce to the root + OC-Bcast of the result; both

@@ -43,25 +43,21 @@ OneSidedScatterAllgather::OneSidedScatterAllgather(scc::SccChip& chip,
     : chip_(&chip),
       parties_(params.parties),
       base_(params.mpb_base_line),
-      fence_(chip,
+      calls_(chip,
              [&] {
                OCB_REQUIRE(params.parties >= 2 &&
                                params.parties <= chip.topology().num_cores(),
                            "party count out of range");
+               // The fence's own bounds check covers the whole layout.
                return params.mpb_base_line + kFlagLines + 3 * kChunkLines;
              }(),
              params.parties) {
   n_ = chip.topology().num_cores();
   const auto n = static_cast<std::size_t>(n_);
-  last_root_.assign(n, -1);
   staged_.assign(n, 0);
   consumed_from_right_.assign(n, 0);
   push_seq_.assign(n * n, 0);
   drain_seq_.assign(n * n, 0);
-  OCB_REQUIRE(fence_line() + static_cast<std::size_t>(fence_.rounds()) <=
-                  kMpbCacheLines,
-              "one-sided s-ag layout (4 flags + inbox + 2 staging buffers + "
-              "fence) exceeds the 256-line MPB");
 }
 
 std::size_t OneSidedScatterAllgather::fence_line() const {
@@ -142,11 +138,7 @@ sim::Task<void> OneSidedScatterAllgather::run(scc::Core& self, CoreId root,
   const std::size_t chunk = kChunkLines;
 
   // Fence on a root change (the scatter tree's flag writers move).
-  const CoreId prev_root = last_root_[static_cast<std::size_t>(me)];
-  last_root_[static_cast<std::size_t>(me)] = root;
-  if (prev_root != -1 && prev_root != root) {
-    co_await fence_.wait(self);
-  }
+  if (calls_.root_changed(me, root)) co_await calls_.fence(self);
   const SliceMap map{cache_lines_for(bytes),
                      (cache_lines_for(bytes) + static_cast<std::size_t>(p) - 1) /
                          static_cast<std::size_t>(p),

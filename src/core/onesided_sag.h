@@ -24,9 +24,8 @@
 //    documented in EXPERIMENTS.md as a negative result.)
 //
 // The allgather ring's flag writers are root-independent (absolute ring
-// neighbours), but the SCATTER tree's are not: run() fences with an
-// internal dissemination barrier when the root changes, exactly as
-// OcBcast does (see ocbcast.h for the hazard).
+// neighbours), but the SCATTER tree's are not: run() takes the pipelined-
+// tree family's root-change fence (core/pipeline.h describes the hazard).
 //
 // MPB layout per core (chunk_lines = 82 so that inbox + two staging
 // buffers + 4 flag lines + 6 fence lines fill the 256-line MPB):
@@ -52,7 +51,7 @@
 #include <array>
 
 #include "coll/collective.h"
-#include "rma/barrier.h"
+#include "core/pipeline.h"
 #include "rma/flags.h"
 #include "scc/chip.h"
 
@@ -95,9 +94,8 @@ class OneSidedScatterAllgather final : public coll::Collective {
   scc::SccChip* chip_;
   int parties_;
   std::size_t base_;  ///< first MPB line of the layout
-  rma::FlagBarrier fence_;
+  CallSequence calls_;  ///< the root-change fence only
   int n_;  ///< chip core count (pair-table stride)
-  std::vector<CoreId> last_root_;
   // Absolute chunk counters (each entry only ever touched by that core's
   // own coroutine; the engine is single-threaded).
   std::vector<std::uint64_t> staged_;

@@ -97,4 +97,22 @@ int KaryTree::notify_depth(CoreId core) const {
   return hops;
 }
 
+TreePlan plan_kary(const KaryTree& tree, CoreId me,
+                   bool sequential_notification) {
+  TreePlan plan;
+  plan.parent = tree.parent_of(me);
+  plan.my_slot = tree.child_position(me) - 1;
+  plan.children = tree.children_of(me);
+  for (std::size_t j = 0; j < plan.children.size(); ++j) {
+    plan.child_slots.push_back(static_cast<int>(j));
+  }
+  if (sequential_notification) {
+    plan.own = plan.children;
+  } else {
+    plan.forward = tree.notify_forward_targets(me);
+    plan.own = tree.notify_own_targets(me);
+  }
+  return plan;
+}
+
 }  // namespace ocb::core

@@ -11,9 +11,11 @@
 // full group is ceil(log2(k+1)) flag hops from the parent. (The paper notes
 // a binary fan-out is latency-optimal for the notification tree.)
 //
-// This class is pure structure — no timing, no simulator — shared by the
+// This file is pure structure — no timing, no simulator — shared by the
 // algorithm implementation (core/ocbcast.*) and the analytical model
-// (model/broadcast_model.*).
+// (model/broadcast_model.*). TreePlan is one core's part of any broadcast
+// tree the OC-Bcast chunk loop runs over: plan_kary() reads it off a
+// KaryTree, plan_die_aware() (core/hier_bcast.h) off the die-aware tree.
 #pragma once
 
 #include <vector>
@@ -70,5 +72,21 @@ class KaryTree {
   int k_;
   CoreId root_;
 };
+
+/// One core's part of a broadcast tree for one (root, parties) instance.
+struct TreePlan {
+  CoreId parent = -1;            ///< get/done peer (-1 at the root)
+  int my_slot = -1;              ///< done slot in the parent's MPB
+  std::vector<CoreId> children;  ///< in child_slots order
+  std::vector<int> child_slots;  ///< done slot in the OWN MPB per child
+  std::vector<CoreId> forward;   ///< notified right after detecting (step i)
+  std::vector<CoreId> own;       ///< notified to start the own group (step iv)
+};
+
+/// `me`'s plan in `tree`: child j reports in done slot j. With
+/// `sequential_notification` the parent notifies all of its children itself
+/// (no forwarding) instead of through the binary notification tree.
+TreePlan plan_kary(const KaryTree& tree, CoreId me,
+                   bool sequential_notification);
 
 }  // namespace ocb::core

@@ -1,7 +1,6 @@
 #include "harness/fault_sweep.h"
 
 #include <algorithm>
-#include <cstring>
 #include <memory>
 
 #include "check/checker.h"
@@ -13,25 +12,6 @@
 #include "harness/parallel.h"
 
 namespace ocb::harness {
-
-namespace {
-
-std::vector<std::byte> make_pattern(std::size_t bytes, std::uint64_t seed) {
-  std::vector<std::byte> out(bytes);
-  Xoshiro256 rng(seed);
-  std::size_t i = 0;
-  while (i + 8 <= out.size()) {
-    const std::uint64_t v = rng.next();
-    std::memcpy(out.data() + i, &v, 8);
-    i += 8;
-  }
-  for (; i < out.size(); ++i) {
-    out[i] = static_cast<std::byte>(rng.next() & 0xff);
-  }
-  return out;
-}
-
-}  // namespace
 
 FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
   OCB_REQUIRE(spec.message_bytes > 0, "empty message");
@@ -52,8 +32,8 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
   const int parties = algo->parties();
   OCB_REQUIRE(spec.root >= 0 && spec.root < parties, "root out of range");
 
-  const std::vector<std::byte> pattern =
-      make_pattern(spec.message_bytes, spec.plan.seed ^ 0xc0ffee);
+  std::vector<std::byte> pattern(spec.message_bytes);
+  fill_pattern(pattern, spec.plan.seed ^ 0xc0ffee);
   auto root_region = chip.memory(spec.root).host_bytes(0, spec.message_bytes);
   std::copy(pattern.begin(), pattern.end(), root_region.begin());
 

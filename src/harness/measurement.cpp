@@ -1,8 +1,6 @@
 #include "harness/measurement.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 
 #include "check/checker.h"
 #include "common/require.h"
@@ -11,29 +9,6 @@
 #include "sim/condition.h"
 
 namespace ocb::harness {
-
-namespace {
-
-bool env_check_enabled() {
-  const char* v = std::getenv("OCB_CHECK");
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-/// Fills a host-visible region with a deterministic per-(seed) pattern.
-void fill_pattern(std::span<std::byte> region, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::size_t i = 0;
-  while (i + 8 <= region.size()) {
-    const std::uint64_t v = rng.next();
-    std::memcpy(region.data() + i, &v, 8);
-    i += 8;
-  }
-  for (; i < region.size(); ++i) {
-    region[i] = static_cast<std::byte>(rng.next() & 0xff);
-  }
-}
-
-}  // namespace
 
 BcastSession::BcastSession(const BcastRunSpec& spec)
     : spec_(spec),
@@ -46,7 +21,7 @@ BcastSession::BcastSession(const BcastRunSpec& spec)
   // the SCC's cores, so larger chips run unchecked under it; an explicit
   // spec.check still insists (and the checker rejects the chip).
   const bool env_check =
-      env_check_enabled() && chip_->num_cores() <= static_cast<int>(kNumCores);
+      check::requested_by_env() && chip_->num_cores() <= static_cast<int>(kNumCores);
   if (spec_.check || env_check) {
     checker_ = std::make_unique<check::RaceChecker>(*chip_);
     chip_->add_observer(checker_.get());

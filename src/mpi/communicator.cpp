@@ -21,7 +21,7 @@ Communicator::Communicator(scc::SccChip& chip, int size)
       chip, coll::Params{.parties = size, .k = std::min(7, size - 1)});
   // Stack the remaining layouts behind whatever OC-Bcast occupies from
   // line 0 (including its root-change fence lines).
-  const std::size_t barrier_base = bcast_->layout_lines();
+  const std::size_t barrier_base = bcast_->layout().lines();
   barrier_ = std::make_unique<rma::FlagBarrier>(chip, barrier_base, size);
   rma::TwoSidedLayout layout;
   layout.ready_line = barrier_base + static_cast<std::size_t>(barrier_->rounds());

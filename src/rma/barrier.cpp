@@ -4,18 +4,6 @@
 
 namespace ocb::rma {
 
-namespace {
-int rounds_for(int parties) {
-  int r = 0;
-  int span = 1;
-  while (span < parties) {
-    span *= 2;
-    ++r;
-  }
-  return r;
-}
-}  // namespace
-
 FlagBarrier::FlagBarrier(scc::SccChip& chip, std::size_t base_line, int parties)
     : chip_(&chip),
       base_line_(base_line),
@@ -26,6 +14,16 @@ FlagBarrier::FlagBarrier(scc::SccChip& chip, std::size_t base_line, int parties)
               "party count out of range");
   OCB_REQUIRE(base_line + static_cast<std::size_t>(rounds_) <= kMpbCacheLines,
               "barrier flag lines exceed the MPB");
+}
+
+int FlagBarrier::rounds_for(int parties) {
+  int r = 0;
+  int span = 1;
+  while (span < parties) {
+    span *= 2;
+    ++r;
+  }
+  return r;
 }
 
 sim::Task<void> FlagBarrier::wait(scc::Core& self) {

@@ -30,6 +30,10 @@ class FlagBarrier {
   int rounds() const { return rounds_; }
   int parties() const { return parties_; }
 
+  /// ceil(log2 parties): the rounds, and so the flag lines, of a barrier
+  /// over `parties` cores.
+  static int rounds_for(int parties);
+
  private:
   scc::SccChip* chip_;
   std::size_t base_line_;

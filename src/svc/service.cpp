@@ -2,54 +2,18 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
 #include "check/checker.h"
 #include "coll/registry.h"
 #include "common/require.h"
 #include "common/rng.h"
+#include "core/pipeline.h"
 #include "scc/chip.h"
 #include "scc/trace_json.h"
 
 namespace ocb::svc {
 
 namespace {
-
-bool env_check_enabled() {
-  const char* v = std::getenv("OCB_CHECK");
-  return v != nullptr && v[0] != '\0' && std::strcmp(v, "0") != 0;
-}
-
-/// Fills a host-visible region with a deterministic per-seed pattern
-/// (same scheme as the measurement harness).
-void fill_pattern(std::span<std::byte> region, std::uint64_t seed) {
-  Xoshiro256 rng(seed);
-  std::size_t i = 0;
-  while (i + 8 <= region.size()) {
-    const std::uint64_t v = rng.next();
-    std::memcpy(region.data() + i, &v, 8);
-    i += 8;
-  }
-  for (; i < region.size(); ++i) {
-    region[i] = static_cast<std::byte>(rng.next() & 0xff);
-  }
-}
-
-int ceil_log2(int n) {
-  int rounds = 0;
-  while ((1 << rounds) < n) ++rounds;
-  return rounds;
-}
-
-/// Lines of a slot that are NOT payload buffer: notify flag + k doneFlags
-/// + fence rounds (+ per-buffer staged-checksum lines for ft-ocbcast).
-std::size_t fixed_layout_lines(const ServiceConfig& c) {
-  const std::size_t buffers = c.double_buffering ? 2 : 1;
-  const std::size_t staged = c.algorithm == "ft-ocbcast" ? buffers : 0;
-  return 1 + static_cast<std::size_t>(c.k) + staged +
-         static_cast<std::size_t>(ceil_log2(c.parties));
-}
 
 std::size_t derive_chunk_lines(const ServiceConfig& c) {
   OCB_REQUIRE(c.algorithm == "ocbcast" || c.algorithm == "ft-ocbcast",
@@ -59,7 +23,14 @@ std::size_t derive_chunk_lines(const ServiceConfig& c) {
   OCB_REQUIRE(c.k >= 1 && c.k <= c.parties - 1, "fan-out must be in [1, parties-1]");
   OCB_REQUIRE(c.slots >= 1, "need at least one MPB slot");
   const std::size_t buffers = c.double_buffering ? 2 : 1;
-  const std::size_t fixed = fixed_layout_lines(c);
+  // Every line of the algorithm's layout that is not payload buffer.
+  const std::size_t fixed =
+      core::TreeLayout::of({.parties = c.parties,
+                            .k = c.k,
+                            .chunk_lines = 0,
+                            .double_buffering = c.double_buffering},
+                           c.k, /*staged=*/c.algorithm == "ft-ocbcast")
+          .lines();
   OCB_REQUIRE(c.slot_lines > fixed + buffers - 1,
               "slot too small for the algorithm's flags and fence lines");
   // One handoff line per slot sits after the partition.
@@ -165,7 +136,7 @@ BroadcastService::BroadcastService(const ServiceConfig& config)
       chip_(std::make_unique<scc::SccChip>(config.chip)),
       allocator_(0, config.slot_lines, config.slots),
       chunk_lines_(derive_chunk_lines(config)) {
-  if (config_.check || env_check_enabled()) {
+  if (config_.check || check::requested_by_env()) {
     checker_ = std::make_unique<check::RaceChecker>(*chip_);
     chip_->add_observer(checker_.get());
   }

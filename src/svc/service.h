@@ -84,7 +84,8 @@ struct ServiceConfig {
   bool double_buffering = true;
   /// Concurrent collectives = slots; each leases `slot_lines` MPB lines on
   /// every core. The chunk size is derived: whatever of the slot remains
-  /// after the algorithm's flags and fence lines, split across buffers.
+  /// after the algorithm's flags and fence lines (core/pipeline.h), split
+  /// across buffers.
   int slots = 2;
   std::size_t slot_lines = 120;
   SchedPolicy policy = SchedPolicy::kFifo;

@@ -8,6 +8,7 @@
 #include "common/format.h"
 #include "common/require.h"
 #include "coll/registry.h"
+#include "core/pipeline.h"
 #include "harness/fault_sweep.h"
 #include "harness/measurement.h"
 #include "harness/parallel.h"
@@ -24,16 +25,16 @@ bool tunable(const std::string& algorithm) {
   return algorithm == "ocbcast" || algorithm == "ft-ocbcast";
 }
 
-/// Conservative MPB-layout feasibility for the OC-Bcast family:
-/// notify(1) + doneFlags(k) + staged lines (FT: one per buffer) +
-/// buffers*chunk + up to 6 fence-barrier lines must fit in 256.
+/// Whether the algorithm's MPB layout (core/pipeline.h; FT-OC-Bcast adds a
+/// staged line per buffer) fits the 256-line MPB.
 bool layout_fits(const std::string& algorithm, int k, std::size_t chunk,
                  bool db, int parties) {
   if (k < 1 || k > parties - 1) return false;
-  const std::size_t buffers = db ? 2 : 1;
-  const std::size_t staged = algorithm == "ft-ocbcast" ? buffers : 0;
-  return 1 + static_cast<std::size_t>(k) + staged + buffers * chunk + 6 <=
-         kMpbCacheLines;
+  const coll::Params p{.parties = parties,
+                       .k = k,
+                       .chunk_lines = chunk,
+                       .double_buffering = db};
+  return core::TreeLayout::of(p, k, /*staged=*/algorithm == "ft-ocbcast").fits();
 }
 
 std::vector<DesignPoint> build_grid(const ExplorerOptions& o,

@@ -68,8 +68,8 @@ struct ExplorerOptions {
   std::vector<std::string> algorithms;
   /// Message sizes in cache lines; empty is a precondition error.
   std::vector<std::size_t> sizes_lines;
-  /// OC-Bcast-family knob grid. Combinations whose MPB layout cannot fit
-  /// (1 + k + buffers*(chunk+1) + fence lines > 256) are skipped, not
+  /// OC-Bcast-family knob grid. Combinations whose MPB layout
+  /// (core/pipeline.h) does not fit the 256-line MPB are skipped, not
   /// errors.
   std::vector<int> fanouts = {2, 7, 47};
   std::vector<std::size_t> chunk_grid = {48, 96};

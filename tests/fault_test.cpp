@@ -32,14 +32,15 @@ TEST(FaultLayout, FitsTheMpbWithDefaults) {
   scc::SccChip chip;
   core::FtOcBcast bcast(chip);
   // notify + 7 done + 2 staged + 2x96 buffers + fence <= 256.
-  EXPECT_LE(bcast.layout_lines(), kMpbCacheLines);
-  EXPECT_EQ(bcast.notify_line(), 0u);
-  EXPECT_EQ(bcast.done_line(0), 1u);
-  EXPECT_EQ(bcast.staged_line(0), 8u);
-  EXPECT_EQ(bcast.staged_line(1), 9u);
-  EXPECT_EQ(bcast.buffer_line(0), 10u);
-  EXPECT_EQ(bcast.buffer_line(1), 106u);
-  EXPECT_EQ(bcast.fence_line(), 202u);
+  const core::TreeLayout& layout = bcast.layout();
+  EXPECT_LE(layout.lines(), kMpbCacheLines);
+  EXPECT_EQ(layout.notify_line(), 0u);
+  EXPECT_EQ(layout.done_line(0), 1u);
+  EXPECT_EQ(layout.staged_line(0), 8u);
+  EXPECT_EQ(layout.staged_line(1), 9u);
+  EXPECT_EQ(layout.buffer_line(0), 10u);
+  EXPECT_EQ(layout.buffer_line(1), 106u);
+  EXPECT_EQ(layout.fence_line(), 202u);
 }
 
 TEST(FaultInjector, IdenticalPlanGivesBitIdenticalTimeline) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <tuple>
+#include <utility>
 
 #include "core/ocbcast.h"
 #include "sim/condition.h"
@@ -266,15 +267,26 @@ TEST(OcBcast, LayoutValidation) {
 
 TEST(OcBcast, LayoutLines) {
   scc::SccChip chip;
-  coll::Params opt;  // k = 7, chunks of 96, base 0
-  OcBcast bcast(chip, opt);
-  EXPECT_EQ(bcast.notify_line(), 0u);
-  EXPECT_EQ(bcast.done_line(0), 1u);
-  EXPECT_EQ(bcast.done_line(6), 7u);
-  EXPECT_THROW(bcast.done_line(7), PreconditionError);
-  EXPECT_EQ(bcast.buffer_line(0), 8u);
-  EXPECT_EQ(bcast.buffer_line(1), 104u);
-  EXPECT_THROW(bcast.buffer_line(2), PreconditionError);
+  coll::Params opt;  // k = 7, die_k = 4, chunks of 96, base 0
+  // Over the die-aware tree the die leaders' done slots follow the k
+  // intra-die ones: D = k + die_k.
+  for (const auto& [tree, done_slots] :
+       {std::pair{OcBcast::Tree::kKary, std::size_t{7}},
+        std::pair{OcBcast::Tree::kDieAware, std::size_t{11}}}) {
+    const OcBcast bcast(chip, opt, tree);
+    const TreeLayout& layout = bcast.layout();
+    EXPECT_EQ(layout.notify_line(), 0u);
+    EXPECT_EQ(layout.done_line(0), 1u);
+    EXPECT_EQ(layout.done_line(static_cast<int>(done_slots) - 1), done_slots);
+    EXPECT_THROW(layout.done_line(static_cast<int>(done_slots)),
+                 PreconditionError);
+    EXPECT_EQ(layout.buffer_line(0), 1 + done_slots);
+    EXPECT_EQ(layout.buffer_line(1), 1 + done_slots + 96);
+    EXPECT_THROW(layout.buffer_line(2), PreconditionError);
+    EXPECT_THROW(layout.staged_line(0), PreconditionError);
+    EXPECT_EQ(layout.fence_line(), 1 + done_slots + 2 * 96);
+    EXPECT_EQ(layout.lines(), 1 + done_slots + 2 * 96 + 6);  // 6 rounds for 48
+  }
 }
 
 TEST(OcBcast, NonParticipantRejected) {

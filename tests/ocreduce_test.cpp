@@ -156,11 +156,13 @@ TEST(OcReduce, LayoutValidation) {
   ok.chunk_lines = 96;
   EXPECT_NO_THROW(OcReduce(chip, ok));
   OcReduce r(chip, {});
-  EXPECT_EQ(r.consumed_line(), 0u);
-  EXPECT_EQ(r.ready_line(0), 1u);
-  EXPECT_EQ(r.buffer_line(0), 3u);  // k=2 default
-  EXPECT_EQ(r.buffer_line(1), 99u);
-  EXPECT_THROW(r.ready_line(2), PreconditionError);
+  const TreeLayout& layout = r.layout();
+  EXPECT_EQ(layout.notify_line(), 0u);  // consumedFlag
+  EXPECT_EQ(layout.done_line(0), 1u);   // readyFlag[0]
+  EXPECT_EQ(layout.buffer_line(0), 3u);  // k=2 default
+  EXPECT_EQ(layout.buffer_line(1), 99u);
+  EXPECT_THROW(layout.done_line(2), PreconditionError);
+  EXPECT_EQ(layout.lines(), 3u + 2 * 96 + 6);
 }
 
 TEST(OcReduce, SmallFanoutBeatsLargeOnThroughput) {

@@ -15,8 +15,10 @@
 //    on a 16x16 mesh, every builtin that accepts 50 cores delivers on a 5x5
 //    mesh (not 6 columns wide), and the hierarchical broadcast delivers
 //    race-free on multi-die chips for roots on any die, with dies split or
-//    left empty by the party count and roots changing back to back. Its
-//    per-call tree plan matches one built from a scan of every core.
+//    left empty by the party count and roots changing back to back, with
+//    and without leaf-direct landing. Its per-call tree plan matches one
+//    built from a scan of every core, and on a single die it runs event
+//    for event like OC-Bcast with sequential notification.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -324,6 +326,36 @@ TEST(HierBcast, DegradesToSingleDieAndMultiChunk) {
                             {.parties = 0, .die_k = 1}));
 }
 
+TEST(HierBcast, SingleDieRunsLikeSequentialOcBcast) {
+  // One die: the relay tree is empty and the intra-die tree is the k-ary
+  // tree over core ids, so hier-ocbcast must time every broadcast exactly
+  // like ocbcast with sequential notification. Roots rotate over the grid.
+  for (const char* chip : {"scc", "mesh:5x5"}) {
+    const Topology topo = Topology::parse(chip);
+    const CoreId roots[] = {0, topo.num_cores() - 1, topo.num_cores() / 2};
+    int point = 0;
+    for (const int k : {1, 2, 7}) {
+      for (const std::size_t lines : {1u, 96u, 300u}) {
+        harness::BcastRunSpec spec;
+        spec.params = {.parties = 0, .k = k, .sequential_notification = true};
+        spec.config.topology = topo;
+        spec.root = roots[point++ % 3];
+        spec.message_bytes = lines * kCacheLineBytes;
+        spec.iterations = 2;
+        const harness::BcastRunResult flat = harness::run_broadcast(spec);
+        spec.algorithm_name = "hier-ocbcast";
+        const harness::BcastRunResult hier = harness::run_broadcast(spec);
+        EXPECT_TRUE(flat.content_ok && hier.content_ok);
+        EXPECT_EQ(hier.latency_us.samples(), flat.latency_us.samples())
+            << chip << " k=" << k << " lines=" << lines
+            << " root=" << spec.root;
+        EXPECT_EQ(hier.events, flat.events);
+        EXPECT_EQ(hier.end_time, flat.end_time);
+      }
+    }
+  }
+}
+
 TEST(HierBcast, PartialParticipationAndRootChangesAreRaceFree) {
   // Party counts that fill the chip; split one die and leave the dies
   // after it empty; keep only a few cores of the first dies. Roots run back
@@ -343,21 +375,28 @@ TEST(HierBcast, PartialParticipationAndRootChangesAreRaceFree) {
       const std::vector<CoreId> roots = {p - 1, p / 2, p / 2, 0};
       for (const std::size_t lines : {1u, 200u}) {
         for (const auto& [k, die_k] : fanouts) {
-          EXPECT_TRUE(hier_delivers(shape.topo, roots,
-                                    lines * kCacheLineBytes,
-                                    {.parties = p, .k = k, .die_k = die_k}))
-              << shape.topo.describe() << " parties=" << p
-              << " lines=" << lines << " k=" << k << " die_k=" << die_k;
+          for (const bool leaf_direct : {false, true}) {
+            EXPECT_TRUE(hier_delivers(shape.topo, roots,
+                                      lines * kCacheLineBytes,
+                                      {.parties = p,
+                                       .k = k,
+                                       .die_k = die_k,
+                                       .leaf_direct_to_memory = leaf_direct}))
+                << shape.topo.describe() << " parties=" << p
+                << " lines=" << lines << " k=" << k << " die_k=" << die_k
+                << " leaf_direct=" << leaf_direct;
+          }
         }
       }
     }
   }
 }
 
-/// plan_for built the pre-die-table way: every die's participants from a
-/// scan of all cores with die_of_core (ids below `parties`, ascending), a
-/// KaryTree over each die's members and one over the participating dies.
-core::HierarchicalBcast::Plan reference_plan(
+/// plan_die_aware built the pre-die-table way: every die's participants
+/// from a scan of all cores with die_of_core (ids below `parties`,
+/// ascending), a KaryTree over each die's members and one over the
+/// participating dies.
+core::TreePlan reference_plan(
     const Topology& t, const std::vector<std::vector<CoreId>>& members,
     int k, int die_k, CoreId me, CoreId root) {
   std::vector<int> part_dies;
@@ -378,7 +417,7 @@ core::HierarchicalBcast::Plan reference_plan(
   const std::vector<CoreId>& mine = members[t.die_of_core(me)];
   const int m = static_cast<int>(mine.size());
 
-  core::HierarchicalBcast::Plan plan;
+  core::TreePlan plan;
   if (m > 1) {
     const core::KaryTree intra(m, std::min(k, m - 1),
                                index_in(mine, my_leader));
@@ -408,7 +447,7 @@ core::HierarchicalBcast::Plan reference_plan(
   return plan;
 }
 
-std::string plan_text(const core::HierarchicalBcast::Plan& plan) {
+std::string plan_text(const core::TreePlan& plan) {
   std::string out = "parent " + std::to_string(plan.parent) + " slot " +
                     std::to_string(plan.my_slot) + " children";
   for (std::size_t i = 0; i < plan.children.size(); ++i) {
@@ -430,9 +469,6 @@ TEST(HierBcast, PlanMatchesAScanOfEveryCore) {
                           {Topology::parse("dies:2x2:mesh:16x8"), 8}};
   for (const Shape& shape : shapes) {
     const Topology& t = shape.topo;
-    scc::SccConfig cfg;
-    cfg.topology = t;
-    scc::SccChip chip(cfg);
     // On the multi-die chips: every die full; whole dies empty behind one
     // that ends after two ids; die 0's first three ids only.
     const int n = t.num_cores();
@@ -445,16 +481,16 @@ TEST(HierBcast, PlanMatchesAScanOfEveryCore) {
       }
       for (const int k : {1, 2, 7}) {
         for (const int die_k : {1, 2, 4}) {
-          const core::HierarchicalBcast bcast(
-              chip, {.parties = p, .k = k, .die_k = die_k});
           for (const CoreId root : roots) {
             for (CoreId me = 0; me < p; ++me) {
-              const auto got = bcast.plan_for(me, root);
+              const auto got = core::plan_die_aware(t, p, k, die_k, me, root);
               const auto want = reference_plan(t, members, k, die_k, me, root);
+              // Sequential notification: every child, no forwarding.
               ASSERT_TRUE(got.parent == want.parent &&
                           got.my_slot == want.my_slot &&
                           got.children == want.children &&
-                          got.child_slots == want.child_slots)
+                          got.child_slots == want.child_slots &&
+                          got.own == want.children && got.forward.empty())
                   << t.describe() << " parties=" << p << " k=" << k
                   << " die_k=" << die_k << " root=" << root << " core=" << me
                   << "\n got:  " << plan_text(got)
