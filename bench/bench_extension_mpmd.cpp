@@ -51,7 +51,7 @@ struct Outcome {
 Outcome run_variant(Variant variant) {
   scc::SccChip chip;
   core::OcBcast bcast(chip);
-  core::IpiNotifier notifier;
+  core::IpiNotifier notifier(chip);
   constexpr std::size_t kBytes = kLines * kCacheLineBytes;
   for (int r = 0; r < kRounds; ++r) {
     auto w = chip.memory(0).host_bytes(r * kBytes, kBytes);

@@ -21,29 +21,31 @@ const char* violation_kind_name(Violation::Kind kind) {
 }
 
 RaceChecker::RaceChecker(scc::SccChip& chip, CheckOptions options)
-    : chip_(&chip), options_(options) {
-  // The checker's vector clocks are fixed-size arrays dimensioned for the
-  // SCC; checked runs on larger topologies would need dynamic clocks (see
-  // DESIGN.md §14) and are rejected rather than silently mis-indexed.
-  OCB_REQUIRE(chip.topology().num_cores() <= static_cast<int>(kNumCores),
-              "race checker supports chips up to kNumCores cores");
+    : chip_(&chip),
+      options_(options),
+      n_(static_cast<std::size_t>(chip.num_cores())),
+      clocks_(n_ * n_, 0),
+      ipi_queues_(n_),
+      lines_(n_ * kMpbCacheLines),
+      crashed_(n_, false),
+      optimistic_(n_, false) {
   // DJIT+ epoch initialization: each core's own component starts at 1, so a
   // fresh access (epoch 1) is NOT ordered before a core that has never
   // acquired from it (whose view of that component is still 0). All-zero
   // clocks would make every first access spuriously "ordered" (0 <= 0).
-  for (std::size_t c = 0; c < kNumCores; ++c) clocks_[c][c] = 1;
-  lines_.resize(static_cast<std::size_t>(kNumCores) * kMpbCacheLines);
+  for (std::size_t c = 0; c < n_; ++c) clocks_[c * n_ + c] = 1;
 }
 
-void RaceChecker::join(VectorClock& into, const VectorClock& from) {
-  for (std::size_t i = 0; i < into.size(); ++i) {
+void RaceChecker::join(std::span<std::uint64_t> into,
+                       std::span<const std::uint64_t> from) {
+  for (std::size_t i = 0; i < from.size(); ++i) {
     into[i] = std::max(into[i], from[i]);
   }
 }
 
 bool RaceChecker::ordered_before(const Access& access, CoreId core) const {
-  return access.epoch <=
-         clocks_[static_cast<std::size_t>(core)][static_cast<std::size_t>(access.core)];
+  return access.epoch <= clocks_[static_cast<std::size_t>(core) * n_ +
+                                 static_cast<std::size_t>(access.core)];
 }
 
 void RaceChecker::mark_sync(LineState& ls) {
@@ -59,8 +61,7 @@ void RaceChecker::mark_sync(LineState& ls) {
 RaceChecker::Access RaceChecker::make_access(const scc::LineTxn& txn) {
   Access a;
   a.core = txn.core;
-  a.epoch = clocks_[static_cast<std::size_t>(txn.core)]
-                   [static_cast<std::size_t>(txn.core)];
+  a.epoch = clock_of(txn.core)[static_cast<std::size_t>(txn.core)];
   a.seq = next_seq_++;
   a.time = txn.now;
   a.op = txn.op;
@@ -157,7 +158,7 @@ bool RaceChecker::on_write(const scc::LineTxn& txn, CacheLine& /*value*/) {
 // quiescent regime means nothing else is runnable).
 void RaceChecker::on_bulk(const scc::BulkTxn& txn) {
   const auto core = static_cast<std::size_t>(txn.core);
-  const std::uint64_t epoch = clocks_[core][core];
+  const std::uint64_t epoch = clocks_[core * n_ + core];
   const char* stage = chip_->core(txn.core).stage();
   const bool optimistic = optimistic_[core];
   // Per-half skip decisions, hoisted out of the line loop.
@@ -199,7 +200,7 @@ void RaceChecker::on_sync(const scc::SyncEvent& event) {
       mark_sync(ls);
       // Register the value with the host's (all-zero) clock so acquires of
       // the initial value find an entry and proceed without an edge.
-      ls.releases.try_emplace(event.value);
+      ls.releases.try_emplace(event.value, n_, 0);
       break;
     }
     case scc::SyncOp::kWaitBegin:
@@ -208,8 +209,8 @@ void RaceChecker::on_sync(const scc::SyncEvent& event) {
     case scc::SyncOp::kRelease: {
       LineState& ls = line_state(event.owner, event.line);
       mark_sync(ls);
-      VectorClock& clock = clocks_[static_cast<std::size_t>(event.core)];
-      join(ls.releases[event.value], clock);
+      const std::span<std::uint64_t> clock = clock_of(event.core);
+      join(ls.releases.try_emplace(event.value, n_, 0).first->second, clock);
       ++clock[static_cast<std::size_t>(event.core)];
       break;
     }
@@ -218,20 +219,21 @@ void RaceChecker::on_sync(const scc::SyncEvent& event) {
       mark_sync(ls);
       const auto it = ls.releases.find(event.value);
       if (it != ls.releases.end()) {
-        join(clocks_[static_cast<std::size_t>(event.core)], it->second);
+        join(clock_of(event.core), it->second);
       }
       break;
     }
     case scc::SyncOp::kIpiSend: {
-      VectorClock& clock = clocks_[static_cast<std::size_t>(event.core)];
-      ipi_queues_[static_cast<std::size_t>(event.owner)].push_back(clock);
+      const std::span<std::uint64_t> clock = clock_of(event.core);
+      ipi_queues_[static_cast<std::size_t>(event.owner)].emplace_back(
+          clock.begin(), clock.end());
       ++clock[static_cast<std::size_t>(event.core)];
       break;
     }
     case scc::SyncOp::kIpiConsume: {
       auto& queue = ipi_queues_[static_cast<std::size_t>(event.core)];
       if (!queue.empty()) {
-        join(clocks_[static_cast<std::size_t>(event.core)], queue.front());
+        join(clock_of(event.core), queue.front());
         queue.erase(queue.begin());
       }
       break;

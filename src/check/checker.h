@@ -36,6 +36,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -120,7 +121,8 @@ class RaceChecker final : public scc::TransactionObserver {
   void on_bulk(const scc::BulkTxn& txn) override;
 
  private:
-  using VectorClock = std::array<std::uint64_t, kNumCores>;
+  /// One component per core of the chip.
+  using VectorClock = std::vector<std::uint64_t>;
 
   struct Access {
     CoreId core = -1;
@@ -193,7 +195,12 @@ class RaceChecker final : public scc::TransactionObserver {
     std::unordered_map<std::uint64_t, VectorClock> releases;
   };
 
-  static void join(VectorClock& into, const VectorClock& from);
+  static void join(std::span<std::uint64_t> into,
+                   std::span<const std::uint64_t> from);
+  /// Core `c`'s vector clock: row c of clocks_.
+  std::span<std::uint64_t> clock_of(CoreId c) {
+    return {clocks_.data() + static_cast<std::size_t>(c) * n_, n_};
+  }
   /// True when `access` happens-before the current instant on `core`.
   bool ordered_before(const Access& access, CoreId core) const;
 
@@ -214,16 +221,18 @@ class RaceChecker final : public scc::TransactionObserver {
 
   scc::SccChip* chip_;
   CheckOptions options_;
-  std::array<VectorClock, kNumCores> clocks_{};
+  std::size_t n_;  ///< cores of the chip
+  /// n_ x n_, row-major: row c is core c's clock.
+  std::vector<std::uint64_t> clocks_;
   /// FIFO of sender clocks per interrupt target (sends precede consumes).
-  std::array<std::vector<VectorClock>, kNumCores> ipi_queues_;
+  std::vector<std::vector<VectorClock>> ipi_queues_;
   /// Direct-indexed [owner * kMpbCacheLines + line]: the per-access hash
   /// lookup was the hottest single cost in checked runs.
   std::vector<LineState> lines_;
-  std::array<bool, kNumCores> crashed_{};
+  std::vector<char> crashed_;
   /// Inside a kOptimisticBegin/End section: the core's reads are
   /// protocol-validated (seqlock-style) and exempt from data checks.
-  std::array<bool, kNumCores> optimistic_{};
+  std::vector<char> optimistic_;
   std::vector<Violation> violations_;
   std::uint64_t total_detected_ = 0;
   std::uint64_t next_seq_ = 0;

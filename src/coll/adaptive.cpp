@@ -10,7 +10,7 @@ namespace ocb::coll {
 
 AdaptiveBcast::AdaptiveBcast(scc::SccChip& chip, const Params& params)
     : chip_(&chip),
-      params_(params),
+      params_(resolved(params, chip)),
       table_(params.adaptive_table_json.empty()
                  ? DecisionTable::baked_in()
                  : DecisionTable::from_json(params.adaptive_table_json)),

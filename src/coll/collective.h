@@ -22,6 +22,7 @@
 
 namespace ocb::scc {
 class Core;
+class SccChip;
 }  // namespace ocb::scc
 
 namespace ocb::coll {
@@ -29,10 +30,10 @@ namespace ocb::coll {
 /// The one configuration of every collective; each algorithm reads the
 /// fields it honors and ignores the rest.
 struct Params {
-  /// Participating cores 0..parties-1. The default is the SCC's 48; pass 0
-  /// for "all cores of the chip" (coll::make() resolves it from the chip's
-  /// topology), or any explicit count up to chip.topology().num_cores().
-  int parties = kNumCores;
+  /// Participating cores 0..parties-1; the default 0 is every core of the
+  /// chip. Each algorithm resolves it at construction
+  /// (scc::SccChip::resolve_parties) and reports it as Collective::parties().
+  int parties = 0;
   /// Tree fan-out (OC-Bcast family).
   int k = 7;
   /// Fan-out of the relay tree over die leaders ("hier-ocbcast" only; it
@@ -65,6 +66,9 @@ struct Params {
   bool operator==(const Params&) const = default;
 };
 
+/// `params` with parties resolved by scc::SccChip::resolve_parties.
+Params resolved(Params params, const scc::SccChip& chip);
+
 class Collective {
  public:
   virtual ~Collective() = default;
@@ -72,7 +76,7 @@ class Collective {
   /// Human-readable name ("oc-bcast k=7", "binomial", ...).
   virtual std::string name() const = 0;
 
-  /// Number of participating cores (ids 0..parties-1).
+  /// Number of participating cores (ids 0..parties-1), resolved: never 0.
   virtual int parties() const = 0;
 
   /// The collective call; invoke once per participating core per round.

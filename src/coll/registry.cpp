@@ -50,6 +50,11 @@ std::map<std::string, Factory>& table() {
 
 }  // namespace
 
+Params resolved(Params params, const scc::SccChip& chip) {
+  params.parties = chip.resolve_parties(params.parties);
+  return params;
+}
+
 void register_collective(const std::string& name, Factory factory,
                          bool allow_override) {
   OCB_REQUIRE(!name.empty(), "collective name must be non-empty");
@@ -80,10 +85,7 @@ std::unique_ptr<Collective> make(const std::string& name, scc::SccChip& chip,
     }
     OCB_REQUIRE(false, msg);
   }
-  if (params.parties != 0) return it->second(chip, params);
-  Params all_cores = params;
-  all_cores.parties = chip.topology().num_cores();
-  return it->second(chip, all_cores);
+  return it->second(chip, params);
 }
 
 }  // namespace ocb::coll

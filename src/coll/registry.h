@@ -43,11 +43,10 @@ bool registered(const std::string& name);
 /// "adaptive".
 std::vector<std::string> names();
 
-/// Instantiates `name` over `chip`, first resolving params.parties == 0 to
-/// every core of the chip (the only place that does; constructors called
-/// directly need an explicit count). Algorithms own their MPB layout and
-/// protocol state starting at params.mpb_base_line; instances with
-/// overlapping line ranges must not run concurrently (the broadcast
+/// Instantiates `name` over `chip` with `params` as given; each algorithm
+/// resolves params.parties against the chip. Algorithms own their MPB
+/// layout and protocol state starting at params.mpb_base_line; instances
+/// with overlapping line ranges must not run concurrently (the broadcast
 /// service guarantees disjoint ranges via MPB slot leases). Throws
 /// ocb::PreconditionError naming the registered algorithms on an unknown
 /// name.

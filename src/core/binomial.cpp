@@ -5,11 +5,8 @@
 namespace ocb::core {
 
 BinomialBcast::BinomialBcast(scc::SccChip& chip, const coll::Params& params)
-    : parties_(params.parties),
-      twosided_(std::make_unique<rma::TwoSided>(chip)) {
-  OCB_REQUIRE(parties_ >= 2 && parties_ <= chip.topology().num_cores(),
-              "party count out of range");
-}
+    : parties_(chip.resolve_parties(params.parties)),
+      twosided_(std::make_unique<rma::TwoSided>(chip)) {}
 
 sim::Task<void> BinomialBcast::run(scc::Core& self, CoreId root, std::size_t offset,
                                    std::size_t bytes) {

@@ -24,9 +24,7 @@ constexpr int kGetRetries = 3;
 /// Total detect+fetch attempts per chunk before a core gives up.
 constexpr int kMaxChunkAttempts = 64;
 
-TreeLayout checked_layout(const scc::SccChip& chip, const coll::Params& p) {
-  OCB_REQUIRE(p.parties >= 2 && p.parties <= chip.topology().num_cores(),
-              "party count out of range");
+TreeLayout checked_layout(const coll::Params& p) {
   OCB_REQUIRE(p.k >= 1 && p.k <= p.parties - 1,
               "fan-out must be in [1, parties-1]");
   OCB_REQUIRE(p.chunk_lines >= 1, "chunk must be at least one line");
@@ -41,9 +39,9 @@ TreeLayout checked_layout(const scc::SccChip& chip, const coll::Params& p) {
 
 FtOcBcast::FtOcBcast(scc::SccChip& chip, const coll::Params& params)
     : chip_(&chip),
-      params_(params),
-      layout_(checked_layout(chip, params)),
-      calls_(chip, layout_.fence_line(), params.parties) {
+      params_(coll::resolved(params, chip)),
+      layout_(checked_layout(params_)),
+      calls_(chip, layout_.fence_line(), params_.parties) {
   const auto n = static_cast<std::size_t>(chip.topology().num_cores());
   reports_.assign(n, DeliveryReport{});
   presumed_dead_.assign(n, std::vector<bool>(n, false));

@@ -4,11 +4,8 @@
 
 namespace ocb::core {
 
-IpiNotifier::IpiNotifier(int parties) : parties_(parties) {
-  // No chip here to bound against; send_interrupt validates each target
-  // id against the chip topology at use.
-  OCB_REQUIRE(parties >= 2, "party count out of range");
-}
+IpiNotifier::IpiNotifier(const scc::SccChip& chip, int parties)
+    : parties_(chip.resolve_parties(parties)) {}
 
 sim::Task<void> IpiNotifier::forward(scc::Core& self, CoreId root) {
   const KaryTree tree(parties_, /*k=*/2, root);

@@ -22,7 +22,8 @@ namespace ocb::core {
 
 class IpiNotifier {
  public:
-  explicit IpiNotifier(int parties = kNumCores);
+  /// Wakes cores 0..parties-1 of `chip`, 0 meaning every core of the chip.
+  explicit IpiNotifier(const scc::SccChip& chip, int parties = 0);
 
   int parties() const { return parties_; }
 

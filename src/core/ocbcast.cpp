@@ -11,10 +11,7 @@ namespace ocb::core {
 
 namespace {
 
-TreeLayout checked_layout(const scc::SccChip& chip, const coll::Params& p,
-                          OcBcast::Tree tree) {
-  OCB_REQUIRE(p.parties >= 2 && p.parties <= chip.topology().num_cores(),
-              "party count out of range");
+TreeLayout checked_layout(const coll::Params& p, OcBcast::Tree tree) {
   if (tree == OcBcast::Tree::kDieAware) {
     OCB_REQUIRE(p.k >= 1, "intra-die fan-out must be >= 1");
     OCB_REQUIRE(p.die_k >= 1, "die fan-out must be >= 1");
@@ -35,10 +32,10 @@ TreeLayout checked_layout(const scc::SccChip& chip, const coll::Params& p,
 
 OcBcast::OcBcast(scc::SccChip& chip, const coll::Params& params, Tree tree)
     : chip_(&chip),
-      params_(params),
+      params_(coll::resolved(params, chip)),
       tree_(tree),
-      layout_(checked_layout(chip, params, tree)),
-      calls_(chip, layout_.fence_line(), params.parties) {}
+      layout_(checked_layout(params_, tree)),
+      calls_(chip, layout_.fence_line(), params_.parties) {}
 
 std::string OcBcast::name() const {
   std::ostringstream os;

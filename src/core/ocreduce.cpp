@@ -41,25 +41,25 @@ const char* reduce_op_name(ReduceOp op) {
 
 OcReduce::OcReduce(scc::SccChip& chip, OcReduceOptions options)
     : chip_(&chip),
-      options_(options),
+      options_([&] {
+        options.parties = chip.resolve_parties(options.parties);
+        return options;
+      }()),
       layout_([&] {
-        OCB_REQUIRE(options.parties >= 2 &&
-                        options.parties <= chip.topology().num_cores(),
-                    "party count out of range");
-        OCB_REQUIRE(options.k >= 1 && options.k <= options.parties - 1,
+        OCB_REQUIRE(options_.k >= 1 && options_.k <= options_.parties - 1,
                     "fan-out must be in [1, parties-1]");
-        OCB_REQUIRE(options.chunk_lines >= 1, "chunk must be at least one line");
+        OCB_REQUIRE(options_.chunk_lines >= 1, "chunk must be at least one line");
         const TreeLayout layout{
-            .base = options.mpb_base_line,
-            .done_slots = options.k,
-            .chunk_lines = options.chunk_lines,
-            .fence_rounds = rma::FlagBarrier::rounds_for(options.parties)};
+            .base = options_.mpb_base_line,
+            .done_slots = options_.k,
+            .chunk_lines = options_.chunk_lines,
+            .fence_rounds = rma::FlagBarrier::rounds_for(options_.parties)};
         OCB_REQUIRE(layout.fits(),
                     "OC-Reduce layout (k+1 flags + buffers + fence) exceeds "
                     "the 256-line MPB");
         return layout;
       }()),
-      calls_(chip, layout_.fence_line(), options.parties) {}
+      calls_(chip, layout_.fence_line(), options_.parties) {}
 
 sim::Task<void> OcReduce::run(scc::Core& self, CoreId root, std::size_t in_offset,
                               std::size_t out_offset, std::size_t count,

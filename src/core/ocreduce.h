@@ -41,7 +41,7 @@ enum class ReduceOp { kSum, kMin, kMax };
 const char* reduce_op_name(ReduceOp op);
 
 struct OcReduceOptions {
-  int parties = kNumCores;
+  int parties = 0;  ///< 0 = every core of the chip
   int k = 2;  ///< reduction favours small fan-outs (see header comment)
   std::size_t chunk_lines = 96;
   std::size_t mpb_base_line = 0;
@@ -73,7 +73,7 @@ class OcReduce {
 /// Allreduce = OC-Reduce to the root + OC-Bcast of the result; both
 /// collectives share the chip but use disjoint MPB layouts.
 struct OcAllreduceOptions {
-  int parties = kNumCores;
+  int parties = 0;  ///< 0 = every core of the chip
   int reduce_k = 2;
   int bcast_k = 7;
   /// Both layouts must fit the MPB together, so the chunks are halved.

@@ -41,17 +41,10 @@ struct OneSidedScatterAllgather::SliceMap {
 OneSidedScatterAllgather::OneSidedScatterAllgather(scc::SccChip& chip,
                                                    const coll::Params& params)
     : chip_(&chip),
-      parties_(params.parties),
+      parties_(chip.resolve_parties(params.parties)),
       base_(params.mpb_base_line),
-      calls_(chip,
-             [&] {
-               OCB_REQUIRE(params.parties >= 2 &&
-                               params.parties <= chip.topology().num_cores(),
-                           "party count out of range");
-               // The fence's own bounds check covers the whole layout.
-               return params.mpb_base_line + kFlagLines + 3 * kChunkLines;
-             }(),
-             params.parties) {
+      // The fence's own bounds check covers the whole layout.
+      calls_(chip, fence_line(), parties_) {
   n_ = chip.topology().num_cores();
   const auto n = static_cast<std::size_t>(n_);
   staged_.assign(n, 0);

@@ -1,33 +1,27 @@
 #include "fault/injector.h"
 
 #include "common/require.h"
+#include "scc/chip.h"
 
 namespace ocb::fault {
 
-FaultInjector::FaultInjector(FaultPlan plan)
+FaultInjector::FaultInjector(const scc::SccChip& chip, FaultPlan plan)
     : plan_(std::move(plan)),
       rng_(SplitMix64(plan_.seed ^ 0xFA17B0A7ULL).next()),
       stall_applied_(plan_.stalls.size(), false),
-      crash_reported_(plan_.crashes.size(), false) {
+      crash_reported_(plan_.crashes.size(), false),
+      timing_faults_(static_cast<std::size_t>(chip.num_cores()), false) {
   // Pre-sample the plan's per-line needs and per-core gate effects once
   // (the plan is immutable for the injector's lifetime; see injector.h).
-  // The gate table follows the plan, so on a chip larger than the plan's
-  // cores every unnamed core reads as clear; the core ids a plan may name
-  // are still bounded by the SCC's.
-  auto mark_timing_fault = [this](CoreId core) {
-    const auto i = static_cast<std::size_t>(core);
-    if (i >= timing_faults_.size()) timing_faults_.resize(i + 1, false);
-    timing_faults_[i] = true;
-  };
   for (const StallInterval& s : plan_.stalls) {
-    OCB_REQUIRE(s.core >= 0 && s.core < kNumCores,
-                "fault plan stall core out of the injector's range");
-    mark_timing_fault(s.core);
+    OCB_REQUIRE(s.core >= 0 && s.core < chip.num_cores(),
+                "fault plan stall core is not on the chip");
+    timing_faults_[static_cast<std::size_t>(s.core)] = true;
   }
   for (const FailStop& f : plan_.crashes) {
-    OCB_REQUIRE(f.core >= 0 && f.core < kNumCores,
-                "fault plan crash core out of the injector's range");
-    mark_timing_fault(f.core);
+    OCB_REQUIRE(f.core >= 0 && f.core < chip.num_cores(),
+                "fault plan crash core is not on the chip");
+    timing_faults_[static_cast<std::size_t>(f.core)] = true;
   }
   perline_reads_ = plan_.rates.mpb_read > 0.0 || plan_.rates.mem_read > 0.0;
   perline_writes_ = plan_.rates.mpb_write > 0.0 ||

@@ -10,7 +10,7 @@
 //   plan.seed = 42;
 //   plan.rates.mpb_read = 1e-5;
 //   plan.crashes.push_back({.core = 5, .at = sim::us(30)});
-//   fault::FaultInjector injector(plan);
+//   fault::FaultInjector injector(chip, plan);
 //   chip.add_observer(&injector);         // non-owning; outlive the run
 #pragma once
 
@@ -20,11 +20,16 @@
 #include "fault/plan.h"
 #include "scc/observer.h"
 
+namespace ocb::scc {
+class SccChip;
+}  // namespace ocb::scc
+
 namespace ocb::fault {
 
 class FaultInjector final : public scc::TransactionObserver {
  public:
-  explicit FaultInjector(FaultPlan plan);
+  /// Replays `plan` on `chip`, whose cores bound the ids the plan names.
+  FaultInjector(const scc::SccChip& chip, FaultPlan plan);
 
   const FaultPlan& plan() const { return plan_; }
   const InjectionStats& stats() const { return stats_; }
@@ -48,8 +53,7 @@ class FaultInjector final : public scc::TransactionObserver {
   bool needs_per_line_writes() const override { return perline_writes_; }
   bool needs_per_line_completes() const override { return false; }
   bool bulk_window_clear(CoreId core, sim::Time /*now*/) override {
-    const auto i = static_cast<std::size_t>(core);
-    return i >= timing_faults_.size() || !timing_faults_[i];
+    return !timing_faults_[static_cast<std::size_t>(core)];
   }
   /// Reached only when every per-line need is false (zero rates, no stuck
   /// lines): a per-line replay would draw and mutate nothing, so the
@@ -66,9 +70,7 @@ class FaultInjector final : public scc::TransactionObserver {
   InjectionStats stats_;
   std::vector<bool> stall_applied_;    // parallel to plan_.stalls
   std::vector<bool> crash_reported_;   // parallel to plan_.crashes
-  // Any planned stall/crash, indexed by core and sized to the highest core
-  // the plan names: the chip may be larger, and an unnamed core's window
-  // is clear.
+  // Any planned stall/crash, one entry per core of the chip.
   std::vector<bool> timing_faults_;
   bool perline_reads_ = false;   // any read-corruption rate > 0
   bool perline_writes_ = false;  // any write rate > 0 or stuck lines

@@ -17,7 +17,7 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
   OCB_REQUIRE(spec.message_bytes > 0, "empty message");
 
   scc::SccChip chip(spec.config);
-  fault::FaultInjector injector(spec.plan);
+  fault::FaultInjector injector(chip, spec.plan);
   chip.add_observer(&injector);
   std::unique_ptr<check::RaceChecker> checker;
   if (spec.check_races) {
@@ -52,6 +52,8 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
   FaultRunOutcome out;
   out.parties = parties;
   out.events = run.events_processed;
+  out.max_queue_depth = run.max_queue_depth;
+  out.counters = run.counters;
   out.stalled_processes = run.stalled_processes;
   out.stalled_details = run.stalled_details;
   out.injections = injector.stats();

@@ -14,6 +14,7 @@
 #include "coll/collective.h"
 #include "fault/plan.h"
 #include "scc/config.h"
+#include "sim/counters.h"
 
 namespace ocb::harness {
 
@@ -57,6 +58,8 @@ struct FaultRunOutcome {
   /// returned.
   double latency_us = 0.0;
   std::uint64_t events = 0;
+  std::uint64_t max_queue_depth = 0;  ///< sim::RunResult's high-water mark
+  sim::Counters counters;  ///< host-side counters of the run
   fault::InjectionStats injections;
   /// Races detected (0 unless spec.check_races).
   std::uint64_t race_violations = 0;

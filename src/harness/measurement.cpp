@@ -17,12 +17,7 @@ BcastSession::BcastSession(const BcastRunSpec& spec)
   OCB_REQUIRE(spec_.message_bytes > 0, "empty message");
   OCB_REQUIRE(spec_.iterations >= 1, "need at least one measured iteration");
   OCB_REQUIRE(spec_.warmup >= 0, "negative warmup");
-  // OCB_CHECK checks wherever the checker applies. Its clocks are sized for
-  // the SCC's cores, so larger chips run unchecked under it; an explicit
-  // spec.check still insists (and the checker rejects the chip).
-  const bool env_check =
-      check::requested_by_env() && chip_->num_cores() <= static_cast<int>(kNumCores);
-  if (spec_.check || env_check) {
+  if (spec_.check || check::requested_by_env()) {
     checker_ = std::make_unique<check::RaceChecker>(*chip_);
     chip_->add_observer(checker_.get());
   }
@@ -107,6 +102,8 @@ BcastRunResult BcastSession::run() {
     out.race_violations = checker_->total_detected() - races_seen_;
     races_seen_ = checker_->total_detected();
     if (out.race_violations > 0) out.race_report = checker_->report();
+    // An OCB_CHECK-installed checker gates the run; spec.check reports.
+    OCB_ENSURE(spec_.check || out.race_violations == 0, out.race_report);
   }
 
   if (spec_.verify) {
@@ -192,9 +189,8 @@ double measure_op_completion_us(const scc::SccConfig& config, OpKind kind,
 ContentionResult measure_mpb_contention(const scc::SccConfig& config, int n_cores,
                                         std::size_t lines, bool use_get,
                                         int iterations) {
-  OCB_REQUIRE(n_cores >= 1 && n_cores <= config.topology.num_cores(),
-              "core count out of range");
   scc::SccChip chip(config);
+  n_cores = chip.resolve_parties(n_cores, /*minimum=*/1);
   sim::Rendezvous rendezvous(chip.engine(), static_cast<std::size_t>(n_cores));
   std::vector<RunningStats> per_core(static_cast<std::size_t>(n_cores));
 

@@ -43,9 +43,8 @@ struct BcastRunSpec {
   int iterations = 8;  ///< measured iterations
   int warmup = 1;      ///< discarded leading iterations
   bool verify = true;  ///< byte-compare every measured delivery
-  /// Install an ocb::check::RaceChecker for the whole session. Also
-  /// enabled by the OCB_CHECK environment variable (any value but "0") on
-  /// chips of at most kNumCores cores, the most the checker supports.
+  /// Install an ocb::check::RaceChecker for the whole session. OCB_CHECK
+  /// (any value but "0") installs one too and makes run() throw on a race.
   bool check = false;
 };
 
@@ -125,7 +124,7 @@ std::pair<CoreId, CoreId> core_pair_at_mpb_distance(int d);
 /// (1..4).
 CoreId core_at_mem_distance(int d);
 
-/// Figure 4: n cores (at most config.topology.num_cores()) concurrently
+/// Figure 4: n cores (0 = every core of config.topology) concurrently
 /// accessing core 0's MPB.
 struct ContentionResult {
   double avg_us = 0.0;

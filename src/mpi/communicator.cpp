@@ -14,15 +14,13 @@ constexpr sim::Duration kAddCost = 15 * sim::kNanosecond;
 }  // namespace
 
 Communicator::Communicator(scc::SccChip& chip, int size)
-    : chip_(&chip), size_(size) {
-  OCB_REQUIRE(size >= 2 && size <= chip.topology().num_cores(),
-              "communicator size out of range");
+    : chip_(&chip), size_(chip.resolve_parties(size)) {
   bcast_ = std::make_unique<core::OcBcast>(
-      chip, coll::Params{.parties = size, .k = std::min(7, size - 1)});
+      chip, coll::Params{.parties = size_, .k = std::min(7, size_ - 1)});
   // Stack the remaining layouts behind whatever OC-Bcast occupies from
   // line 0 (including its root-change fence lines).
   const std::size_t barrier_base = bcast_->layout().lines();
-  barrier_ = std::make_unique<rma::FlagBarrier>(chip, barrier_base, size);
+  barrier_ = std::make_unique<rma::FlagBarrier>(chip, barrier_base, size_);
   rma::TwoSidedLayout layout;
   layout.ready_line = barrier_base + static_cast<std::size_t>(barrier_->rounds());
   layout.sent_line = layout.ready_line + 1;

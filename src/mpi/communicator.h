@@ -30,9 +30,9 @@ namespace ocb::mpi {
 
 class Communicator {
  public:
-  /// Spans cores 0..size-1 of `chip`. The communicator must outlive the
-  /// simulation run.
-  explicit Communicator(scc::SccChip& chip, int size = kNumCores);
+  /// Spans cores 0..size-1 of `chip`, 0 meaning every core of the chip.
+  /// The communicator must outlive the simulation run.
+  explicit Communicator(scc::SccChip& chip, int size = 0);
 
   int size() const { return size_; }
   scc::SccChip& chip() { return *chip_; }

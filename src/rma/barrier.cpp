@@ -7,11 +7,9 @@ namespace ocb::rma {
 FlagBarrier::FlagBarrier(scc::SccChip& chip, std::size_t base_line, int parties)
     : chip_(&chip),
       base_line_(base_line),
-      parties_(parties),
-      rounds_(rounds_for(parties)),
-      epoch_(static_cast<std::size_t>(parties), 0) {
-  OCB_REQUIRE(parties >= 1 && parties <= chip.topology().num_cores(),
-              "party count out of range");
+      parties_(chip.resolve_parties(parties, /*minimum=*/1)),
+      rounds_(rounds_for(parties_)),
+      epoch_(static_cast<std::size_t>(parties_), 0) {
   OCB_REQUIRE(base_line + static_cast<std::size_t>(rounds_) <= kMpbCacheLines,
               "barrier flag lines exceed the MPB");
 }

@@ -20,9 +20,9 @@ namespace ocb::rma {
 
 class FlagBarrier {
  public:
-  /// Barrier over cores [0, parties); flags at lines
-  /// [base_line, base_line + rounds()) of each member's MPB.
-  FlagBarrier(scc::SccChip& chip, std::size_t base_line, int parties = kNumCores);
+  /// Barrier over cores [0, parties), 0 meaning every core of the chip;
+  /// flags at lines [base_line, base_line + rounds()) of each member's MPB.
+  FlagBarrier(scc::SccChip& chip, std::size_t base_line, int parties = 0);
 
   /// Blocks `self` until all parties have arrived.
   sim::Task<void> wait(scc::Core& self);

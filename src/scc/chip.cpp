@@ -43,6 +43,13 @@ SccChip::SccChip(const noc::Topology& topology, SccConfig config)
 
 SccChip::~SccChip() = default;
 
+int SccChip::resolve_parties(int requested, int minimum) const {
+  const int parties = requested == 0 ? num_cores() : requested;
+  OCB_REQUIRE(parties >= minimum && parties <= num_cores(),
+              "party count " + std::to_string(parties) + " out of range");
+  return parties;
+}
+
 Core& SccChip::core(CoreId id) {
   config_.topology.require_core(id);
   return *cores_[static_cast<std::size_t>(id)];

@@ -52,6 +52,9 @@ class SccChip {
   const SccConfig& config() const { return config_; }
   const noc::Topology& topology() const { return config_.topology; }
   int num_cores() const { return config_.topology.num_cores(); }
+  /// The one party-count check, made by every protocol object at
+  /// construction: 0 is every core, else [minimum, num_cores()].
+  int resolve_parties(int requested, int minimum = 2) const;
   sim::Engine& engine() { return engine_; }
   sim::Time now() const { return engine_.now(); }
   noc::Mesh& mesh() { return *mesh_; }

@@ -4,8 +4,8 @@
 // move with the coalescing configuration and never with simulated time.
 //
 // Always compiled in. sim::FramePool and scc::SccChip increment them;
-// sim::RunResult, harness::BcastRunResult and svc::ServiceMetrics each
-// carry one Counters value holding the deltas of one run.
+// sim::RunResult, harness::BcastRunResult, harness::FaultRunOutcome and
+// svc::ServiceMetrics carry one Counters value each: one run's deltas.
 #pragma once
 
 #include <cstdint>

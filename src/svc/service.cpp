@@ -18,8 +18,6 @@ namespace {
 std::size_t derive_chunk_lines(const ServiceConfig& c) {
   OCB_REQUIRE(c.algorithm == "ocbcast" || c.algorithm == "ft-ocbcast",
               "service algorithm must be slot-aware (ocbcast or ft-ocbcast)");
-  OCB_REQUIRE(c.parties >= 2 && c.parties <= kNumCores,
-              "party count out of range");
   OCB_REQUIRE(c.k >= 1 && c.k <= c.parties - 1, "fan-out must be in [1, parties-1]");
   OCB_REQUIRE(c.slots >= 1, "need at least one MPB slot");
   const std::size_t buffers = c.double_buffering ? 2 : 1;
@@ -134,8 +132,9 @@ struct BroadcastService::Active {
 BroadcastService::BroadcastService(const ServiceConfig& config)
     : config_(config),
       chip_(std::make_unique<scc::SccChip>(config.chip)),
-      allocator_(0, config.slot_lines, config.slots),
-      chunk_lines_(derive_chunk_lines(config)) {
+      allocator_(0, config.slot_lines, config.slots) {
+  config_.parties = chip_->resolve_parties(config.parties);
+  chunk_lines_ = derive_chunk_lines(config_);
   if (config_.check || check::requested_by_env()) {
     checker_ = std::make_unique<check::RaceChecker>(*chip_);
     chip_->add_observer(checker_.get());
@@ -340,6 +339,8 @@ ServiceMetrics BroadcastService::run() {
   }
   if (checker_ != nullptr) {
     m.race_violations = checker_->total_detected();
+    // An OCB_CHECK-installed checker gates the run; config.check reports.
+    OCB_ENSURE(config_.check || m.race_violations == 0, checker_->report());
   }
   return m;
 }

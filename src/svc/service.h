@@ -79,7 +79,7 @@ struct ServiceConfig {
   /// Registry name; must honor coll::Params::mpb_base_line and fit a slot
   /// ("ocbcast" or "ft-ocbcast").
   std::string algorithm = "ocbcast";
-  int parties = kNumCores;
+  int parties = 0;  ///< cores 0..parties-1; 0 = every core of `chip`
   int k = 7;
   bool double_buffering = true;
   /// Concurrent collectives = slots; each leases `slot_lines` MPB lines on
@@ -92,8 +92,8 @@ struct ServiceConfig {
   /// Admission bound: requests arriving with this many already queued are
   /// rejected (slots in service do not count toward the depth).
   std::size_t max_queue = 64;
-  /// Install an ocb::check::RaceChecker for the whole run. Also enabled by
-  /// the OCB_CHECK environment variable (any value but "0").
+  /// Install an ocb::check::RaceChecker for the whole run. OCB_CHECK (any
+  /// value but "0") installs one too and makes run() throw on a race.
   bool check = false;
   scc::SccConfig chip{};
 };

@@ -34,6 +34,7 @@ struct TrafficSpec {
   std::uint64_t mean_gap_ns = 50'000;
   std::vector<SizeClass> sizes{{kCacheLineBytes, 1}, {4096, 1}, {32768, 1}};
   /// Roots are uniform over [0, parties) unless fixed_root >= 0 pins them.
+  /// The generator has no chip: on a chip other than the SCC, set it.
   int parties = kNumCores;
   CoreId fixed_root = -1;
   std::uint64_t seed = 1;

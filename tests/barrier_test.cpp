@@ -22,7 +22,9 @@ TEST(FlagBarrier, LayoutValidation) {
   EXPECT_THROW(FlagBarrier(chip, 253, 48), PreconditionError);  // needs 6 lines
   EXPECT_NO_THROW(FlagBarrier(chip, 250, 48));
   EXPECT_THROW(FlagBarrier(chip, 0, 49), PreconditionError);
-  EXPECT_THROW(FlagBarrier(chip, 0, 0), PreconditionError);
+  EXPECT_THROW(FlagBarrier(chip, 0, -1), PreconditionError);
+  // 0 is every core of the chip.
+  EXPECT_EQ(FlagBarrier(chip, 0, 0).parties(), kNumCores);
 }
 
 TEST(FlagBarrier, NobodyPassesBeforeLastArrives) {

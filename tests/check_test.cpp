@@ -177,6 +177,44 @@ TEST(CheckGrid, ShippedCollectivesAreRaceFree) {
   }
 }
 
+// Chips larger than the SCC: every builtin that fits a 128-core mesh, and
+// the die-aware tree over 1024 cores on four dies, each spanning the whole
+// chip under a checker sized from it.
+TEST(CheckGrid, WholeChipCollectivesAreRaceFreeBeyondTheScc) {
+  struct Point {
+    const char* chip;
+    const char* algo;
+    std::size_t lines;
+  };
+  const Point points[] = {{"mesh:8x8", "ocbcast", 300},
+                          {"mesh:8x8", "hier-ocbcast", 300},
+                          {"mesh:8x8", "ft-ocbcast", 300},
+                          {"mesh:8x8", "binomial", 300},
+                          {"mesh:8x8", "scatter-allgather", 300},
+                          {"dies:2x2:mesh:16x8", "hier-ocbcast", 1}};
+  for (const Point& p : points) {
+    harness::BcastRunSpec spec;
+    spec.algorithm_name = p.algo;
+    spec.config.topology = noc::Topology::parse(p.chip);
+    spec.root = spec.config.topology.num_cores() - 1;
+    spec.message_bytes = p.lines * kCacheLineBytes;
+    spec.iterations = 1;
+    spec.warmup = 0;
+    spec.check = true;
+    const harness::BcastRunResult out = harness::run_broadcast(spec);
+    EXPECT_TRUE(out.content_ok) << p.chip << " " << p.algo;
+    EXPECT_EQ(out.race_violations, 0u)
+        << p.chip << " " << p.algo << "\n" << out.race_report;
+  }
+  // The one-sided scatter-allgather's fixed chunk leaves room for the
+  // 6-round fence of 48 parties only; 128 need 7, so it refuses the chip.
+  harness::BcastRunSpec sag;
+  sag.algorithm_name = "onesided-sag";
+  sag.config.topology = noc::Topology::parse("mesh:8x8");
+  sag.check = true;
+  EXPECT_THROW(harness::BcastSession{sag}, PreconditionError);
+}
+
 // --- the mutation: a removed flag wait must be flagged ----------------------
 
 /// Binomial broadcast with the receive-side `sent` wait deliberately
@@ -189,8 +227,10 @@ class RacyBinomial final : public coll::Collective {
   static constexpr std::size_t kSentLine = 1;
   static constexpr std::size_t kPayloadLine = 2;
 
-  RacyBinomial(scc::SccChip& chip, int parties)
-      : chip_(&chip), parties_(parties) {}
+  RacyBinomial(scc::SccChip& chip, const coll::Params& params)
+      : chip_(&chip),
+        parties_(chip.resolve_parties(params.parties)),
+        round_(static_cast<std::size_t>(parties_), 0) {}
 
   std::string name() const override { return "racy-binomial"; }
   int parties() const override { return parties_; }
@@ -235,13 +275,13 @@ class RacyBinomial final : public coll::Collective {
  private:
   scc::SccChip* chip_;
   int parties_;
-  std::array<std::uint64_t, kNumCores> round_{};
+  std::vector<std::uint64_t> round_;
 };
 
 TEST(CheckMutation, RacyBinomialIsFlagged) {
   coll::register_collective(
       "racy-binomial", [](scc::SccChip& chip, const coll::Params& params) {
-        return std::make_unique<RacyBinomial>(chip, params.parties);
+        return std::make_unique<RacyBinomial>(chip, params);
       });
 
   harness::BcastRunSpec spec;
@@ -252,6 +292,22 @@ TEST(CheckMutation, RacyBinomialIsFlagged) {
   spec.warmup = 0;
   spec.verify = false;  // the whole point is that the bytes are not safe
   spec.check = true;
+
+  // The checker sizes itself from the chip: the race is caught on every
+  // core of a 128-core mesh too, not skipped.
+  {
+    harness::BcastRunSpec wide = spec;
+    wide.params.parties = 0;
+    wide.config.topology = noc::Topology::parse("mesh:8x8");
+    harness::BcastSession session(wide);
+    EXPECT_EQ(session.chip().num_cores(), 128);
+    const harness::BcastRunResult out = session.run();
+    EXPECT_GE(out.race_violations, 1u);
+    const check::RaceChecker* checker = session.checker();
+    ASSERT_NE(checker, nullptr);
+    ASSERT_FALSE(checker->violations().empty());
+    EXPECT_GE(checker->violations().front().line, RacyBinomial::kPayloadLine);
+  }
 
   harness::BcastSession session(spec);
   const harness::BcastRunResult out = session.run();

@@ -228,7 +228,7 @@ TEST(FtOcBcast, DeliveryReportsArePopulated) {
   spec.plan.crashes.push_back({.core = 2, .at = 5 * sim::kMicrosecond});
 
   scc::SccChip chip(spec.config);
-  fault::FaultInjector injector(spec.plan);
+  fault::FaultInjector injector(chip, spec.plan);
   chip.add_observer(&injector);
   core::FtOcBcast bcast(chip, spec.params);
   auto region = chip.memory(0).host_bytes(0, spec.message_bytes);
@@ -279,6 +279,55 @@ TEST(FaultHarness, FaultFreeRunsOnAChipLargerThanTheScc) {
     EXPECT_TRUE(out.all_survivors_correct()) << name;
     EXPECT_EQ(out.delivered, 64) << name;
   }
+}
+
+// The injector and the checker size themselves from the chip the plan runs
+// on: a crash on a 128-core mesh is routed around, checked, and a plan that
+// names a core the chip lacks is refused.
+TEST(FaultHarness, CrashOnAChipLargerThanTheSccIsRoutedAround) {
+  harness::FaultRunSpec spec = base_spec(16 * 1024);
+  spec.config.topology = noc::Topology::parse("mesh:8x8");
+  spec.check_races = true;
+  spec.plan.crashes.push_back({.core = 100, .at = 20 * sim::kMicrosecond});
+  const harness::FaultRunOutcome out = run_fault_once(spec);
+  EXPECT_EQ(out.parties, 128);
+  EXPECT_EQ(out.crashed, 1);
+  EXPECT_EQ(out.survivors, 127);
+  EXPECT_TRUE(out.all_survivors_correct())
+      << out.correct << "/" << out.survivors << " gave_up=" << out.gave_up;
+  EXPECT_EQ(out.race_violations, 0u) << out.race_report;
+
+  spec.plan.crashes = {{.core = 128, .at = 20 * sim::kMicrosecond}};
+  EXPECT_THROW(run_fault_once(spec), PreconditionError);
+  spec.plan.crashes.clear();
+  spec.plan.stalls.push_back({.core = 128, .at = 0, .duration = 1});
+  EXPECT_THROW(run_fault_once(spec), PreconditionError);
+}
+
+// The outcome carries the run's counters: FT-OC-Bcast's payload coalesces
+// when no core has a stall or crash planned, corruption included, and the
+// ops of a core with a pending crash fall back to the per-line path.
+TEST(FaultHarness, OutcomeCarriesTheRunsCounters) {
+  harness::FaultRunSpec spec = base_spec(16 * 1024);
+  spec.check_races = true;
+  spec.plan.seed = 3;
+  const harness::FaultRunOutcome clean = run_fault_once(spec);
+  EXPECT_GT(clean.counters.bulk_ops, 0u);
+  EXPECT_EQ(clean.counters.bulk_fallback_ops, 0u);
+  EXPECT_GT(clean.max_queue_depth, 0u);
+
+  spec.plan.rates.mpb_read = 1e-4;
+  const harness::FaultRunOutcome corrupted = run_fault_once(spec);
+  EXPECT_GT(corrupted.counters.bulk_ops, 0u);
+  EXPECT_EQ(corrupted.counters.bulk_fallback_ops, 0u);
+
+  // Core 13 is still alive at its first multi-line op (an earlier crash
+  // would leave it nothing to fall back).
+  spec.plan.rates.mpb_read = 0.0;
+  spec.plan.crashes.push_back({.core = 13, .at = 200 * sim::kMicrosecond});
+  const harness::FaultRunOutcome crashed = run_fault_once(spec);
+  EXPECT_TRUE(crashed.all_survivors_correct());
+  EXPECT_GT(crashed.counters.bulk_fallback_ops, 0u);
 }
 
 // The "ocbcast" control arm is built from the spec's Params like any other

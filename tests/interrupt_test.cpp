@@ -92,7 +92,8 @@ TEST(Interrupts, UnservedInterruptLeavesWaiterStalled) {
 
 TEST(IpiNotifier, WakesEveryCoreExactlyOnce) {
   scc::SccChip chip;
-  core::IpiNotifier notifier;
+  core::IpiNotifier notifier(chip);
+  EXPECT_EQ(notifier.parties(), kNumCores);
   std::array<int, kNumCores> woken{};
   std::array<sim::Time, kNumCores> when{};
   chip.spawn(0, [&](scc::Core& me) -> sim::Task<void> {
@@ -120,7 +121,7 @@ TEST(IpiNotifier, WakesEveryCoreExactlyOnce) {
 
 TEST(IpiNotifier, TryAwaitInterleavesWithCompute) {
   scc::SccChip chip;
-  core::IpiNotifier notifier(8);
+  core::IpiNotifier notifier(chip, 8);
   std::array<int, 8> quanta{};
   chip.spawn(0, [&](scc::Core& me) -> sim::Task<void> {
     co_await me.busy(200 * sim::kMicrosecond);
@@ -145,12 +146,10 @@ TEST(IpiNotifier, TryAwaitInterleavesWithCompute) {
 
 TEST(IpiNotifier, RejectsBadArguments) {
   scc::SccChip chip;
-  EXPECT_THROW(core::IpiNotifier(1), PreconditionError);
-  // 49 parties is legal at construction — the notifier has no chip to bound
-  // against, and a 49-core topology exists; send_interrupt validates each
-  // target against the chip at use.
-  EXPECT_NO_THROW(core::IpiNotifier(49));
-  core::IpiNotifier notifier(4);
+  EXPECT_THROW(core::IpiNotifier(chip, 1), PreconditionError);
+  // The party count is bounded by the chip the notifier wakes.
+  EXPECT_THROW(core::IpiNotifier(chip, 49), PreconditionError);
+  core::IpiNotifier notifier(chip, 4);
   bool threw = false;
   chip.spawn(0, [&](scc::Core& me) -> sim::Task<void> {
     try {

@@ -260,7 +260,7 @@ TEST(ObserverFastpath, FtDeliveryReportsAreBitIdentical) {
     plan.seed = 5;
     plan.rates.mpb_read = 1e-3;
     plan.rates.mem_read = 1e-3;
-    fault::FaultInjector injector(plan);
+    fault::FaultInjector injector(chip, plan);
     chip.add_observer(&injector);
     core::FtOcBcast bcast(chip);
     auto region = chip.memory(0).host_bytes(0, kBytes);
@@ -381,8 +381,8 @@ TEST(Counters, CountEachRunsBulkPath) {
   // A planned stall closes core 5's bulk window, so its ops fall back.
   fault::FaultPlan plan;
   plan.stalls.push_back({5, 0, sim::kMicrosecond});
-  fault::FaultInjector injector(plan);
   harness::BcastSession stalled(spec);
+  fault::FaultInjector injector(stalled.chip(), plan);
   stalled.chip().add_observer(&injector);
   const sim::Counters fallback = stalled.run().counters;
   EXPECT_GT(fallback.bulk_fallback_ops, 0u);

@@ -37,13 +37,13 @@ bool run_bcast(const coll::Params& opt, CoreId root, std::size_t bytes) {
   scc::SccChip chip;
   OcBcast bcast(chip, opt);
   seed(chip, root, 0, bytes, 42);
-  for (CoreId c = 0; c < opt.parties; ++c) {
+  for (CoreId c = 0; c < bcast.parties(); ++c) {
     chip.spawn(c, [&bcast, root, bytes](scc::Core& me) -> sim::Task<void> {
       co_await bcast.run(me, root, 0, bytes);
     });
   }
   if (!chip.run().completed()) return false;
-  return delivered(chip, root, opt.parties, 0, bytes);
+  return delivered(chip, root, bcast.parties(), 0, bytes);
 }
 
 using Case = std::tuple<int, int, std::size_t>;  // parties, k, bytes
@@ -108,7 +108,7 @@ TEST(OcBcast, BinaryNotificationBeatsSequentialAtHighFanout) {
     OcBcast bcast(chip, opt);
     seed(chip, 0, 0, 32, 3);
     sim::Time last = 0;
-    for (CoreId c = 0; c < opt.parties; ++c) {
+    for (CoreId c = 0; c < bcast.parties(); ++c) {
       chip.spawn(c, [&bcast, &last](scc::Core& me) -> sim::Task<void> {
         co_await bcast.run(me, 0, 0, 32);
         last = std::max(last, me.now());
@@ -139,7 +139,7 @@ TEST(OcBcast, DoubleBufferingImprovesMediumMessageLatency) {
     OcBcast bcast(chip, opt);
     seed(chip, 0, 0, bytes, 7);
     sim::Time last = 0;
-    for (CoreId c = 0; c < opt.parties; ++c) {
+    for (CoreId c = 0; c < bcast.parties(); ++c) {
       chip.spawn(c, [&bcast, &last, bytes](scc::Core& me) -> sim::Task<void> {
         co_await bcast.run(me, 0, 0, bytes);
         last = std::max(last, me.now());
@@ -167,7 +167,7 @@ TEST(OcBcast, PeakThroughputInsensitiveToBuffering) {
     const std::size_t bytes = 4096 * 32;
     seed(chip, 0, 0, bytes, 7);
     sim::Time last = 0;
-    for (CoreId c = 0; c < opt.parties; ++c) {
+    for (CoreId c = 0; c < bcast.parties(); ++c) {
       chip.spawn(c, [&bcast, &last, bytes](scc::Core& me) -> sim::Task<void> {
         co_await bcast.run(me, 0, 0, bytes);
         last = std::max(last, me.now());
@@ -190,7 +190,7 @@ TEST(OcBcast, LeafDirectIsFasterForLeaves) {
     const std::size_t bytes = 96 * 32;
     seed(chip, 0, 0, bytes, 9);
     sim::Time last = 0;
-    for (CoreId c = 0; c < opt.parties; ++c) {
+    for (CoreId c = 0; c < bcast.parties(); ++c) {
       chip.spawn(c, [&bcast, &last, bytes](scc::Core& me) -> sim::Task<void> {
         co_await bcast.run(me, 0, 0, bytes);
         last = std::max(last, me.now());
@@ -210,7 +210,7 @@ TEST(OcBcast, BackToBackBroadcastsStaySound) {
   constexpr int kRounds = 6;
   constexpr std::size_t kBytes = 130 * 32;  // two chunks (96 + 34)
   for (int r = 0; r < kRounds; ++r) seed(chip, 0, r * kBytes, kBytes, r);
-  for (CoreId c = 0; c < opt.parties; ++c) {
+  for (CoreId c = 0; c < bcast.parties(); ++c) {
     chip.spawn(c, [&bcast](scc::Core& me) -> sim::Task<void> {
       for (int r = 0; r < kRounds; ++r) {
         co_await bcast.run(me, 0, static_cast<std::size_t>(r) * kBytes, kBytes);
@@ -219,7 +219,7 @@ TEST(OcBcast, BackToBackBroadcastsStaySound) {
   }
   ASSERT_TRUE(chip.run().completed());
   for (int r = 0; r < kRounds; ++r) {
-    EXPECT_TRUE(delivered(chip, 0, opt.parties, r * kBytes, kBytes)) << "round " << r;
+    EXPECT_TRUE(delivered(chip, 0, bcast.parties(), r * kBytes, kBytes)) << "round " << r;
   }
 }
 
@@ -232,7 +232,7 @@ TEST(OcBcast, AlternatingRootsStaySound) {
   for (std::size_t r = 0; r < roots.size(); ++r) {
     seed(chip, roots[r], r * kBytes, kBytes, 100 + r);
   }
-  for (CoreId c = 0; c < opt.parties; ++c) {
+  for (CoreId c = 0; c < bcast.parties(); ++c) {
     chip.spawn(c, [&bcast, &roots](scc::Core& me) -> sim::Task<void> {
       for (std::size_t r = 0; r < roots.size(); ++r) {
         co_await bcast.run(me, roots[r], r * kBytes, kBytes);
@@ -241,7 +241,7 @@ TEST(OcBcast, AlternatingRootsStaySound) {
   }
   ASSERT_TRUE(chip.run().completed());
   for (std::size_t r = 0; r < roots.size(); ++r) {
-    EXPECT_TRUE(delivered(chip, roots[r], opt.parties, r * kBytes, kBytes))
+    EXPECT_TRUE(delivered(chip, roots[r], bcast.parties(), r * kBytes, kBytes))
         << "root " << roots[r];
   }
 }
@@ -328,7 +328,7 @@ TEST(OcBcast, PipelineLatencyScalesSubLinearlyWithDepth) {
     OcBcast bcast(chip, opt);
     seed(chip, 0, 0, lines * 32, 1);
     sim::Time last = 0;
-    for (CoreId c = 0; c < opt.parties; ++c) {
+    for (CoreId c = 0; c < bcast.parties(); ++c) {
       chip.spawn(c, [&bcast, &last, lines](scc::Core& me) -> sim::Task<void> {
         co_await bcast.run(me, 0, 0, lines * 32);
         last = std::max(last, me.now());

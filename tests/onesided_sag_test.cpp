@@ -72,7 +72,7 @@ TEST(OneSidedSag, BackToBackBroadcastsStaySound) {
   OneSidedScatterAllgather bcast(chip, opt);
   constexpr std::size_t kBytes = 500 * 32;
   for (int r = 0; r < 4; ++r) seed(chip, 0, r * kBytes, kBytes, 30 + r);
-  for (CoreId c = 0; c < opt.parties; ++c) {
+  for (CoreId c = 0; c < bcast.parties(); ++c) {
     chip.spawn(c, [&bcast](scc::Core& me) -> sim::Task<void> {
       for (int r = 0; r < 4; ++r) {
         co_await bcast.run(me, 0, static_cast<std::size_t>(r) * kBytes, kBytes);
@@ -81,7 +81,7 @@ TEST(OneSidedSag, BackToBackBroadcastsStaySound) {
   }
   ASSERT_TRUE(chip.run().completed());
   for (int r = 0; r < 4; ++r) {
-    EXPECT_TRUE(delivered(chip, 0, opt.parties, r * kBytes, kBytes)) << r;
+    EXPECT_TRUE(delivered(chip, 0, bcast.parties(), r * kBytes, kBytes)) << r;
   }
 }
 
@@ -94,7 +94,7 @@ TEST(OneSidedSag, AlternatingRootsStaySound) {
   for (std::size_t r = 0; r < roots.size(); ++r) {
     seed(chip, roots[r], r * kBytes, kBytes, 60 + r);
   }
-  for (CoreId c = 0; c < opt.parties; ++c) {
+  for (CoreId c = 0; c < bcast.parties(); ++c) {
     chip.spawn(c, [&bcast, &roots](scc::Core& me) -> sim::Task<void> {
       for (std::size_t r = 0; r < roots.size(); ++r) {
         co_await bcast.run(me, roots[r], r * kBytes, kBytes);
@@ -103,7 +103,7 @@ TEST(OneSidedSag, AlternatingRootsStaySound) {
   }
   ASSERT_TRUE(chip.run().completed());
   for (std::size_t r = 0; r < roots.size(); ++r) {
-    EXPECT_TRUE(delivered(chip, roots[r], opt.parties, r * kBytes, kBytes))
+    EXPECT_TRUE(delivered(chip, roots[r], bcast.parties(), r * kBytes, kBytes))
         << "root " << roots[r];
   }
 }

@@ -266,7 +266,7 @@ SumRun run_sum_case(const SumCase& c, bool with_sum, bool corrupt_reads) {
   fault::FaultPlan plan;
   plan.rates.mpb_read = 1.0;
   plan.rates.mem_read = 1.0;
-  fault::FaultInjector injector(plan);
+  fault::FaultInjector injector(chip, plan);
   if (corrupt_reads) chip.add_observer(&injector);
 
   SumRun out;

@@ -361,6 +361,33 @@ TEST(Service, PreconditionsAreEnforced) {
   EXPECT_THROW(service.run(), PreconditionError) << "no requests submitted";
 }
 
+// The default party count is the whole chip, and the checker sizes itself
+// from it: a checked service on a 128-core mesh.
+TEST(Service, DefaultPartiesSpanALargerChip) {
+  svc::ServiceConfig config;
+  config.chip.topology = noc::Topology::parse("mesh:8x8");
+  config.check = true;
+  svc::BroadcastService service(config);
+
+  svc::TrafficSpec traffic;
+  traffic.requests = 4;
+  traffic.mean_gap_ns = 20'000;
+  traffic.sizes = {{kCacheLineBytes, 1}, {4096, 1}};
+  traffic.parties = service.chip().num_cores();
+  traffic.seed = 11;
+  service.submit(svc::generate_requests(traffic));
+  svc::Request last_core;
+  last_core.id = traffic.requests;
+  last_core.root = 127;
+  last_core.bytes = 2048;
+  service.submit(last_core);
+
+  const svc::ServiceMetrics m = service.run();
+  EXPECT_EQ(m.completed, 5u);
+  EXPECT_TRUE(m.content_ok);
+  EXPECT_EQ(m.race_violations, 0u) << service.checker()->report();
+}
+
 // --- smoke: the CI `service-smoke` target runs exactly this suite -----------
 
 TEST(ServiceSmoke, MixedLoadAllFortyEightCores) {

@@ -31,9 +31,13 @@
 #include "coll/registry.h"
 #include "common/require.h"
 #include "core/hier_bcast.h"
+#include "core/ipi_notifier.h"
+#include "core/ocreduce.h"
 #include "core/tree.h"
 #include "harness/measurement.h"
+#include "mpi/communicator.h"
 #include "noc/topology.h"
+#include "rma/barrier.h"
 #include "scc/chip.h"
 
 namespace ocb {
@@ -283,19 +287,28 @@ TEST(TopologyChips, EveryBuiltinResolvesAllCoresOnNonSixColumnMesh) {
       continue;
     }
     EXPECT_EQ(bcast->parties(), 50) << name;
+    // Default Params: the same whole-chip count.
+    EXPECT_EQ(coll::make(name, chip)->parties(), 50) << name;
     EXPECT_TRUE(delivers(chip, *bcast, {7}, 64 * kCacheLineBytes))
         << name;
   }
   // "adaptive": its baked-in decision table is tuned for (and bounded at)
   // the SCC's 48 cores.
   EXPECT_EQ(refused, std::vector<std::string>{"adaptive"});
+
+  // The other protocol objects' default counts resolve the same way.
+  scc::SccChip chip(cfg);
+  EXPECT_EQ(rma::FlagBarrier(chip, 0).parties(), 50);
+  EXPECT_EQ(core::IpiNotifier(chip).parties(), 50);
+  EXPECT_EQ(mpi::Communicator(chip).size(), 50);
+  EXPECT_EQ(core::OcReduce(chip).options().parties, 50);
 }
 
 // --- hierarchical broadcast ------------------------------------------------
 
 /// Runs hier-ocbcast with `params` from each of `roots` back to back on one
-/// chip of `topo` (at most kNumCores cores) under the race checker; true
-/// when every participant holds every round's bytes and no race was seen.
+/// chip of `topo` under the race checker; true when every participant holds
+/// every round's bytes and no race was seen.
 bool hier_delivers(const Topology& topo, const std::vector<CoreId>& roots,
                    std::size_t bytes, const coll::Params& params) {
   scc::SccConfig cfg;
