@@ -154,9 +154,9 @@ WorkloadRecord run_ocbcast_mesh_workload() {
 
 // The same 1024-line broadcast with the ocb::check race checker installed:
 // vector-clock bookkeeping on every MPB access, i.e. the cost of running
-// "checked". The checker is bulk-capable (scc/observer.h), so coalesced
-// ops deliver one batched on_bulk instead of 2*lines per-line callbacks.
-// Compare against ocbcast_1024 to see the overhead.
+// "checked". The checker is bulk-capable (scc/observer.h), so the ops stay
+// coalesced and hand it the per-line stream inline. Compare against
+// ocbcast_1024 to see the overhead.
 WorkloadRecord run_ocbcast_checked_workload() {
   return best_of("ocbcast_1024_checked", 10, [] {
     harness::BcastRunSpec spec = ocbcast_spec(1024);

@@ -20,9 +20,15 @@ const char* violation_kind_name(Violation::Kind kind) {
   return "?";
 }
 
-RaceChecker::RaceChecker(scc::SccChip& chip, CheckOptions options)
+namespace {
+
+/// Violations recorded in full; later ones are only counted.
+constexpr std::size_t kMaxRecordedViolations = 64;
+
+}  // namespace
+
+RaceChecker::RaceChecker(scc::SccChip& chip)
     : chip_(&chip),
-      options_(options),
       n_(static_cast<std::size_t>(chip.num_cores())),
       clocks_(n_ * n_, 0),
       ipi_queues_(n_),
@@ -72,7 +78,7 @@ RaceChecker::Access RaceChecker::make_access(const scc::LineTxn& txn) {
 void RaceChecker::record(Violation::Kind kind, CoreId owner, std::size_t line,
                          const Access& first, const Access& second) {
   ++total_detected_;
-  if (violations_.size() >= options_.max_violations) return;
+  if (violations_.size() >= kMaxRecordedViolations) return;
   Violation v;
   v.kind = kind;
   v.owner = owner;
@@ -90,12 +96,19 @@ void RaceChecker::record(Violation::Kind kind, CoreId owner, std::size_t line,
   violations_.push_back(v);
 }
 
-void RaceChecker::check_read(LineState& ls, CoreId owner, std::size_t line,
-                             const Access& a) {
+void RaceChecker::on_read(const scc::LineTxn& txn, CacheLine& /*value*/) {
+  if (txn.op != scc::TraceOp::kMpbRead) return;
+  // Validated-read sections: the read may race by design (the protocol
+  // discards any payload that fails its checksum), so it neither reports
+  // against an unordered write nor joins the read set.
+  if (optimistic_[static_cast<std::size_t>(txn.core)]) return;
+  LineState& ls = line_state(txn.target, txn.index);
+  if (ls.sync) return;
+  const Access a = make_access(txn);
   if (ls.has_write && ls.last_write.core != a.core &&
       !crashed_[static_cast<std::size_t>(ls.last_write.core)] &&
       !ordered_before(ls.last_write, a.core)) {
-    record(Violation::Kind::kPutGet, owner, line, ls.last_write, a);
+    record(Violation::Kind::kPutGet, txn.target, txn.index, ls.last_write, a);
   }
   // Keep only reads this one does not dominate: a read ordered before `a`
   // is covered by `a` for every future conflict (happens-before is
@@ -109,88 +122,26 @@ void RaceChecker::check_read(LineState& ls, CoreId owner, std::size_t line,
   ls.reads.push_back(a);
 }
 
-void RaceChecker::check_write(LineState& ls, CoreId owner, std::size_t line,
-                              const Access& a) {
+bool RaceChecker::on_write(const scc::LineTxn& txn, CacheLine& /*value*/) {
+  if (txn.op != scc::TraceOp::kMpbWrite) return true;
+  LineState& ls = line_state(txn.target, txn.index);
+  if (ls.sync) return true;
+  const Access a = make_access(txn);
   if (ls.has_write && ls.last_write.core != a.core &&
       !crashed_[static_cast<std::size_t>(ls.last_write.core)] &&
       !ordered_before(ls.last_write, a.core)) {
-    record(Violation::Kind::kPutPut, owner, line, ls.last_write, a);
+    record(Violation::Kind::kPutPut, txn.target, txn.index, ls.last_write, a);
   }
   for (const Access& r : ls.reads) {
     if (r.core == a.core) continue;
     if (crashed_[static_cast<std::size_t>(r.core)]) continue;
     if (ordered_before(r, a.core)) continue;
-    record(Violation::Kind::kGetPut, owner, line, r, a);
+    record(Violation::Kind::kGetPut, txn.target, txn.index, r, a);
   }
   ls.last_write = a;
   ls.has_write = true;
   ls.reads.clear();
-}
-
-void RaceChecker::on_read(const scc::LineTxn& txn, CacheLine& /*value*/) {
-  if (txn.op != scc::TraceOp::kMpbRead) return;
-  // Validated-read sections: the read may race by design (the protocol
-  // discards any payload that fails its checksum), so it neither reports
-  // against an unordered write nor joins the read set.
-  if (optimistic_[static_cast<std::size_t>(txn.core)]) return;
-  LineState& ls = line_state(txn.target, txn.index);
-  if (ls.sync) return;
-  check_read(ls, txn.target, txn.index, make_access(txn));
-}
-
-bool RaceChecker::on_write(const scc::LineTxn& txn, CacheLine& /*value*/) {
-  if (txn.op != scc::TraceOp::kMpbWrite) return true;
-  LineState& ls = line_state(txn.target, txn.index);
-  if (ls.sync) return true;
-  check_write(ls, txn.target, txn.index, make_access(txn));
   return true;
-}
-
-// Batched delivery for one quiescent coalesced op. Processes the op's MPB
-// accesses in the exact per-line order (line-major, source half before
-// destination half) so seq allocation — and therefore every verdict and
-// its provenance — matches the reference stream bit for bit. The early
-// outs replicate the per-line filters: mem halves never reach the checker
-// (single-core address space), optimistic reads and sync lines are
-// skipped BEFORE a seq is allocated, exactly as on_read/on_write do. The
-// issuing core's epoch, stage, and optimistic flag are hoisted: nothing
-// mid-op can change them (only the core's own sync operations do, and the
-// quiescent regime means nothing else is runnable).
-void RaceChecker::on_bulk(const scc::BulkTxn& txn) {
-  const auto core = static_cast<std::size_t>(txn.core);
-  const std::uint64_t epoch = clocks_[core * n_ + core];
-  const char* stage = chip_->core(txn.core).stage();
-  const bool optimistic = optimistic_[core];
-  // Per-half skip decisions, hoisted out of the line loop.
-  bool checked[2];
-  bool is_write[2];
-  for (int hi = 0; hi < 2; ++hi) {
-    const scc::BulkHalfDesc& h = txn.half[hi];
-    is_write[hi] = h.op == scc::TraceOp::kMpbWrite;
-    checked[hi] = !h.mem && (is_write[hi] || !optimistic);
-  }
-  if (!checked[0] && !checked[1]) return;
-  for (std::size_t l = 0; l < txn.lines; ++l) {
-    for (int hi = 0; hi < 2; ++hi) {
-      if (!checked[hi]) continue;
-      const scc::BulkHalfDesc& h = txn.half[hi];
-      const std::size_t index = h.base + l * h.stride;
-      LineState& ls = line_state(h.target, index);
-      if (ls.sync) continue;
-      Access a;
-      a.core = txn.core;
-      a.epoch = epoch;
-      a.seq = next_seq_++;
-      a.time = txn.schedule[l * 2 + static_cast<std::size_t>(hi)].access;
-      a.op = h.op;
-      a.stage = stage;
-      if (is_write[hi]) {
-        check_write(ls, h.target, index, a);
-      } else {
-        check_read(ls, h.target, index, a);
-      }
-    }
-  }
 }
 
 void RaceChecker::on_sync(const scc::SyncEvent& event) {
@@ -256,19 +207,6 @@ void RaceChecker::on_crash(CoreId core, sim::Time /*now*/) {
     if (ls.has_write && ls.last_write.core == core) ls.has_write = false;
     ls.reads.erase_if([&](const Access& r) { return r.core == core; });
   }
-}
-
-void RaceChecker::reset_accesses() {
-  // Field-wise reset keeps each line's allocations (read-set spill
-  // capacity, release buckets) warm for the next phase.
-  for (LineState& ls : lines_) {
-    ls.sync = false;
-    ls.has_write = false;
-    ls.reads.clear();
-    ls.releases.clear();
-  }
-  violations_.clear();
-  total_detected_ = 0;
 }
 
 std::string RaceChecker::report() const {

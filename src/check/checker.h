@@ -51,12 +51,6 @@ class JsonTraceCollector;
 
 namespace ocb::check {
 
-struct CheckOptions {
-  /// Stop recording after this many violations (the state keeps advancing
-  /// so later races are still *detected* and counted, just not stored).
-  std::size_t max_violations = 64;
-};
-
 /// One conflicting unsynchronized pair. `first` is the earlier access in
 /// simulated time, `second` the one whose arrival exposed the race.
 struct Violation {
@@ -80,9 +74,10 @@ const char* violation_kind_name(Violation::Kind kind);
 
 class RaceChecker final : public scc::TransactionObserver {
  public:
-  explicit RaceChecker(scc::SccChip& chip, CheckOptions options = {});
+  explicit RaceChecker(scc::SccChip& chip);
 
-  /// Violations recorded so far (capped at options.max_violations).
+  /// Violations recorded so far (the first 64; later races are still
+  /// detected and counted in total_detected()).
   const std::vector<Violation>& violations() const { return violations_; }
   /// Total races detected, including ones past the recording cap.
   std::uint64_t total_detected() const { return total_detected_; }
@@ -94,31 +89,16 @@ class RaceChecker final : public scc::TransactionObserver {
   /// the race shows up as a cross-core link in chrome://tracing.
   void add_flows_to(scc::JsonTraceCollector& trace) const;
 
-  /// Drops all per-line state and recorded violations (keeps the clocks —
-  /// ordering established by a previous phase remains valid).
-  void reset_accesses();
-
   // scc::TransactionObserver
   void on_read(const scc::LineTxn& txn, CacheLine& value) override;
   bool on_write(const scc::LineTxn& txn, CacheLine& value) override;
   void on_sync(const scc::SyncEvent& event) override;
   void on_crash(CoreId core, sim::Time now) override;
 
-  // Capability model (scc/observer.h): the checker is passive — it never
-  // mutates a value, vetoes a commit, or gates a core — and it opts out of
-  // all per-line delivery on the quiescent fast path: one batched on_bulk
-  // per coalesced op processes the op's MPB accesses with the issuing
-  // core's epoch, stage, and optimistic flag hoisted out of the line loop
-  // (they cannot change mid-op: only the core's own sync operations touch
-  // them, and the op is the only thing running). Seqs are allocated in the
-  // exact per-line access order, so verdicts and provenance are
-  // bit-identical to the reference stream. On a busy chip the parity chain
-  // dispatches the live per-line callbacks as before.
-  bool is_passive() const override { return true; }
-  bool needs_per_line_reads() const override { return false; }
-  bool needs_per_line_writes() const override { return false; }
-  bool needs_per_line_completes() const override { return false; }
-  void on_bulk(const scc::BulkTxn& txn) override;
+  // Passive: it never mutates a value, vetoes a commit, or gates a core,
+  // and reads time only from the txn, so the coalesced fast path stays on
+  // (scc/observer.h).
+  bool supports_bulk() const override { return true; }
 
  private:
   /// One component per core of the chip.
@@ -211,16 +191,8 @@ class RaceChecker final : public scc::TransactionObserver {
   void record(Violation::Kind kind, CoreId owner, std::size_t line,
               const Access& first, const Access& second);
   Access make_access(const scc::LineTxn& txn);
-  /// The shared DJIT+ hot path, identical for per-line and batched
-  /// delivery: conflict checks against the line's last write / read set,
-  /// then the (semantics-bearing) eager read-set prune or write update.
-  void check_read(LineState& ls, CoreId owner, std::size_t line,
-                  const Access& a);
-  void check_write(LineState& ls, CoreId owner, std::size_t line,
-                   const Access& a);
 
   scc::SccChip* chip_;
-  CheckOptions options_;
   std::size_t n_;  ///< cores of the chip
   /// n_ x n_, row-major: row c is core c's clock.
   std::vector<std::uint64_t> clocks_;

@@ -42,7 +42,6 @@
 // buffers. Defaults (k=7, B=2, m=96): 208 of 256 lines.
 #pragma once
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -79,9 +78,6 @@ class FtOcBcast final : public coll::Collective {
 
   const DeliveryReport& report(CoreId core) const {
     return reports_[static_cast<std::size_t>(core)];
-  }
-  void reset_reports() {
-    std::fill(reports_.begin(), reports_.end(), DeliveryReport{});
   }
 
   /// MPB layout: D = k done slots plus a staged line per buffer.

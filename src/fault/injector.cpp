@@ -11,8 +11,8 @@ FaultInjector::FaultInjector(const scc::SccChip& chip, FaultPlan plan)
       stall_applied_(plan_.stalls.size(), false),
       crash_reported_(plan_.crashes.size(), false),
       timing_faults_(static_cast<std::size_t>(chip.num_cores()), false) {
-  // Pre-sample the plan's per-line needs and per-core gate effects once
-  // (the plan is immutable for the injector's lifetime; see injector.h).
+  // Pre-sample the plan's per-core gate effects once (the plan is
+  // immutable for the injector's lifetime; see injector.h).
   for (const StallInterval& s : plan_.stalls) {
     OCB_REQUIRE(s.core >= 0 && s.core < chip.num_cores(),
                 "fault plan stall core is not on the chip");
@@ -23,9 +23,6 @@ FaultInjector::FaultInjector(const scc::SccChip& chip, FaultPlan plan)
                 "fault plan crash core is not on the chip");
     timing_faults_[static_cast<std::size_t>(f.core)] = true;
   }
-  perline_reads_ = plan_.rates.mpb_read > 0.0 || plan_.rates.mem_read > 0.0;
-  perline_writes_ = plan_.rates.mpb_write > 0.0 ||
-                    plan_.rates.mem_write > 0.0 || !plan_.stuck_lines.empty();
 }
 
 bool FaultInjector::crashed(CoreId core, sim::Time now) {

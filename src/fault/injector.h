@@ -40,25 +40,15 @@ class FaultInjector final : public scc::TransactionObserver {
   void on_read(const scc::LineTxn& txn, CacheLine& value) override;
   bool on_write(const scc::LineTxn& txn, CacheLine& value) override;
 
-  // Capability model (scc/observer.h): the injector is bulk-capable. Its
-  // per-line needs are pre-sampled from the plan at construction — a plan
-  // with no read (write) corruption rates never draws on reads (writes),
-  // so skipping those callbacks on the quiescent path leaves the rng
-  // stream untouched; any nonzero rate forces per-line replay so draws
-  // happen one per at-risk transaction in exact reference order. Cores
-  // with a planned stall or crash report their bulk window unclear, which
-  // routes exactly the perturbed cores through the gated per-line path.
+  // Bulk-capable (scc/observer.h): corruption and stuck lines act through
+  // on_read/on_write, which every path delivers per line, and read time
+  // only from the txn. Cores with a planned stall or crash report their
+  // bulk window unclear, which routes exactly the perturbed cores through
+  // the gated per-line path.
   bool supports_bulk() const override { return true; }
-  bool needs_per_line_reads() const override { return perline_reads_; }
-  bool needs_per_line_writes() const override { return perline_writes_; }
-  bool needs_per_line_completes() const override { return false; }
   bool bulk_window_clear(CoreId core, sim::Time /*now*/) override {
     return !timing_faults_[static_cast<std::size_t>(core)];
   }
-  /// Reached only when every per-line need is false (zero rates, no stuck
-  /// lines): a per-line replay would draw and mutate nothing, so the
-  /// batched notification is deliberately a no-op.
-  void on_bulk(const scc::BulkTxn& /*txn*/) override {}
 
  private:
   double rate_for(scc::TraceOp op) const;
@@ -72,8 +62,6 @@ class FaultInjector final : public scc::TransactionObserver {
   std::vector<bool> crash_reported_;   // parallel to plan_.crashes
   // Any planned stall/crash, one entry per core of the chip.
   std::vector<bool> timing_faults_;
-  bool perline_reads_ = false;   // any read-corruption rate > 0
-  bool perline_writes_ = false;  // any write rate > 0 or stuck lines
 };
 
 }  // namespace ocb::fault

@@ -20,7 +20,7 @@ FaultRunOutcome run_fault_once(const FaultRunSpec& spec) {
   fault::FaultInjector injector(chip, spec.plan);
   chip.add_observer(&injector);
   std::unique_ptr<check::RaceChecker> checker;
-  if (spec.check_races) {
+  if (spec.check_races || check::requested_by_env()) {
     checker = std::make_unique<check::RaceChecker>(chip);
     chip.add_observer(checker.get());
   }

@@ -33,7 +33,10 @@ struct FaultRunSpec {
   /// Also install an ocb::check::RaceChecker on the run's observer chain —
   /// the injector's crashes/stalls/corruption then execute under
   /// happens-before surveillance (a recovery path that reads data without
-  /// a real ordering edge is a bug even when the bytes verify).
+  /// a real ordering edge is a bug even when the bytes verify). OCB_CHECK
+  /// in the environment installs it too. Either way races are reported in
+  /// the outcome, never thrown: a plain protocol under corruption races
+  /// by design.
   bool check_races = false;
 };
 
@@ -61,7 +64,8 @@ struct FaultRunOutcome {
   std::uint64_t max_queue_depth = 0;  ///< sim::RunResult's high-water mark
   sim::Counters counters;  ///< host-side counters of the run
   fault::InjectionStats injections;
-  /// Races detected (0 unless spec.check_races).
+  /// Races detected (0 unless spec.check_races or OCB_CHECK installed the
+  /// checker).
   std::uint64_t race_violations = 0;
   std::string race_report{};
 

@@ -107,7 +107,7 @@ void BulkOp::launch() {
   // The per-line path pays the op's software overhead via busy(); with zero
   // jitter that delay is exact arithmetic either way.
   const sim::Time start = issue_ + op_overhead_;
-  if (try_quiescent(start)) {
+  if (try_closed_form(start)) {
     chip_->note_bulk_op(observing_, /*quiescent=*/true);
     return;
   }
@@ -125,7 +125,7 @@ void BulkOp::launch() {
 // Timed waiters always hold a timeout event in the queue, so they are
 // excluded by the queue check; untimed waiters parked on a written MPB
 // line's trigger are the one hazard, checked explicitly.
-bool BulkOp::try_quiescent(sim::Time start) {
+bool BulkOp::try_closed_form(sim::Time start) {
   if (chip_->engine().queue_size() != 0) return false;
   for (const Half& h : half_) {
     if (h.mem || !h.write) continue;
@@ -133,15 +133,11 @@ bool BulkOp::try_quiescent(sim::Time start) {
       if (h.mpb->line_has_waiters(h.base + i)) return false;
     }
   }
-  // Observation: per-line callbacks go inline at the computed reference
-  // instants to the observers that asked for them; the rest get one
-  // on_bulk at the end, for which the reference schedule is recorded.
-  const bool record = observing_ && chip_->bulk_summary_pending();
-  if (record) schedule_.resize(lines_ * 2);
+  // Observation: the per-line callbacks go inline to the whole chain,
+  // stamped with the computed reference instants.
   if (observing_) {
     // The per-line path's busy(op_overhead) kickoff completion.
-    chip_->observe_complete_quiescent(
-        {TraceOp::kBusy, id_, id_, 0, issue_, start});
+    chip_->observe_complete({TraceOp::kBusy, id_, id_, 0, issue_, start});
   }
   noc::Mesh& mesh = chip_->mesh();
   sim::Time t = start;
@@ -154,16 +150,11 @@ bool BulkOp::try_quiescent(sim::Time start) {
         value_ = memory_->load(index);
         t += o_cache_hit_;
         if (observing_) {
-          chip_->observe_read_quiescent(
-              {TraceOp::kCacheHit, id_, id_, index, t}, value_);
-          chip_->observe_complete_quiescent(
+          chip_->observe_read({TraceOp::kCacheHit, id_, id_, index, t}, value_);
+          chip_->observe_complete(
               {TraceOp::kCacheHit, id_, id_, index, begin, t});
         }
         fold_read();
-        if (record) {
-          schedule_[line_ * 2 + static_cast<std::size_t>(half_idx_)] = {
-              begin, t, t, /*cache_hit=*/true};
-        }
         continue;
       }
       const sim::Time dep = t + h.overhead;
@@ -171,31 +162,12 @@ bool BulkOp::try_quiescent(sim::Time start) {
           h.cross ? mesh.reserve_path(dep, tile_, h.dst_tile) : dep + l_hop_;
       const sim::Time done = arrival + h.service;  // idle server: no queueing
       if (h.ported) h.server->book_uncontended(h.service);
-      do_access(done, /*quiescent=*/true);
+      do_access(done);
       t = h.cross ? mesh.reserve_path(done, h.dst_tile, tile_) : done + l_hop_;
       if (observing_) {
-        chip_->observe_complete_quiescent({h.op, id_, h.target, index, begin, t});
-      }
-      if (record) {
-        schedule_[line_ * 2 + static_cast<std::size_t>(half_idx_)] = {
-            begin, done, t, /*cache_hit=*/false};
+        chip_->observe_complete({h.op, id_, h.target, index, begin, t});
       }
     }
-  }
-  if (record) {
-    BulkTxn txn;
-    txn.core = id_;
-    txn.lines = lines_;
-    txn.issue = issue_;
-    txn.kickoff = start;
-    txn.end = t;
-    for (int hi = 0; hi < 2; ++hi) {
-      txn.half[hi] = {half_[hi].op, half_[hi].target, half_[hi].mem,
-                      half_[hi].base, half_[hi].stride};
-    }
-    txn.schedule = schedule_.data();
-    txn.chip = chip_;
-    chip_->observe_bulk(txn);
   }
   // The op's effects are fully booked; only the caller's resume remains.
   in_flight_ = false;
@@ -309,7 +281,7 @@ void BulkOp::on_arrival() {
 
 void BulkOp::on_complete() {
   sim::Engine& engine = chip_->engine();
-  do_access(engine.now(), /*quiescent=*/false);
+  do_access(engine.now());
   const Half& h = half_[half_idx_];
   const sim::Time seg_end =
       h.cross ? chip_->mesh().reserve_path(engine.now(), h.dst_tile, tile_)
@@ -321,52 +293,28 @@ void BulkOp::on_complete() {
 // order: MPB read = load, observe, fold; MPB/mem write = observe, store
 // iff the chain commits (mem writes still insert into the cache model
 // either way); mem read = load, observe, fold, insert.
-void BulkOp::do_access(sim::Time now, bool quiescent) {
+void BulkOp::do_access(sim::Time now) {
   const Half& h = half_[half_idx_];
   const std::size_t index = h.base + line_ * h.stride;
-  if (!h.mem) {
-    if (h.write) {
-      bool commit = true;
-      if (observing_) {
-        const LineTxn txn{TraceOp::kMpbWrite, id_, h.target, index, now};
-        commit = quiescent ? chip_->observe_write_quiescent(txn, value_)
-                           : chip_->observe_write(txn, value_);
-      }
-      if (commit) h.mpb->store(index, value_);
-    } else {
-      value_ = h.mpb->load(index);
-      if (observing_) {
-        const LineTxn txn{TraceOp::kMpbRead, id_, h.target, index, now};
-        if (quiescent) {
-          chip_->observe_read_quiescent(txn, value_);
-        } else {
-          chip_->observe_read(txn, value_);
-        }
-      }
-      fold_read();
-    }
-  } else if (h.write) {
+  if (h.write) {
     bool commit = true;
     if (observing_) {
-      const LineTxn txn{TraceOp::kMemWrite, id_, id_, index, now};
-      commit = quiescent ? chip_->observe_write_quiescent(txn, value_)
-                         : chip_->observe_write(txn, value_);
+      commit = chip_->observe_write({h.op, id_, h.target, index, now}, value_);
     }
-    if (commit) memory_->store(index, value_);
-    if (cache_enabled_) self_->cache().insert(index);
-  } else {
-    value_ = memory_->load(index);
-    if (observing_) {
-      const LineTxn txn{TraceOp::kMemRead, id_, id_, index, now};
-      if (quiescent) {
-        chip_->observe_read_quiescent(txn, value_);
-      } else {
-        chip_->observe_read(txn, value_);
-      }
+    if (h.mem) {
+      if (commit) memory_->store(index, value_);
+      if (cache_enabled_) self_->cache().insert(index);
+    } else if (commit) {
+      h.mpb->store(index, value_);
     }
-    fold_read();
-    if (cache_enabled_) self_->cache().insert(index);
+    return;
   }
+  value_ = h.mem ? memory_->load(index) : h.mpb->load(index);
+  if (observing_) {
+    chip_->observe_read({h.op, id_, h.target, index, now}, value_);
+  }
+  fold_read();
+  if (h.mem && cache_enabled_) self_->cache().insert(index);
 }
 
 }  // namespace ocb::scc

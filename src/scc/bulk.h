@@ -39,21 +39,22 @@
 //
 // BulkOp is only used when SccChip::coalescing_active() — zero jitter,
 // config.coalescing on, and every installed observer bulk-capable (see
-// scc/observer.h). Observation preserves both regimes' exactness:
+// scc/observer.h). Both regimes hand the chain the per-line stream, in the
+// reference order and with the reference timestamps:
 //
-//   * On the parity chain, the per-line observer callbacks are dispatched
-//     live to the full chain at the exact reference instants (the kickoff
-//     event delivers the kBusy completion, the access happens inside the
-//     port-completion event, the segment-end event delivers the line's
-//     completion) — and because a clear bulk window guarantees the gates
-//     are identity (no crash, zero stall) and gates cost zero engine
-//     events either way (symmetric transfer), the chain stays
-//     event-for-event and seq-for-seq identical to the observed
-//     reference path.
-//   * On the closed-form path, per-line callbacks go inline during
-//     booking with the computed reference timestamps to the observers
-//     that need them, and observers that opted out of per-line delivery
-//     get one on_bulk(BulkTxn) carrying the full schedule.
+//   * On the parity chain, the callbacks are dispatched live at the exact
+//     reference instants (the kickoff event delivers the kBusy completion,
+//     the access happens inside the port-completion event, the
+//     segment-end event delivers the line's completion) — and because a
+//     clear bulk window guarantees the gates are identity (no crash, zero
+//     stall) and gates cost zero engine events either way (symmetric
+//     transfer), the chain stays event-for-event and seq-for-seq
+//     identical to the observed reference path.
+//   * On the closed-form path, the same callbacks go inline during
+//     booking, stamped with the computed reference instants. Nothing else
+//     can run before the op's completion event, and a bulk-capable
+//     observer reads time only from the txn, so it cannot tell the two
+//     apart.
 //
 // Checksums ride along: run()'s optional `sum` folds each source line as
 // this core observed it — after on_read, so injected read corruption is
@@ -63,17 +64,16 @@
 //
 // The equivalence is asserted by tests/coalescing_equivalence_test.cpp and
 // tests/observer_fastpath_test.cpp, and discussed in DESIGN.md ("Fast-path
-// transaction coalescing", "Observer capability model").
+// transaction coalescing", "One observer stream").
 #pragma once
 
 #include <coroutine>
 #include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.h"
 #include "noc/topology.h"
-#include "scc/observer.h"
+#include "scc/trace.h"
 #include "sim/time.h"
 
 namespace ocb::sim {
@@ -166,7 +166,7 @@ class BulkOp {
   Half mem_half(std::size_t offset, bool write) const;
 
   void launch();
-  bool try_quiescent(sim::Time start);
+  bool try_closed_form(sim::Time start);
   void start_segment();
   void advance();
   void on_start();
@@ -176,9 +176,8 @@ class BulkOp {
   void on_arrival();
   void on_complete();
   /// Performs the current line-half's load/store at instant `now`,
-  /// dispatching on_read/on_write in the reference order. `quiescent`
-  /// selects the closed-form dispatch lists over the full chain.
-  void do_access(sim::Time now, bool quiescent);
+  /// dispatching on_read/on_write in the reference order.
+  void do_access(sim::Time now);
   /// Folds the line just read (value_, as observed) into the op's sum.
   void fold_read() {
     if (sum_ != nullptr) *sum_ = fold_line(*sum_, value_);
@@ -230,9 +229,6 @@ class BulkOp {
   std::coroutine_handle<> cont_{};
   CacheLine value_{};
   std::uint64_t* sum_ = nullptr;  ///< run()'s `sum`, in the suspended caller
-  /// Reference-path timestamps recorded by the closed-form path when an
-  /// on_bulk recipient is installed (lines*2 entries, reused across ops).
-  std::vector<BulkHalfTimes> schedule_;
 };
 
 }  // namespace ocb::scc

@@ -1,5 +1,7 @@
 #include "scc/chip.h"
 
+#include <algorithm>
+
 #include "common/require.h"
 #include "scc/bulk.h"
 
@@ -82,44 +84,11 @@ bool SccChip::bulk_window_clear(CoreId core) {
 }
 
 void SccChip::refresh_coalescing() {
-  bool active = config_.coalescing && config_.jitter == 0;
-  perline_read_.clear();
-  perline_write_.clear();
-  perline_complete_.clear();
-  bulk_summary_.clear();
-  for (TransactionObserver* o : observers_) {
-    active = active && o->supports_bulk();
-    bool per_line = false;
-    if (o->needs_per_line_reads()) {
-      perline_read_.push_back(o);
-      per_line = true;
-    }
-    if (o->needs_per_line_writes()) {
-      perline_write_.push_back(o);
-      per_line = true;
-    }
-    if (o->needs_per_line_completes()) {
-      perline_complete_.push_back(o);
-      per_line = true;
-    }
-    if (!per_line) bulk_summary_.push_back(o);
-  }
-  coalescing_active_ = active;
-}
-
-void SccChip::TraceSinkObserver::on_bulk(const BulkTxn& txn) {
-  // The synthesized per-line stream. Reads/writes are no-ops for a sink,
-  // so skip the default synthesis' value recovery.
-  sink({TraceOp::kBusy, txn.core, txn.core, 0, txn.issue, txn.kickoff});
-  for (std::size_t line = 0; line < txn.lines; ++line) {
-    for (int hi = 0; hi < 2; ++hi) {
-      const BulkHalfDesc& h = txn.half[hi];
-      const BulkHalfTimes& ts = txn.schedule[line * 2 + hi];
-      const TraceOp op = ts.cache_hit ? TraceOp::kCacheHit : h.op;
-      sink({op, txn.core, h.target, h.base + line * h.stride, ts.begin,
-            ts.end});
-    }
-  }
+  coalescing_active_ = config_.coalescing && config_.jitter == 0 &&
+                       std::all_of(observers_.begin(), observers_.end(),
+                                   [](const TransactionObserver* o) {
+                                     return o->supports_bulk();
+                                   });
 }
 
 mem::MpbStorage& SccChip::mpb(CoreId id) {

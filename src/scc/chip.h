@@ -5,6 +5,8 @@
 // objects and spawns application coroutines onto them. The floorplan comes
 // from config().topology (noc/topology.h): the default is the paper's SCC,
 // and any N×M mesh or multi-die grid builds the same way with more tiles.
+// It also keeps the one observer chain (scc/observer.h), which every RMA
+// path, coalesced or not, feeds the same per-line stream.
 //
 // Typical use:
 //
@@ -92,12 +94,12 @@ class SccChip {
   /// Installs (or clears, with an empty function) a per-transaction trace
   /// sink; sugar for an internal observer that forwards on_complete events
   /// (see scc/trace.h). Kept for the common "just give me the events" case.
-  /// The sink observer is bulk-capable: coalesced ops on a quiescent chip
-  /// deliver the synthesized per-line events (byte-identical stream).
+  /// The sink observer is bulk-capable: coalesced ops deliver the same
+  /// per-line event stream as the per-line path.
   void set_trace_sink(TraceSink sink);
   bool tracing() const { return static_cast<bool>(trace_observer_.sink); }
 
-  // Chain dispatch, called by Core (and the rma sync layer for
+  // Chain dispatch, called by Core and BulkOp (and the rma sync layer for
   // observe_sync). All loops are over the installed observers in order.
   bool observer_crashed(CoreId core, sim::Time now);
   sim::Duration observer_stall(CoreId core, sim::Time now);
@@ -137,29 +139,6 @@ class SccChip {
   /// this many coalesced ops concurrently before spilling per-line.
   static constexpr std::size_t kBulkPoolSize = 4;
 
-  // --- quiescent-path observer dispatch (see scc/observer.h) --------------
-  // The busy-chip parity chain uses the full-chain observe_* entry points
-  // above; the closed-form path dispatches per-line callbacks only to
-  // observers that asked for them and one on_bulk to the rest.
-
-  bool bulk_summary_pending() const { return !bulk_summary_.empty(); }
-  void observe_read_quiescent(const LineTxn& txn, CacheLine& value) {
-    for (TransactionObserver* o : perline_read_) o->on_read(txn, value);
-  }
-  bool observe_write_quiescent(const LineTxn& txn, CacheLine& value) {
-    bool commit = true;
-    for (TransactionObserver* o : perline_write_) {
-      commit = o->on_write(txn, value) && commit;
-    }
-    return commit;
-  }
-  void observe_complete_quiescent(const TraceEvent& event) {
-    for (TransactionObserver* o : perline_complete_) o->on_complete(event);
-  }
-  void observe_bulk(const BulkTxn& txn) {
-    for (TransactionObserver* o : bulk_summary_) o->on_bulk(txn);
-  }
-
   /// AND over the chain's per-op gate promises for `core` at now().
   bool bulk_window_clear(CoreId core);
 
@@ -171,25 +150,20 @@ class SccChip {
   }
 
  private:
-  /// The set_trace_sink sugar: a chain member owned by the chip. Passive
-  /// and fully batched — quiescent coalesced ops reach it via on_bulk,
-  /// which expands to the byte-identical per-line event stream.
+  /// The set_trace_sink sugar: a chain member owned by the chip. Passive,
+  /// so it keeps the coalesced fast path on.
   struct TraceSinkObserver final : TransactionObserver {
     TraceSink sink;
-    bool is_passive() const override { return true; }
-    bool needs_per_line_reads() const override { return false; }
-    bool needs_per_line_writes() const override { return false; }
-    bool needs_per_line_completes() const override { return false; }
+    bool supports_bulk() const override { return true; }
     void on_complete(const TraceEvent& event) override { sink(event); }
-    void on_bulk(const BulkTxn& txn) override;
   };
 
   static sim::Task<void> invoke_program(
       std::function<sim::Task<void>(Core&)> program, Core& core);
   static std::string describe_core(void* core);
 
-  /// Recomputes the coalescing flag and the quiescent dispatch lists from
-  /// the current chain (called on every add/remove).
+  /// Recomputes the coalescing flag from the current chain (called on
+  /// every add/remove).
   void refresh_coalescing();
 
   SccConfig config_;
@@ -203,13 +177,6 @@ class SccChip {
   std::vector<std::unique_ptr<Core>> cores_;
   std::vector<std::vector<std::unique_ptr<BulkOp>>> bulk_pools_;
   std::vector<TransactionObserver*> observers_;
-  // Quiescent dispatch lists, rebuilt by refresh_coalescing(): observers
-  // that asked for per-line reads/writes/completes, and those that asked
-  // for none of them (on_bulk recipients).
-  std::vector<TransactionObserver*> perline_read_;
-  std::vector<TransactionObserver*> perline_write_;
-  std::vector<TransactionObserver*> perline_complete_;
-  std::vector<TransactionObserver*> bulk_summary_;
   /// Lifetime bulk-path counters; run() reports per-run deltas.
   sim::Counters counters_;
   TraceSinkObserver trace_observer_;

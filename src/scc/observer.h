@@ -22,29 +22,20 @@
 // an empty chain a transaction costs one branch, and multi-line RMA ops
 // may take the coalesced BulkOp fast path (SccChip::coalescing_active).
 //
-// Capability model (batched observation). By default an observer keeps
-// today's semantics: installing it turns the coalesced fast path off and
-// every line transaction is dispatched individually. An observer may opt
-// in by overriding supports_bulk() (or is_passive(), which implies it);
-// coalescing then stays on when *every* chain member is bulk-capable, and
-// multi-line RMA ops observe in one of two regimes:
+// One observer stream. Whatever path a multi-line RMA op takes, an
+// observer sees the same per-line callbacks in the same order with the
+// same timestamps: the per-line coroutine path and the busy-chip parity
+// chain deliver them live at the reference instants, and the quiescent
+// closed form delivers them inline while it books the op, stamped with
+// the computed reference instants (scc/bulk.h).
 //
-//   * Busy chip (event-parity chain): the op's per-line callbacks are
-//     dispatched live, at the exact reference instants, to the full chain
-//     — capability flags do not change what a busy-chip op delivers.
-//   * Quiescent chip (closed-form booking): callbacks the observer said
-//     it needs per line (needs_per_line_reads/writes/completes) are
-//     dispatched inline during booking with the computed reference
-//     timestamps; an observer that needs none of them instead receives a
-//     single on_bulk(BulkTxn) whose default implementation synthesizes
-//     the per-line stream (so opting out of per-line delivery without
-//     overriding on_bulk is still lossless).
-//
-// The contract a bulk-capable observer signs:
-//   * needs_per_line_writes() == false promises its on_write neither
-//     mutates the value nor vetoes the commit;
-//   * needs_per_line_reads() == false promises its on_read does not
-//     mutate the observed value;
+// Capabilities. By default installing an observer turns the coalesced
+// fast path off chip-wide. An observer opts in with supports_bulk();
+// coalescing stays on when every chain member opts in. The contract a
+// bulk-capable observer signs:
+//   * its callbacks read time only from the txn or event they are handed,
+//     never from the chip: the closed form calls them while the engine
+//     clock still reads the op's issue instant;
 //   * bulk_window_clear(core, now) == true promises its gate callbacks
 //     (crashed/stall) are identity for `core` for the whole op — a false
 //     return routes that one op through the per-line reference path.
@@ -57,8 +48,6 @@
 #include "sim/time.h"
 
 namespace ocb::scc {
-
-class SccChip;
 
 /// One line transaction as seen at the access instant (op kinds reuse
 /// TraceOp; kBusy never reaches on_read/on_write).
@@ -95,40 +84,6 @@ struct SyncEvent {
   sim::Time now;
 };
 
-/// Immutable description of one half of a coalesced RMA op: half 0 reads
-/// the source, half 1 writes the destination; only the line/offset varies
-/// across the op's lines (by `stride`).
-struct BulkHalfDesc {
-  TraceOp op;          ///< kMpbRead/kMpbWrite/kMemRead/kMemWrite
-  CoreId target;       ///< MPB owner for MPB halves, == issuing core for mem
-  bool mem = false;    ///< private-memory half (else an MPB half)
-  std::size_t base = 0;    ///< first MPB line / first memory byte offset
-  std::size_t stride = 0;  ///< 1 line or kCacheLineBytes per line
-};
-
-/// The reference-path timestamps of one line-half of a coalesced op, as
-/// the per-line path would have produced them.
-struct BulkHalfTimes {
-  sim::Time begin = 0;   ///< per-line transaction start
-  sim::Time access = 0;  ///< the load/store instant (on_read/on_write time)
-  sim::Time end = 0;     ///< per-line completion (after the return traverse)
-  bool cache_hit = false;  ///< mem-read half satisfied by the cache model
-};
-
-/// One coalesced multi-line RMA op, delivered to observers that opted out
-/// of per-line callbacks on the quiescent fast path. `schedule` holds
-/// lines*2 entries in access order (line-major, half 0 before half 1).
-struct BulkTxn {
-  CoreId core = 0;
-  std::size_t lines = 0;
-  sim::Time issue = 0;    ///< op issue instant (before software overhead)
-  sim::Time kickoff = 0;  ///< issue + op overhead (end of the busy() span)
-  sim::Time end = 0;      ///< caller-resume instant
-  BulkHalfDesc half[2];
-  const BulkHalfTimes* schedule = nullptr;
-  SccChip* chip = nullptr;  ///< post-op storage, for value recovery
-};
-
 class TransactionObserver {
  public:
   virtual ~TransactionObserver() = default;
@@ -162,23 +117,11 @@ class TransactionObserver {
   /// retire the core's recorded accesses under fail-stop semantics.
   virtual void on_crash(CoreId /*core*/, sim::Time /*now*/) {}
 
-  // --- capability model (coalesced/batched observation; see file header) --
-
-  /// A passive observer never mutates values, never vetoes a commit, and
-  /// never gates a core (crashed/stall are identity). Implies
-  /// supports_bulk().
-  virtual bool is_passive() const { return false; }
+  // --- capabilities (the coalesced fast path; see the file header) --------
 
   /// Whether multi-line RMA ops may stay coalesced with this observer
   /// installed. Coalescing requires every chain member to agree.
-  virtual bool supports_bulk() const { return is_passive(); }
-
-  /// Per-line callback needs on the quiescent fast path (ignored on the
-  /// busy-chip parity chain, which always dispatches the full stream).
-  /// Returning false is a promise of no per-line effect — see the header.
-  virtual bool needs_per_line_reads() const { return true; }
-  virtual bool needs_per_line_writes() const { return true; }
-  virtual bool needs_per_line_completes() const { return true; }
+  virtual bool supports_bulk() const { return false; }
 
   /// Per-op gate check: true promises crashed()/stall() are identity for
   /// `core` for the whole op starting at `now`. A false return routes this
@@ -186,13 +129,6 @@ class TransactionObserver {
   virtual bool bulk_window_clear(CoreId /*core*/, sim::Time /*now*/) {
     return true;
   }
-
-  /// One batched notification per quiescent coalesced op, delivered only
-  /// to observers whose needs_per_line_*() are all false. The default
-  /// implementation synthesizes exactly the per-line callback stream the
-  /// reference path would have delivered (values re-read from post-op
-  /// storage — exact, since every needs-free observer left them alone).
-  virtual void on_bulk(const BulkTxn& txn);
 };
 
 }  // namespace ocb::scc

@@ -6,7 +6,12 @@
 // fail-stop crashes), the >=20-seed crash+corruption sweep where every
 // surviving core must deliver byte-correct payloads, the control arm
 // showing the plain protocol corrupting silently under the same faults,
-// and the <5% zero-fault overhead budget of the FT hardening.
+// and the <5% zero-fault overhead budget of the FT hardening. Every case
+// that runs FT-OC-Bcast or a fault-free plan also asserts zero races: the
+// count is 0 unless a checker is installed (check_races or OCB_CHECK, as
+// in `ctest --preset checked`), and then it is real. The plain control arm
+// under corruption races by design (a corrupted flag read acquires a value
+// nobody released), so it asserts none.
 #include <gtest/gtest.h>
 
 #include <vector>
@@ -59,10 +64,13 @@ TEST(FaultInjector, IdenticalPlanGivesBitIdenticalTimeline) {
   EXPECT_EQ(a.drained, b.drained);
   EXPECT_EQ(a.gave_up, b.gave_up);
   EXPECT_EQ(a.correct, b.correct);
+  EXPECT_EQ(a.race_violations, 0u) << a.race_report;
+  EXPECT_EQ(b.race_violations, 0u) << b.race_report;
   // And a different seed perturbs the timeline (the corruption sites move).
   spec.plan.seed = 8;
   const harness::FaultRunOutcome c = run_fault_once(spec);
   EXPECT_NE(a.events, c.events);
+  EXPECT_EQ(c.race_violations, 0u) << c.race_report;
 }
 
 TEST(FaultInjector, CountsWhatItDoes) {
@@ -73,6 +81,7 @@ TEST(FaultInjector, CountsWhatItDoes) {
   EXPECT_GT(out.injections.reads_corrupted, 0u);
   EXPECT_EQ(out.injections.crashes_applied, 0u);
   EXPECT_EQ(out.injections.stalls_applied, 0u);
+  EXPECT_EQ(out.race_violations, 0u) << out.race_report;
 }
 
 TEST(FtOcBcast, TransientReadCorruptionIsRecovered) {
@@ -85,6 +94,8 @@ TEST(FtOcBcast, TransientReadCorruptionIsRecovered) {
     EXPECT_TRUE(out.all_survivors_correct()) << "seed " << seed;
     EXPECT_EQ(out.crashed, 0) << "seed " << seed;
     EXPECT_GT(out.injections.reads_corrupted, 0u) << "seed " << seed;
+    EXPECT_EQ(out.race_violations, 0u) << "seed " << seed << "\n"
+                                       << out.race_report;
   }
 }
 
@@ -115,6 +126,7 @@ TEST(FtOcBcast, StuckDoneFlagIsRiddenOut) {
   const harness::FaultRunOutcome out = run_fault_once(spec);
   EXPECT_TRUE(out.all_survivors_correct());
   EXPECT_GT(out.injections.writes_suppressed, 0u);
+  EXPECT_EQ(out.race_violations, 0u) << out.race_report;
 }
 
 TEST(FtOcBcast, StuckNotifyFlagFallsBackToStagedPolling) {
@@ -126,6 +138,7 @@ TEST(FtOcBcast, StuckNotifyFlagFallsBackToStagedPolling) {
       {.owner = 1, .line = 0, .from = 0, .until = ~std::uint64_t{0}});
   const harness::FaultRunOutcome out = run_fault_once(spec);
   EXPECT_TRUE(out.all_survivors_correct());
+  EXPECT_EQ(out.race_violations, 0u) << out.race_report;
 }
 
 TEST(FtOcBcast, StallBelowWatchdogBudgetIsAbsorbed) {
@@ -136,6 +149,7 @@ TEST(FtOcBcast, StallBelowWatchdogBudgetIsAbsorbed) {
   const harness::FaultRunOutcome out = run_fault_once(spec);
   EXPECT_TRUE(out.all_survivors_correct());
   EXPECT_EQ(out.injections.stalls_applied, 1u);
+  EXPECT_EQ(out.race_violations, 0u) << out.race_report;
 }
 
 TEST(FtOcBcast, InteriorCrashIsRoutedAround) {
@@ -152,6 +166,7 @@ TEST(FtOcBcast, InteriorCrashIsRoutedAround) {
   ASSERT_EQ(out.stalled_details.size(), 1u);
   EXPECT_NE(out.stalled_details[0].find("core 1"), std::string::npos);
   EXPECT_NE(out.stalled_details[0].find("fail-stop"), std::string::npos);
+  EXPECT_EQ(out.race_violations, 0u) << out.race_report;
 }
 
 TEST(FtOcBcast, LeafCrashIsSubstitutedImmediately) {
@@ -161,6 +176,7 @@ TEST(FtOcBcast, LeafCrashIsSubstitutedImmediately) {
   const harness::FaultRunOutcome out = run_fault_once(spec);
   EXPECT_EQ(out.crashed, 1);
   EXPECT_TRUE(out.all_survivors_correct());
+  EXPECT_EQ(out.race_violations, 0u) << out.race_report;
 }
 
 // The ISSUE acceptance sweep: >= 20 seeds of transient corruption plus one
@@ -184,6 +200,8 @@ TEST(FtOcBcast, AcceptanceSweepCrashPlusCorruption) {
         << "seed " << seed << " victim " << victim << " at "
         << sim::to_us(at) << "us: correct=" << out.correct
         << " survivors=" << out.survivors << " gave_up=" << out.gave_up;
+    EXPECT_EQ(out.race_violations, 0u) << "seed " << seed << "\n"
+                                       << out.race_report;
     crashes_seen += out.crashed;
   }
   // The victim must actually have died in (nearly) every run; a crash
@@ -198,6 +216,9 @@ TEST(FtOcBcast, SweepHelperAggregates) {
       run_fault_sweep(spec, {101, 102, 103});
   ASSERT_EQ(sweep.outcomes.size(), 3u);
   EXPECT_EQ(sweep.runs_all_correct, 3);
+  for (const harness::FaultRunOutcome& out : sweep.outcomes) {
+    EXPECT_EQ(out.race_violations, 0u) << out.race_report;
+  }
 }
 
 TEST(FtOcBcast, ZeroFaultOverheadUnderFivePercent) {
@@ -263,6 +284,7 @@ TEST(FaultHarness, EveryBuiltinRunsFaultFreeByName) {
     EXPECT_TRUE(out.all_survivors_correct()) << name;
     EXPECT_EQ(out.parties, kNumCores) << name;
     EXPECT_EQ(out.delivered, kNumCores) << name;
+    EXPECT_EQ(out.race_violations, 0u) << name << "\n" << out.race_report;
   }
 }
 
@@ -278,6 +300,7 @@ TEST(FaultHarness, FaultFreeRunsOnAChipLargerThanTheScc) {
     EXPECT_EQ(out.parties, 64) << name;
     EXPECT_TRUE(out.all_survivors_correct()) << name;
     EXPECT_EQ(out.delivered, 64) << name;
+    EXPECT_EQ(out.race_violations, 0u) << name << "\n" << out.race_report;
   }
 }
 
@@ -315,11 +338,13 @@ TEST(FaultHarness, OutcomeCarriesTheRunsCounters) {
   EXPECT_GT(clean.counters.bulk_ops, 0u);
   EXPECT_EQ(clean.counters.bulk_fallback_ops, 0u);
   EXPECT_GT(clean.max_queue_depth, 0u);
+  EXPECT_EQ(clean.race_violations, 0u) << clean.race_report;
 
   spec.plan.rates.mpb_read = 1e-4;
   const harness::FaultRunOutcome corrupted = run_fault_once(spec);
   EXPECT_GT(corrupted.counters.bulk_ops, 0u);
   EXPECT_EQ(corrupted.counters.bulk_fallback_ops, 0u);
+  EXPECT_EQ(corrupted.race_violations, 0u) << corrupted.race_report;
 
   // Core 13 is still alive at its first multi-line op (an earlier crash
   // would leave it nothing to fall back).
@@ -328,6 +353,7 @@ TEST(FaultHarness, OutcomeCarriesTheRunsCounters) {
   const harness::FaultRunOutcome crashed = run_fault_once(spec);
   EXPECT_TRUE(crashed.all_survivors_correct());
   EXPECT_GT(crashed.counters.bulk_fallback_ops, 0u);
+  EXPECT_EQ(crashed.race_violations, 0u) << crashed.race_report;
 }
 
 // The "ocbcast" control arm is built from the spec's Params like any other
@@ -340,6 +366,8 @@ TEST(FaultHarness, ControlArmHonoursEveryParam) {
   const harness::FaultRunOutcome direct = run_fault_once(spec);
   EXPECT_TRUE(staged.all_survivors_correct());
   EXPECT_TRUE(direct.all_survivors_correct());
+  EXPECT_EQ(staged.race_violations, 0u) << staged.race_report;
+  EXPECT_EQ(direct.race_violations, 0u) << direct.race_report;
   EXPECT_NE(direct.latency_us, staged.latency_us);
   EXPECT_LT(direct.latency_us, staged.latency_us)
       << "§5.4: skipping the leaf staging copy must help";
@@ -351,6 +379,7 @@ TEST(FaultHarness, DrainedWhenTheQueueEmptiesOnTheBudgetsLastEvent) {
   harness::FaultRunSpec spec = base_spec(4 * 1024);
   const harness::FaultRunOutcome free_run = run_fault_once(spec);
   ASSERT_TRUE(free_run.all_survivors_correct());
+  EXPECT_EQ(free_run.race_violations, 0u) << free_run.race_report;
 
   spec.max_events = free_run.events;
   const harness::FaultRunOutcome exact = run_fault_once(spec);
@@ -358,11 +387,13 @@ TEST(FaultHarness, DrainedWhenTheQueueEmptiesOnTheBudgetsLastEvent) {
   EXPECT_EQ(exact.correct, exact.survivors);
   EXPECT_TRUE(exact.drained);
   EXPECT_TRUE(exact.all_survivors_correct());
+  EXPECT_EQ(exact.race_violations, 0u) << exact.race_report;
 
   spec.max_events = free_run.events - 1;
   const harness::FaultRunOutcome cut = run_fault_once(spec);
   EXPECT_FALSE(cut.drained);
   EXPECT_FALSE(cut.all_survivors_correct());
+  EXPECT_EQ(cut.race_violations, 0u) << cut.race_report;
 }
 
 }  // namespace

@@ -1,29 +1,34 @@
 // The byte-identity gate for the observer-compatible fast path
-// (scc/observer.h capability model).
+// (scc/observer.h: one observer stream).
 //
-// PR 6 lets the coalesced BulkOp path stay on while the built-in
-// observers — check::RaceChecker, the JSON trace sink, and
-// fault::FaultInjector — are installed, dispatching batched or
-// reference-instant per-line observation instead of forcing the per-line
-// slow path. The contract is that NOTHING observable may change: checker
-// verdicts and their full provenance (seqs, times, stages), rendered
-// trace JSON bytes, fault outcomes and injection counts, and service SLO
-// metrics must be bit-identical with the fast path forced on vs off.
-// These tests run every registry algorithm both ways and compare. The
-// last test checks the sim::Counters that count the fast path's hits and
-// fallbacks.
+// The coalesced BulkOp path stays on while the built-in observers —
+// check::RaceChecker, the JSON trace sink, and fault::FaultInjector — are
+// installed, handing them the per-line stream at the reference instants
+// instead of forcing the per-line slow path. The contract is that NOTHING
+// observable may change: checker verdicts and their full provenance
+// (seqs, times, stages), rendered trace JSON bytes, fault outcomes and
+// injection counts, and service SLO metrics must be bit-identical with the
+// fast path forced on vs off.
+// These tests run every registry algorithm, and seeded random RMA
+// programs, both ways and compare. The last test checks the sim::Counters
+// that count the fast path's hits and fallbacks.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "check/checker.h"
 #include "coll/registry.h"
+#include "common/rng.h"
 #include "core/ft_ocbcast.h"
 #include "fault/injector.h"
 #include "harness/fault_sweep.h"
 #include "harness/measurement.h"
 #include "rma/rma.h"
+#include "scc/bulk.h"
 #include "scc/chip.h"
 #include "scc/trace_json.h"
 #include "sim/counters.h"
@@ -123,7 +128,7 @@ TEST(ObserverFastpath, TraceJsonBytesAreBitIdentical) {
     for (int arm = 0; arm < 2; ++arm) {
       harness::BcastSession session(spec_for(name, arm == 0));
       scc::JsonTraceCollector trace;
-      // Coalesced ops must synthesize the exact per-line event stream.
+      // Coalesced ops must deliver the exact per-line event stream.
       session.chip().set_trace_sink(trace.sink());
       EXPECT_EQ(session.chip().coalescing_active(), arm == 0) << name;
       const harness::BcastRunResult r = session.run();
@@ -296,9 +301,197 @@ TEST(ObserverFastpath, FtDeliveryReportsAreBitIdentical) {
   EXPECT_GT(retries, 0u);
 }
 
-// A zero-rate injector (the common "FT run, no faults today" shape) is
-// pre-sampled as needing no per-line callbacks at all, so it must keep
-// quiescent coalescing fully enabled — and still match the off arm.
+// --- seeded random programs -------------------------------------------------
+//
+// A randomized on/off differential over both coalesced regimes under all
+// three observers at once. Each seed builds a short program of phases: a
+// phase is either one core alone on the chip, in its own run(), so its
+// ops book closed-form, or 2-4 cores at once, which runs the parity chain.
+// No flag orders one phase after another, so the checker has races to
+// report, among them races whose two accesses were both booked
+// closed-form. The injector corrupts reads and writes at rates up to 0.25
+// and holds one written MPB line stuck.
+
+struct RandomOp {
+  scc::BulkKind kind;
+  CoreId owner;  ///< the MPB side of the op (may be the caller)
+  std::size_t mpb_line;
+  std::size_t local_line;  ///< caller's MPB line, or memory line for mem kinds
+  std::size_t lines;
+};
+
+using CoreOps = std::pair<CoreId, std::vector<RandomOp>>;
+
+struct RandomProgram {
+  std::vector<std::vector<CoreOps>> phases;
+  fault::FaultPlan plan;
+};
+
+// Few cores, far apart on the mesh, so ops collide on lines and cross links.
+constexpr std::array<CoreId, 6> kProgramCores = {0, 1, 13, 22, 35, 47};
+constexpr std::size_t kProgramMemBytes = kMpbCacheLines * kCacheLineBytes;
+
+RandomProgram random_program(std::uint64_t seed) {
+  Xoshiro256 rng(seed);
+  RandomProgram p;
+  std::vector<rma::MpbAddr> written;
+  const std::size_t phases = 3 + rng.next_below(4);
+  for (std::size_t ph = 0; ph < phases; ++ph) {
+    std::vector<CoreId> cores(kProgramCores.begin(), kProgramCores.end());
+    std::shuffle(cores.begin(), cores.end(), rng);
+    cores.resize(rng.next_below(2) == 0 ? 1 : 2 + rng.next_below(3));
+    std::vector<CoreOps>& phase = p.phases.emplace_back();
+    for (CoreId core : cores) {
+      std::vector<RandomOp> ops(1 + rng.next_below(3));
+      for (RandomOp& op : ops) {
+        op.kind = static_cast<scc::BulkKind>(rng.next_below(4));
+        op.owner = kProgramCores[rng.next_below(kProgramCores.size())];
+        op.lines = 1 + rng.next_below(96);
+        op.mpb_line = rng.next_below(kMpbCacheLines - op.lines + 1);
+        op.local_line = rng.next_below(kMpbCacheLines - op.lines + 1);
+        const std::size_t at = rng.next_below(op.lines);
+        if (op.kind == scc::BulkKind::kPutMpbToMpb ||
+            op.kind == scc::BulkKind::kPutMemToMpb) {
+          written.push_back({op.owner, op.mpb_line + at});
+        } else if (op.kind == scc::BulkKind::kGetMpbToMpb) {
+          written.push_back({core, op.local_line + at});
+        }
+      }
+      phase.emplace_back(core, std::move(ops));
+    }
+  }
+  p.plan.seed = seed + 1;
+  p.plan.rates.mpb_read = 0.25 * rng.next_double();
+  p.plan.rates.mpb_write = 0.25 * rng.next_double();
+  p.plan.rates.mem_read = 0.25 * rng.next_double();
+  p.plan.rates.mem_write = 0.25 * rng.next_double();
+  if (!written.empty()) {
+    const rma::MpbAddr stuck = written[rng.next_below(written.size())];
+    p.plan.stuck_lines.push_back(
+        {stuck.owner, stuck.line, 0, 1000 * sim::kMillisecond});
+  }
+  return p;
+}
+
+sim::Task<void> run_ops(scc::Core& me, const std::vector<RandomOp>& ops) {
+  for (const RandomOp& op : ops) {
+    const rma::MpbAddr remote{op.owner, op.mpb_line};
+    const std::size_t mem_offset = op.local_line * kCacheLineBytes;
+    if (op.kind == scc::BulkKind::kPutMpbToMpb) {
+      co_await rma::put_mpb_to_mpb(me, remote, op.local_line, op.lines);
+    } else if (op.kind == scc::BulkKind::kPutMemToMpb) {
+      co_await rma::put_mem_to_mpb(me, remote, mem_offset, op.lines);
+    } else if (op.kind == scc::BulkKind::kGetMpbToMpb) {
+      co_await rma::get_mpb_to_mpb(me, op.local_line, remote, op.lines);
+    } else {
+      co_await rma::get_mpb_to_mem(me, mem_offset, remote, op.lines);
+    }
+  }
+}
+
+struct ProgramOutcome {
+  std::string trace_json;
+  std::string race_report;
+  std::uint64_t races = 0;
+  fault::InjectionStats injections;
+  sim::Time end_time = 0;
+  std::vector<CacheLine> mpb_lines;  ///< every program core's whole MPB
+  std::vector<std::byte> mem_bytes;  ///< ... and its first kProgramMemBytes
+  sim::Counters counters;
+};
+
+ProgramOutcome run_program(const RandomProgram& p, std::uint64_t seed,
+                           bool coalescing) {
+  scc::SccConfig cfg;
+  cfg.coalescing = coalescing;
+  scc::SccChip chip(cfg);
+  check::RaceChecker checker(chip);
+  fault::FaultInjector injector(chip, p.plan);
+  scc::JsonTraceCollector trace;
+  chip.add_observer(&checker);
+  chip.add_observer(&injector);
+  chip.set_trace_sink(trace.sink());
+  EXPECT_EQ(chip.coalescing_active(), coalescing);
+
+  Xoshiro256 fill(seed ^ 0x5eedULL);
+  for (CoreId c : kProgramCores) {
+    for (std::size_t l = 0; l < kMpbCacheLines; ++l) {
+      for (std::byte& b : chip.mpb(c).host_line(l).bytes) {
+        b = static_cast<std::byte>(fill.next());
+      }
+    }
+    fill_pattern(chip.memory(c).host_bytes(0, kProgramMemBytes), fill.next());
+  }
+
+  ProgramOutcome out;
+  for (const std::vector<CoreOps>& phase : p.phases) {
+    for (const CoreOps& core_ops : phase) {
+      const std::vector<RandomOp>* ops = &core_ops.second;
+      chip.spawn(core_ops.first, [ops](scc::Core& me) -> sim::Task<void> {
+        co_await run_ops(me, *ops);
+      });
+    }
+    const sim::RunResult run = chip.run();
+    EXPECT_TRUE(run.completed());
+    out.counters += run.counters;
+  }
+  out.trace_json = trace.to_json();
+  out.race_report = checker.report();
+  out.races = checker.total_detected();
+  out.injections = injector.stats();
+  out.end_time = chip.now();
+  for (CoreId c : kProgramCores) {
+    for (std::size_t l = 0; l < kMpbCacheLines; ++l) {
+      out.mpb_lines.push_back(chip.mpb(c).host_line(l));
+    }
+    const auto mem = chip.memory(c).host_bytes(0, kProgramMemBytes);
+    out.mem_bytes.insert(out.mem_bytes.end(), mem.begin(), mem.end());
+  }
+  return out;
+}
+
+TEST(ObserverFastpath, SeededProgramsMatchThePerLinePath) {
+  sim::Counters on_arm;
+  std::uint64_t races = 0;
+  fault::InjectionStats injected;
+  for (std::uint64_t seed = 0; seed < 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const RandomProgram program = random_program(seed);
+    const ProgramOutcome on = run_program(program, seed, true);
+    const ProgramOutcome off = run_program(program, seed, false);
+
+    EXPECT_TRUE(on.trace_json == off.trace_json);
+    EXPECT_EQ(on.race_report, off.race_report);
+    EXPECT_EQ(on.injections.reads_corrupted, off.injections.reads_corrupted);
+    EXPECT_EQ(on.injections.writes_corrupted, off.injections.writes_corrupted);
+    EXPECT_EQ(on.injections.writes_suppressed,
+              off.injections.writes_suppressed);
+    EXPECT_EQ(on.end_time, off.end_time);
+    EXPECT_TRUE(on.mpb_lines == off.mpb_lines);
+    EXPECT_TRUE(on.mem_bytes == off.mem_bytes);
+    EXPECT_EQ(off.counters.bulk_ops, 0u);
+
+    on_arm += on.counters;
+    races += on.races;
+    injected.reads_corrupted += on.injections.reads_corrupted;
+    injected.writes_corrupted += on.injections.writes_corrupted;
+    injected.writes_suppressed += on.injections.writes_suppressed;
+  }
+  // Both regimes ran, every op of the on arm observed, and each observer
+  // had something to report.
+  EXPECT_GT(on_arm.bulk_quiescent_ops, 0u);
+  EXPECT_GT(on_arm.bulk_ops, on_arm.bulk_quiescent_ops);
+  EXPECT_EQ(on_arm.bulk_ops_observed, on_arm.bulk_ops);
+  EXPECT_EQ(on_arm.bulk_fallback_ops, 0u);
+  EXPECT_GT(races, 0u);
+  EXPECT_GT(injected.reads_corrupted, 0u);
+  EXPECT_GT(injected.writes_corrupted, 0u);
+  EXPECT_GT(injected.writes_suppressed, 0u);
+}
+
+// A zero-rate injector (the common "FT run, no faults today" shape) keeps
+// coalescing on, and its per-line callbacks draw no random number, so its
+// closed-form ops must still match the off arm.
 TEST(ObserverFastpath, ZeroRateInjectorKeepsFastPath) {
   harness::FaultRunSpec on_spec;
   on_spec.message_bytes = 16 * 1024;
