@@ -6,7 +6,7 @@
 // of a new chunk through a binary notification tree inside each {parent,
 // children} group, and report consumption through per-child doneFlags in
 // the parent's MPB. Messages larger than a chunk are pipelined; with double
-// buffering (two half-MPB buffers of 96 lines, §4.2) a parent refills one
+// buffering (two half-MPB buffers of 96 lines, §4.2) a parent fills one
 // buffer while children drain the other.
 //
 // This is the only OC-Bcast chunk loop. It runs over a per-core TreePlan

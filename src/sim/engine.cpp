@@ -1,6 +1,8 @@
 #include "sim/engine.h"
 
+#include <algorithm>
 #include <bit>
+#include <functional>
 #include <utility>
 
 #include "common/require.h"
@@ -30,44 +32,117 @@ Engine::~Engine() {
 }
 
 void Engine::push(const Event& e) {
-  // e.t >= now_ == last_ (schedule checks it), so the bucket is in 0..64.
-  const int b = std::bit_width(e.t ^ last_);
-  buckets_[static_cast<std::size_t>(b)].push_back(e);
-  if (b != 0) nonempty_ |= std::uint64_t{1} << (b - 1);
+  // e.t >= now_ (schedule checks it), so its slot is at or after cur_.
+  const std::uint64_t ahead = (e.t >> kSlotBits) - cur_;
+  if (ahead == 0) {
+    // Into the current run, after every event at or before e.t.
+    std::size_t i = run_.size();
+    while (i > run_head_ && run_[i - 1].t > e.t) --i;
+    run_.insert(run_.begin() + static_cast<std::ptrdiff_t>(i), e);
+  } else if (ahead < kSlots) {
+    append(e);
+  } else {
+    far_.push_back(Far{e, far_seq_++});
+    std::push_heap(far_.begin(), far_.end(), std::greater<>{});
+  }
   if (++size_ > max_queue_depth_) max_queue_depth_ = size_;
 }
 
+void Engine::append(const Event& e) {
+  std::uint32_t n = free_;
+  if (n != kNil) {
+    free_ = pool_[n].next;
+    pool_[n] = Node{e, kNil};
+  } else {
+    n = static_cast<std::uint32_t>(pool_.size());
+    pool_.push_back(Node{e, kNil});
+  }
+  const std::uint64_t i = (e.t >> kSlotBits) & (kSlots - 1);
+  Slot& slot = slots_[i];
+  if (slot.tail == kNil) {
+    slot.head = n;
+    occupied_[i >> 6] |= std::uint64_t{1} << (i & 63);
+  } else {
+    pool_[slot.tail].next = n;
+  }
+  slot.tail = n;
+}
+
 Engine::Event Engine::pop() {
-  std::vector<Event>& zero = buckets_[0];
-  if (zero.empty()) refill();
-  const Event e = zero[head_++];
-  if (head_ == zero.size()) {
-    zero.clear();
-    head_ = 0;
+  if (run_head_ == run_.size()) advance();
+  const Event e = run_[run_head_++];
+  if (run_head_ == run_.size()) {
+    run_.clear();
+    run_head_ = 0;
   }
   --size_;
   return e;
 }
 
-void Engine::refill() {
-  // Lowest non-empty bucket: every event in it precedes every event in the
-  // buckets above, and all buckets below it are empty.
-  const int b = std::countr_zero(nonempty_) + 1;
-  nonempty_ &= nonempty_ - 1;
-  std::vector<Event>& src = buckets_[static_cast<std::size_t>(b)];
-  Time min = src.front().t;
-  for (const Event& e : src) {
-    if (e.t < min) min = e.t;
+void Engine::advance() {
+  // run_ is empty, so everything queued sits in the ring or the far heap,
+  // and every far event lies beyond every ring event.
+  if (size_ == far_.size()) {
+    cur_ = far_.front().e.t >> kSlotBits;
+  } else {
+    // The current slot's bit is clear, so one turn from the slot after it
+    // finds the nearest occupied one.
+    const std::uint64_t from = (cur_ + 1) & (kSlots - 1);
+    std::size_t w = from >> 6;
+    std::uint64_t bits = occupied_[w] & (~std::uint64_t{0} << (from & 63));
+    while (bits == 0) {
+      w = (w + 1) % occupied_.size();
+      bits = occupied_[w];
+    }
+    const std::uint64_t i = (w << 6) | static_cast<std::uint64_t>(std::countr_zero(bits));
+    cur_ += (i - cur_) & (kSlots - 1);
   }
-  last_ = min;
-  // Walk in order and append, so same-time events keep insertion order.
-  // Each lands strictly below b, since it agrees with `min` above bit b-1.
-  for (const Event& e : src) {
-    const int to = std::bit_width(e.t ^ min);
-    buckets_[static_cast<std::size_t>(to)].push_back(e);
-    if (to != 0) nonempty_ |= std::uint64_t{1} << (to - 1);
+  // Far events whose slot the window now covers join the ring before any
+  // later push can reach that slot, in (time, push order).
+  while (!far_.empty() && (far_.front().e.t >> kSlotBits) - cur_ < kSlots) {
+    std::pop_heap(far_.begin(), far_.end(), std::greater<>{});
+    append(far_.back().e);
+    far_.pop_back();
   }
-  src.clear();
+  const std::uint64_t i = cur_ & (kSlots - 1);
+  Slot& slot = slots_[i];
+  for (std::uint32_t n = slot.head; n != kNil;) {
+    Node& node = pool_[n];
+    run_.push_back(node.e);
+    const std::uint32_t next = node.next;
+    node.next = free_;
+    free_ = n;
+    n = next;
+  }
+  slot = Slot{kNil, kNil};
+  occupied_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
+  sort_run();
+}
+
+void Engine::sort_run() {
+  const std::size_t n = run_.size();
+  if (n <= kInsertionSortMax) {
+    for (std::size_t i = 1; i < n; ++i) {
+      const Event e = run_[i];
+      std::size_t j = i;
+      for (; j > 0 && run_[j - 1].t > e.t; --j) run_[j] = run_[j - 1];
+      run_[j] = e;
+    }
+    return;
+  }
+  // A stable counting sort on the time's offset inside the slot.
+  constexpr std::uint64_t kWidth = std::uint64_t{1} << kSlotBits;
+  std::array<std::uint32_t, kWidth> first{};
+  for (const Event& e : run_) ++first[e.t & (kWidth - 1)];
+  std::uint32_t sum = 0;
+  for (std::uint32_t& c : first) {
+    const std::uint32_t count = c;
+    c = sum;
+    sum += count;
+  }
+  sort_buf_.resize(n);
+  for (const Event& e : run_) sort_buf_[first[e.t & (kWidth - 1)]++] = e;
+  run_.swap(sort_buf_);
 }
 
 void Engine::schedule(Time t, std::coroutine_handle<> h) {

@@ -6,18 +6,21 @@
 // Parallelism comes from replicating whole engines across threads
 // (harness::parallel_map), never from inside one.
 //
-// The queue is a radix heap over 24-byte events. It relies on simulated
-// time never decreasing (schedule requires t >= now). Bucket b > 0 holds
-// the events whose time first differs from the last popped time `last_` at
-// bit b-1; bucket 0 holds the events at exactly `last_`. A push is one
-// bit_width plus an append, so its cost does not depend on queue depth.
-// A pop takes the front of bucket 0; when that is empty, it finds the
-// lowest non-empty bucket through a 64-bit mask, makes that bucket's
-// minimum the new `last_`, and moves its events down in order. Those lower
-// buckets are all empty at that point, and every event with a given time
-// always sits in the one bucket its time maps to, so each bucket keeps
-// its same-time events in insertion order. Pop order is therefore exactly
-// the (time, insertion order) order, with no sequence number stored.
+// The queue is a timing wheel (a calendar queue) over 24-byte events. It
+// relies on simulated time never decreasing (schedule requires t >= now).
+// A ring of 4096 slots, each 512 ps wide, covers a 2.1 us window that
+// starts at the current slot: slot s holds the events with t >> 9 == s, as
+// a FIFO list of nodes from one shared pool. A push appends to its slot's
+// list and sets the slot's bit in an occupancy bitmap. A pop takes the
+// next event of the current slot's run; when the run is empty, countr_zero
+// over the bitmap finds the next occupied slot, and its list becomes the
+// new run, sorted stably by time. A push into the current slot goes into
+// the run after every event at or before its time. Events at or beyond
+// the window wait in a far heap ordered by (time, push order), and join
+// the ring in the same step that moves the window over their slot, before
+// any later push can reach it. So every slot lists its events in insertion
+// order, and pop order is exactly the (time, insertion order) order, with
+// no sequence number stored in Event.
 //
 // Ownership model: Engine::spawn wraps each top-level Task in a root frame
 // the engine owns. Destroying the engine destroys every root frame, which
@@ -182,25 +185,60 @@ class Engine {
     void* describe_ctx = nullptr;
   };
 
+  /// A queued event in a slot's FIFO list; `next` indexes the pool.
+  struct Node {
+    Event e;
+    std::uint32_t next;
+  };
+  struct Slot {
+    std::uint32_t head;
+    std::uint32_t tail;
+  };
+  /// An event beyond the window; `seq` is its push order among these.
+  struct Far {
+    Event e;
+    std::uint64_t seq;
+    bool operator>(const Far& o) const {
+      return e.t != o.e.t ? e.t > o.e.t : seq > o.seq;
+    }
+  };
+
+  static constexpr int kSlotBits = 9;  // 512 ps per slot
+  static constexpr std::uint64_t kSlots = 4096;
+  static constexpr std::uint32_t kNil = UINT32_MAX;
+  static constexpr std::size_t kInsertionSortMax = 16;
+
   static detail::RootTask make_root(Task<void> task);
 
   void push(const Event& e);
   Event pop();
-  /// Refills the empty bucket 0 from the lowest non-empty bucket.
-  void refill();
+  /// Appends `e`, whose slot lies inside the window, to its slot's list.
+  void append(const Event& e);
+  /// Moves the window to the next occupied slot and drains it into run_.
+  void advance();
+  /// Sorts run_ stably by time.
+  void sort_run();
 
   void note_process_finished() { --live_; }
   void note_process_error(std::exception_ptr e) {
     if (!first_error_) first_error_ = e;
   }
 
-  /// Radix buckets 0..64 (see the header comment); bucket 0 pops from
-  /// `head_` and is cleared whenever it drains.
-  std::array<std::vector<Event>, 65> buckets_;
-  std::size_t head_ = 0;
-  /// Bit b-1 set iff bucket b (b >= 1) is non-empty.
-  std::uint64_t nonempty_ = 0;
-  Time last_ = 0;
+  /// The current slot's events in pop order, popped from `run_head_`.
+  std::vector<Event> run_;
+  std::size_t run_head_ = 0;
+  std::vector<Event> sort_buf_;
+  /// Absolute number (time >> kSlotBits) of the current slot; the window
+  /// is [cur_, cur_ + kSlots).
+  std::uint64_t cur_ = 0;
+  std::vector<Slot> slots_ = std::vector<Slot>(kSlots, Slot{kNil, kNil});
+  /// Bit i set iff ring slot i's list is non-empty.
+  std::array<std::uint64_t, kSlots / 64> occupied_{};
+  std::vector<Node> pool_;
+  std::uint32_t free_ = kNil;
+  /// Min-heap on (time, seq) of the events beyond the window.
+  std::vector<Far> far_;
+  std::uint64_t far_seq_ = 0;
   std::size_t size_ = 0;
   std::vector<Root> roots_;
   Time now_ = 0;

@@ -12,8 +12,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -555,6 +557,24 @@ TEST(CheckFault, FtBcastSweepIsRaceFreeUnderFaults) {
   }
 }
 
+// Unsets an environment variable for its lifetime, then restores it.
+class ScopedUnsetEnv {
+ public:
+  explicit ScopedUnsetEnv(const char* name) : name_(name) {
+    if (const char* v = std::getenv(name)) saved_ = v;
+    unsetenv(name);
+  }
+  ~ScopedUnsetEnv() {
+    if (saved_) setenv(name_, saved_->c_str(), /*overwrite=*/1);
+  }
+  ScopedUnsetEnv(const ScopedUnsetEnv&) = delete;
+  ScopedUnsetEnv& operator=(const ScopedUnsetEnv&) = delete;
+
+ private:
+  const char* name_;
+  std::optional<std::string> saved_;
+};
+
 TEST(CheckFault, CheckerIsPassive) {
   // Installing the checker must not perturb the simulated timeline or the
   // injector's deterministic decision stream: identical spec with and
@@ -566,7 +586,13 @@ TEST(CheckFault, CheckerIsPassive) {
   spec.plan.crashes.push_back({.core = 9, .at = 40 * sim::kMicrosecond});
 
   spec.check_races = false;
-  const harness::FaultRunOutcome plain = harness::run_fault_once(spec);
+  const harness::FaultRunOutcome plain = [&] {
+    // OCB_CHECK (set by the checked preset) would install the checker in
+    // this arm too.
+    const ScopedUnsetEnv unchecked("OCB_CHECK");
+    EXPECT_FALSE(check::requested_by_env());
+    return harness::run_fault_once(spec);
+  }();
   spec.check_races = true;
   const harness::FaultRunOutcome checked = harness::run_fault_once(spec);
 

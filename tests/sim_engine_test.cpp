@@ -6,8 +6,10 @@
 #include <deque>
 #include <functional>
 #include <iterator>
+#include <numeric>
 #include <queue>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/require.h"
@@ -131,7 +133,7 @@ class QueueDifferential {
   void run_to_completion() {
     for (int i = 0; i < 4; ++i) spawn_process();
     // One event near 2^62 ps: it pops last and reopens the budget, so the
-    // top buckets see redistribution too.
+    // queue also handles pushes after a jump of 2^62 ps.
     add_callback((Duration{1} << 62) - rng_.next_below(1000), /*far=*/true);
     // Stop and resume every few hundred events, often mid-instant.
     std::uint64_t processed = 0;
@@ -180,12 +182,16 @@ class QueueDifferential {
 
   Duration draw_delta() {
     // Same-instant, picosecond, SCC cost-parameter and 2 us steps; the
-    // extra pick is a random step of up to 2^45 ps.
+    // extra picks are random steps of 1-1023 ps (bursts of them crowd a
+    // span shorter than a nanosecond), of 1-5 us and of up to 2^45 ps.
     constexpr Duration kDeltas[] = {
         0, 0, 1, 2, 5 * kNanosecond, 10 * kNanosecond, 116 * kNanosecond,
         330 * kNanosecond, 451 * kNanosecond, 2 * kMicrosecond};
-    const std::uint64_t pick = rng_.next_below(std::size(kDeltas) + 1);
-    if (pick == std::size(kDeltas)) return rng_.next_below(Duration{1} << 45);
+    constexpr std::uint64_t kFixed = std::size(kDeltas);
+    const std::uint64_t pick = rng_.next_below(kFixed + 3);
+    if (pick == kFixed) return 1 + rng_.next_below(1023);
+    if (pick == kFixed + 1) return kMicrosecond + rng_.next_below(4 * kMicrosecond + 1);
+    if (pick == kFixed + 2) return rng_.next_below(Duration{1} << 45);
     return kDeltas[pick];
   }
 
@@ -259,6 +265,93 @@ TEST(Engine, PopOrderMatchesReferenceQueue) {
   for (std::uint64_t seed = 1; seed <= 40; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
     QueueDifferential(seed).run_to_completion();
+  }
+}
+
+// Appends `id` to `log` when its event pops.
+struct Mark {
+  std::vector<int>* log;
+  int id;
+  static void fire(void* p) {
+    const Mark& m = *static_cast<Mark*>(p);
+    m.log->push_back(m.id);
+  }
+};
+
+TEST(Engine, FarEventPopsBeforeALaterPushAtTheSameInstant) {
+  // A is pushed first, at time 0, for an instant T 10 us ahead. Later
+  // pushes for T come from instants ever closer to T, from 8 us to 1 ps
+  // before it. A still pops first, then the rest in push order, whether
+  // the later pushes come from inside run() or from a caller that stopped
+  // run() just before them.
+  constexpr Time kT = 10 * kMicrosecond + 77;
+  constexpr Duration kLeads[] = {8 * kMicrosecond, 3 * kMicrosecond, 2 * kMicrosecond + 100,
+                                 2 * kMicrosecond, kMicrosecond,     512,
+                                 1};
+  constexpr int kLater = static_cast<int>(std::size(kLeads));
+  for (const bool stop : {false, true}) {
+    SCOPED_TRACE(stop ? "pushed between run(1) calls" : "pushed inside run()");
+    Engine e;
+    std::vector<int> log;
+    std::vector<Mark> marks;
+    for (int id = 0; id <= kLater; ++id) marks.push_back(Mark{&log, id});
+    struct Pusher {
+      Engine* engine;
+      Mark* mark;
+      static void fire(void* p) {
+        const Pusher& q = *static_cast<Pusher*>(p);
+        q.engine->schedule_fn(kT, &Mark::fire, q.mark);
+      }
+    };
+    std::vector<Pusher> pushers;
+    for (int i = 0; i < kLater; ++i) pushers.push_back(Pusher{&e, &marks[i + 1]});
+    e.schedule_fn(kT, &Mark::fire, &marks[0]);
+    for (int i = 0; i < kLater; ++i) {
+      if (stop) {
+        e.schedule_fn(kT - kLeads[i], [](void*) {}, nullptr);
+      } else {
+        e.schedule_fn(kT - kLeads[i], &Pusher::fire, &pushers[i]);
+      }
+    }
+    if (stop) {
+      for (int i = 0; i < kLater; ++i) {
+        const RunResult r = e.run(1);
+        ASSERT_EQ(r.end_time, kT - kLeads[i]);
+        e.schedule_fn(kT, &Mark::fire, &marks[i + 1]);
+      }
+    }
+    const RunResult r = e.run();
+    EXPECT_EQ(r.end_time, kT);
+    std::vector<int> expected(kLater + 1);
+    std::iota(expected.begin(), expected.end(), 0);
+    EXPECT_EQ(log, expected);
+  }
+}
+
+TEST(Engine, CrowdedSpanPopsInTimeThenInsertionOrder) {
+  // 320 events inside one 512 ps span, pushed in falling time order with
+  // two at each instant, pop by time, then by push order. The span lies
+  // once close ahead and once far ahead of the first push.
+  for (const Time base : {Time{512} * 2'000, Time{512} * 200'000}) {
+    SCOPED_TRACE("span at " + std::to_string(base) + " ps");
+    Engine e;
+    std::vector<int> log;
+    std::vector<Mark> marks;
+    std::vector<std::pair<Time, int>> expected;
+    constexpr int kEvents = 320;
+    for (int id = 0; id < kEvents; ++id) marks.push_back(Mark{&log, id});
+    for (int id = 0; id < kEvents; ++id) {
+      const Time t = base + 3 * static_cast<Time>((kEvents - 1 - id) / 2);
+      e.schedule_fn(t, &Mark::fire, &marks[static_cast<std::size_t>(id)]);
+      expected.emplace_back(t, id);
+    }
+    ASSERT_LT(expected.front().first, base + 512);
+    std::sort(expected.begin(), expected.end());
+    std::vector<int> expected_ids;
+    for (const auto& [t, id] : expected) expected_ids.push_back(id);
+    const RunResult r = e.run();
+    EXPECT_EQ(r.end_time, expected.back().first);
+    EXPECT_EQ(log, expected_ids);
   }
 }
 
