@@ -17,6 +17,7 @@
 //                             `perf-smoke` CMake target.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -32,6 +33,7 @@
 #include "harness/measurement.h"
 #include "noc/topology.h"
 #include "scc/config.h"
+#include "scc/core.h"
 #include "scc/trace_json.h"
 #include "sim/counters.h"
 #include "sim/engine.h"
@@ -484,6 +486,43 @@ BENCHMARK(bench_event_queue)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond)
     ->Name("simulator/event_queue");
+
+// scc::DataCache alone, as a 48-core chip drives it: 48 caches of the
+// default capacity, touched round-robin in 96-line chunks. `fill` inserts
+// one capacity of new lines into each (no eviction, paper_fig8's pattern);
+// `stream` inserts four, evicting past capacity (svc_poisson's pattern).
+// Reports host ns per insert.
+void bench_data_cache(benchmark::State& state, std::size_t capacities) {
+  constexpr std::size_t kCaches = 48;
+  constexpr std::size_t kChunkLines = 96;
+  const std::size_t capacity = scc::SccConfig{}.cache_capacity_lines;
+  const std::size_t lines = capacities * capacity;
+  std::uint64_t calls = 0;
+  double seconds = 0.0;
+  for (auto _ : state) {
+    std::vector<scc::DataCache> caches;
+    for (std::size_t c = 0; c < kCaches; ++c) caches.emplace_back(capacity);
+    const Clock::time_point t0 = Clock::now();
+    for (std::size_t begin = 0; begin < lines; begin += kChunkLines) {
+      const std::size_t end = std::min(begin + kChunkLines, lines);
+      for (scc::DataCache& cache : caches) {
+        for (std::size_t line = begin; line < end; ++line) {
+          cache.insert(line * kCacheLineBytes);
+        }
+      }
+    }
+    seconds += seconds_since(t0);
+    calls += kCaches * lines;
+    benchmark::DoNotOptimize(caches.back().size());
+  }
+  state.counters["ns_per_call"] = seconds * 1e9 / static_cast<double>(calls);
+}
+BENCHMARK_CAPTURE(bench_data_cache, fill, 1)
+    ->Unit(benchmark::kMillisecond)
+    ->Name("simulator/data_cache/fill");
+BENCHMARK_CAPTURE(bench_data_cache, stream, 4)
+    ->Unit(benchmark::kMillisecond)
+    ->Name("simulator/data_cache/stream");
 
 void bench_chip_construction(benchmark::State& state, const char* topology) {
   // Chip set-up cost by topology; it should grow linearly with the tiles.

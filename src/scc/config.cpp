@@ -1,6 +1,7 @@
 #include "scc/config.h"
 
 #include "common/require.h"
+#include "scc/core.h"
 
 namespace ocb::scc {
 
@@ -14,6 +15,9 @@ void SccConfig::validate() const {
               "enabled cache needs nonzero capacity");
   OCB_REQUIRE(private_memory_limit >= 1u << 20,
               "private memory limit unrealistically small");
+  OCB_REQUIRE(private_memory_limit / kCacheLineBytes <= DataCache::kMaxLines,
+              "private memory limit must stay below 128 GiB, the reach of "
+              "the data cache's 32-bit line index");
 }
 
 namespace {

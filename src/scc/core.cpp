@@ -1,117 +1,90 @@
 #include "scc/core.h"
 
-#include <algorithm>
+#include <utility>
 
 #include "common/require.h"
 #include "scc/chip.h"
 
 namespace ocb::scc {
 
-std::uint32_t DataCache::append_slot() {
-  const auto fresh = static_cast<std::uint32_t>(size_);
-  if (size_ == pages_.size() * kPageSlots) {
-    pages_.push_back(std::make_unique<Page>());
-  }
-  ++size_;
-  if (size_ * 2 > table_.size()) {
-    // Rebuild at the next power of two (16 at least) so linear probes stay
-    // short; every live slot but the fresh one is rehashed.
-    table_.assign(std::max<std::size_t>(16, table_.size() * 2), kNil);
-    mask_ = table_.size() - 1;
-    for (std::uint32_t s = 0; s < fresh; ++s) table_insert(at(s).key, s);
-  }
-  return fresh;
+bool DataCache::cached(std::size_t line) const {
+  const std::size_t page = line / kPageLines;
+  return page < pages_.size() && pages_[page] &&
+         pages_[page]->links[line % kPageLines].prev != kAbsent;
 }
 
-std::size_t DataCache::ideal_index(std::size_t key) const {
-  // Fibonacci-style multiplicative mix; offsets are line-aligned so low
-  // bits alone carry no entropy.
-  return (key * 0x9e3779b97f4a7c15ULL >> 17) & mask_;
-}
-
-std::uint32_t DataCache::find_slot(std::size_t key) const {
-  if (table_.empty()) return kNil;
-  for (std::size_t i = ideal_index(key);; i = (i + 1) & mask_) {
-    const std::uint32_t slot = table_[i];
-    if (slot == kNil) return kNil;
-    if (at(slot).key == key) return slot;
-  }
-}
-
-void DataCache::table_insert(std::size_t key, std::uint32_t slot) {
-  std::size_t i = ideal_index(key);
-  while (table_[i] != kNil) i = (i + 1) & mask_;
-  table_[i] = slot;
-}
-
-void DataCache::table_erase(std::size_t key) {
-  std::size_t i = ideal_index(key);
-  while (at(table_[i]).key != key) i = (i + 1) & mask_;
-  // Backward-shift deletion keeps probe chains gap-free without tombstones.
-  for (std::size_t j = (i + 1) & mask_;; j = (j + 1) & mask_) {
-    const std::uint32_t slot = table_[j];
-    if (slot == kNil) break;
-    const std::size_t home = ideal_index(at(slot).key);
-    if (((j - home) & mask_) >= ((j - i) & mask_)) {
-      table_[i] = slot;
-      i = j;
+DataCache::Page& DataCache::page_for(std::uint32_t line) {
+  const std::size_t index = line / kPageLines;
+  if (index >= pages_.size()) pages_.resize(index + 1);
+  std::unique_ptr<Page>& page = pages_[index];
+  if (!page) {
+    if (spare_.empty()) {
+      page = std::make_unique<Page>();
+    } else {
+      page = std::move(spare_.back());
+      spare_.pop_back();
     }
   }
-  table_[i] = kNil;
+  return *page;
 }
 
-void DataCache::lru_detach(std::uint32_t slot) {
-  const std::uint32_t p = at(slot).prev;
-  const std::uint32_t n = at(slot).next;
+void DataCache::touch(std::uint32_t line) {
+  if (head_ != line) {
+    lru_detach(line);
+    lru_push_front(line);
+  }
+}
+
+void DataCache::lru_detach(std::uint32_t line) {
+  const std::uint32_t p = at(line).prev;
+  const std::uint32_t n = at(line).next;
   if (p != kNil) at(p).next = n; else head_ = n;
   if (n != kNil) at(n).prev = p; else tail_ = p;
 }
 
-void DataCache::lru_push_front(std::uint32_t slot) {
-  at(slot).prev = kNil;
-  at(slot).next = head_;
-  if (head_ != kNil) at(head_).prev = slot;
-  head_ = slot;
-  if (tail_ == kNil) tail_ = slot;
+void DataCache::lru_push_front(std::uint32_t line) {
+  at(line).prev = kNil;
+  at(line).next = head_;
+  if (head_ != kNil) at(head_).prev = line;
+  head_ = line;
+  if (tail_ == kNil) tail_ = line;
+}
+
+void DataCache::evict(std::uint32_t line) {
+  lru_detach(line);
+  at(line).prev = kAbsent;
+  --size_;
+  std::unique_ptr<Page>& page = pages_[line / kPageLines];
+  if (--page->live == 0) spare_.push_back(std::move(page));
 }
 
 bool DataCache::lookup(std::size_t offset) {
-  const std::uint32_t slot = find_slot(offset);
-  if (slot == kNil) return false;
-  if (head_ != slot) {
-    lru_detach(slot);
-    lru_push_front(slot);
-  }
+  OCB_REQUIRE(offset % kCacheLineBytes == 0, "unaligned data-cache lookup");
+  const std::size_t line = offset / kCacheLineBytes;
+  if (!cached(line)) return false;
+  touch(static_cast<std::uint32_t>(line));
   return true;
 }
 
 void DataCache::insert(std::size_t offset) {
+  OCB_REQUIRE(offset % kCacheLineBytes == 0, "unaligned data-cache insert");
+  const std::size_t line = offset / kCacheLineBytes;
+  OCB_REQUIRE(line < kMaxLines, "data-cache line beyond the 32-bit line index");
   if (capacity_ == 0) return;  // degenerate: everything evicts immediately
-  std::uint32_t slot = find_slot(offset);
-  if (slot != kNil) {  // refresh, not duplicate
-    if (head_ != slot) {
-      lru_detach(slot);
-      lru_push_front(slot);
-    }
+  const auto l = static_cast<std::uint32_t>(line);
+  if (cached(line)) {  // refresh, not duplicate
+    touch(l);
     return;
   }
-  if (size_ == capacity_) {  // evict least-recently-used
-    slot = tail_;
-    lru_detach(slot);
-    table_erase(at(slot).key);
-  } else {
-    slot = append_slot();
-  }
-  at(slot).key = offset;
-  table_insert(offset, slot);
-  lru_push_front(slot);
+  // Evict first, so a page the eviction empties serves the new line.
+  if (size_ == capacity_) evict(tail_);
+  ++page_for(l).live;
+  ++size_;
+  lru_push_front(l);
 }
 
 void DataCache::clear() {
-  size_ = 0;
-  head_ = kNil;
-  tail_ = kNil;
-  std::fill(table_.begin(), table_.end(), kNil);
+  while (head_ != kNil) evict(head_);
 }
 
 Core::Core(SccChip& chip, CoreId id)

@@ -30,63 +30,70 @@ class SccChip;
 /// Write-allocate LRU set of private-memory line offsets (models the data
 /// cache keeping a just-transferred message warm; paper §5.2.2).
 ///
-/// Flat storage: an intrusive doubly-linked LRU over index slots plus an
-/// open-addressing (linear-probe, backward-shift-delete) hash table. Every
-/// simulated private-memory line transaction goes through here, so the
-/// structure must not allocate per entry — node-based list/map churn and
-/// rehashing used to dominate large-broadcast simulation profiles. Storage
-/// follows the live lines: live slots are always 0..size()-1 (eviction
-/// reuses the tail's slot), so slots grow by appending fixed-size pages and
-/// the probe table doubles to stay at <= 50% load. Idle cores' caches cost
-/// nothing, and a core that touches few lines never pays for the capacity.
+/// Line-indexed: a line's LRU links (two 32-bit line numbers) sit at the
+/// line's own index, offset / kCacheLineBytes, in a 256-line page found
+/// through a vector indexed by line / 256, so neither the key nor a probe
+/// table is stored. Every simulated private-memory line transaction goes
+/// through here, so nothing is allocated per entry: a page exists only
+/// while one of its lines is cached, and a page that empties waits on a
+/// spare list for the next page allocation, so a core streaming past its
+/// capacity allocates nothing in steady state. Contiguous use costs 8 B per
+/// cached line; a page (about 2 KiB) spans 8 KiB of the private memory the
+/// core already holds, so even one cached line per page stays under a
+/// quarter of it. The page index costs 8 B per 8 KiB of private memory, and
+/// an idle core's cache costs nothing.
 class DataCache {
  public:
+  /// Lines the 32-bit links can name: numbers from here up are sentinels.
+  static constexpr std::size_t kMaxLines = 0xfffffffeu;
+
   explicit DataCache(std::size_t capacity_lines) : capacity_(capacity_lines) {}
 
-  /// True (and refreshed) if the line is cached.
+  /// True (and refreshed) if the line at `offset` is cached. `offset` must
+  /// be line-aligned, as for mem::PrivateMemory::load.
   bool lookup(std::size_t offset);
 
-  /// Inserts a line, evicting least-recently-used beyond capacity.
+  /// Inserts the line at `offset` (line-aligned, offset / kCacheLineBytes
+  /// below kMaxLines), evicting the least-recently-used line beyond
+  /// capacity.
   void insert(std::size_t offset);
 
   void clear();
   std::size_t size() const { return size_; }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
-  static constexpr std::size_t kPageSlots = 256;
+  static constexpr std::uint32_t kNil = 0xffffffffu;     // ends the list
+  static constexpr std::uint32_t kAbsent = kMaxLines;    // prev: not cached
+  static constexpr std::size_t kPageLines = 256;
 
-  struct Slot {
-    std::size_t key;
-    std::uint32_t prev;
-    std::uint32_t next;
+  struct Link {
+    std::uint32_t prev = kAbsent;
+    std::uint32_t next = kNil;
   };
-  using Page = std::array<Slot, kPageSlots>;
+  struct Page {
+    std::array<Link, kPageLines> links;
+    std::uint32_t live = 0;  // cached lines in this page
+  };
 
-  Slot& at(std::uint32_t slot) {
-    return (*pages_[slot / kPageSlots])[slot % kPageSlots];
+  Link& at(std::uint32_t line) {
+    return pages_[line / kPageLines]->links[line % kPageLines];
   }
-  const Slot& at(std::uint32_t slot) const {
-    return (*pages_[slot / kPageSlots])[slot % kPageSlots];
-  }
-  /// Appends slot `size_` (a new page when the last one is full) and keeps
-  /// the table at <= 50% load for the grown size.
-  std::uint32_t append_slot();
-  std::size_t ideal_index(std::size_t key) const;
-  /// Probe position holding `key`'s slot, or the table's npos sentinel.
-  std::uint32_t find_slot(std::size_t key) const;
-  void table_insert(std::size_t key, std::uint32_t slot);
-  void table_erase(std::size_t key);
-  void lru_detach(std::uint32_t slot);
-  void lru_push_front(std::uint32_t slot);
+  bool cached(std::size_t line) const;
+  /// The line's page; a missing one comes off the spare list, or is
+  /// allocated when that list is empty.
+  Page& page_for(std::uint32_t line);
+  void touch(std::uint32_t line);
+  void lru_detach(std::uint32_t line);
+  void lru_push_front(std::uint32_t line);
+  /// Drops a cached line; its page goes to the spare list once empty.
+  void evict(std::uint32_t line);
 
   std::size_t capacity_;
   std::size_t size_ = 0;
   std::uint32_t head_ = kNil;
   std::uint32_t tail_ = kNil;
-  std::size_t mask_ = 0;                     // table size - 1 (power of two)
-  std::vector<std::unique_ptr<Page>> pages_;  // LRU slots, kPageSlots a page
-  std::vector<std::uint32_t> table_;         // probe position -> slot or kNil
+  std::vector<std::unique_ptr<Page>> pages_;  // line / kPageLines -> page
+  std::vector<std::unique_ptr<Page>> spare_;  // empty pages, links absent
 };
 
 class Core {

@@ -60,6 +60,25 @@ TEST(SccConfig, ValidationCatchesNonsense) {
   EXPECT_NO_THROW(SccConfig{}.validate());
 }
 
+// The data cache names lines by 32-bit numbers, so the private memory may
+// hold no more lines than they reach (just under 128 GiB of 32-byte lines).
+TEST(SccConfig, ValidationBoundsPrivateMemoryByTheCacheLineIndex) {
+  SccConfig cfg;
+  cfg.private_memory_limit = DataCache::kMaxLines * kCacheLineBytes;
+  EXPECT_NO_THROW(cfg.validate());
+  cfg.private_memory_limit += kCacheLineBytes;
+  EXPECT_THROW(cfg.validate(), PreconditionError);
+  cfg.private_memory_limit = std::size_t{128} << 30;
+  try {
+    cfg.validate();
+    ADD_FAILURE() << "a 128 GiB private memory limit was accepted";
+  } catch (const PreconditionError& e) {
+    EXPECT_NE(std::string(e.what()).find("private_memory_limit"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(SccChip, WiringAccessorsBoundsChecked) {
   SccChip chip;
   EXPECT_NO_THROW(chip.core(0));
@@ -314,28 +333,43 @@ TEST(SccConfig, ScaledRejectsNonPositiveSpeedups) {
 }
 
 TEST(DataCache, LruSemantics) {
+  constexpr std::size_t k1 = 1 * kCacheLineBytes;
+  constexpr std::size_t k2 = 2 * kCacheLineBytes;
+  constexpr std::size_t k3 = 3 * kCacheLineBytes;
   DataCache cache(2);
-  cache.insert(1);
-  cache.insert(2);
-  EXPECT_TRUE(cache.lookup(1));  // refreshes 1; LRU order now [1, 2]
-  cache.insert(3);               // evicts 2
-  EXPECT_TRUE(cache.lookup(1));
-  EXPECT_FALSE(cache.lookup(2));
-  EXPECT_TRUE(cache.lookup(3));
+  cache.insert(k1);
+  cache.insert(k2);
+  EXPECT_TRUE(cache.lookup(k1));  // refreshes k1; LRU order now [k1, k2]
+  cache.insert(k3);               // evicts k2
+  EXPECT_TRUE(cache.lookup(k1));
+  EXPECT_FALSE(cache.lookup(k2));
+  EXPECT_TRUE(cache.lookup(k3));
   EXPECT_EQ(cache.size(), 2u);
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
-  EXPECT_FALSE(cache.lookup(1));
+  EXPECT_FALSE(cache.lookup(k1));
 }
 
 TEST(DataCache, ReinsertRefreshes) {
+  constexpr std::size_t k1 = 1 * kCacheLineBytes;
+  constexpr std::size_t k2 = 2 * kCacheLineBytes;
+  constexpr std::size_t k3 = 3 * kCacheLineBytes;
   DataCache cache(2);
-  cache.insert(1);
-  cache.insert(2);
-  cache.insert(1);  // refresh, not duplicate
-  cache.insert(3);  // evicts 2
-  EXPECT_TRUE(cache.lookup(1));
-  EXPECT_FALSE(cache.lookup(2));
+  cache.insert(k1);
+  cache.insert(k2);
+  cache.insert(k1);  // refresh, not duplicate
+  cache.insert(k3);  // evicts k2
+  EXPECT_TRUE(cache.lookup(k1));
+  EXPECT_FALSE(cache.lookup(k2));
+}
+
+// Offsets name private-memory lines, so they must be line-aligned, as for
+// mem::PrivateMemory::load and store.
+TEST(DataCache, RejectsUnalignedOffsets) {
+  DataCache cache(4);
+  EXPECT_THROW(cache.insert(1), PreconditionError);
+  EXPECT_THROW(cache.lookup(33), PreconditionError);
+  EXPECT_EQ(cache.size(), 0u);
 }
 
 /// Reference LRU for DataCache: most recently used at the front.
@@ -371,11 +405,17 @@ class ReferenceLru {
 };
 
 // Seeded insert/lookup/clear mixes, every step checked against the
-// reference, at capacities around the storage's page size and up to the
-// chip default. Phase 1 fills about half the capacity and clears; phase 2
-// refills past that high-water mark, through the growth steps, to full
-// capacity with evictions; phase 3 clears at random points.
+// reference, at capacities around 256 lines and up to the chip default.
+// Phase 1 fills about half the capacity and clears; phase 2 refills past
+// that high-water mark to full capacity with evictions; phase 3 clears at
+// random points. Phase 4 streams fresh lines in 96-line chunks to four
+// times the capacity, probing each chunk and the lines around the LRU edge.
+// Phase 5 mixes lines at the bottom and the top of the default private
+// memory. Phase 6 (capacities under 256) spreads a few lines over several
+// 256-line spans, so one span's lines all go while its neighbours stay.
 TEST(DataCache, MatchesReferenceLru) {
+  constexpr std::size_t kSpanLines = 256;
+  constexpr std::size_t kChunkLines = 96;
   for (const std::size_t capacity : {1, 2, 3, 255, 256, 257, 8192}) {
     for (std::uint64_t seed = 1; seed <= 3; ++seed) {
       SCOPED_TRACE("capacity " + std::to_string(capacity) + " seed " +
@@ -384,11 +424,11 @@ TEST(DataCache, MatchesReferenceLru) {
       ReferenceLru ref(capacity);
       Xoshiro256 rng(seed * 1'000'003 + capacity);
       std::size_t high_water = 0;
-      const auto run = [&](std::uint64_t keys, std::size_t steps,
+      const auto run = [&](auto next_line, std::size_t steps,
                            std::uint64_t clear_one_in) {
         for (std::size_t i = 0; i < steps; ++i) {
           const std::uint64_t op = rng.next_below(64);
-          const std::size_t key = rng.next_below(keys) * kCacheLineBytes;
+          const std::size_t key = next_line() * kCacheLineBytes;
           if (clear_one_in != 0 && rng.next_below(clear_one_in) == 0) {
             cache.clear();
             ref.clear();
@@ -402,16 +442,57 @@ TEST(DataCache, MatchesReferenceLru) {
           high_water = std::max(high_water, cache.size());
         }
       };
+      const auto below = [&rng](std::uint64_t lines) {
+        return [&rng, lines] { return rng.next_below(lines); };
+      };
       const std::size_t half = (capacity + 1) / 2;
-      run(half, 8 * capacity + 64, 0);
+      run(below(half), 8 * capacity + 64, 0);
       EXPECT_LE(high_water, half);
       cache.clear();
       ref.clear();
       EXPECT_EQ(cache.size(), 0u);
       high_water = 0;
-      run(2 * capacity + 1, 8 * capacity + 64, 0);
+      run(below(2 * capacity + 1), 8 * capacity + 64, 0);
       EXPECT_EQ(high_water, capacity) << "refill reaches full capacity";
-      run(2 * capacity + 1, 4 * capacity + 64, 16);
+      run(below(2 * capacity + 1), 4 * capacity + 64, 16);
+
+      const auto probe = [&](std::size_t line) {
+        const std::size_t key = line * kCacheLineBytes;
+        ASSERT_EQ(cache.lookup(key), ref.lookup(key)) << "line " << line;
+      };
+      const std::size_t first = 2 * capacity + 1;  // above phases 1-3
+      const std::size_t end = first + 4 * capacity;
+      for (std::size_t begin = first; begin < end; begin += kChunkLines) {
+        const std::size_t chunk_end = std::min(begin + kChunkLines, end);
+        for (std::size_t line = begin; line < chunk_end; ++line) {
+          cache.insert(line * kCacheLineBytes);
+          ref.insert(line * kCacheLineBytes);
+        }
+        ASSERT_EQ(cache.size(), ref.size()) << "stream to line " << chunk_end;
+        for (std::size_t line = begin; line < chunk_end; ++line) probe(line);
+        const std::size_t edge = chunk_end - std::min(chunk_end, capacity);
+        for (std::size_t line = edge - std::min<std::size_t>(edge, 2);
+             line < edge + 2; ++line) {
+          probe(line);
+        }
+      }
+
+      const std::size_t top =
+          SccConfig{}.private_memory_limit / kCacheLineBytes - (capacity + 1);
+      const auto bottom_or_top = [&] {
+        const std::uint64_t high = rng.next_below(2);
+        return high * top + rng.next_below(capacity + 1);
+      };
+      run(bottom_or_top, 8 * capacity + 64, 2 * capacity + 64);
+
+      if (capacity < kSpanLines) {
+        const std::size_t width = capacity / 2 + 1;
+        const auto spread = [&] {
+          const std::uint64_t span = rng.next_below(5);
+          return span * kSpanLines + rng.next_below(width);
+        };
+        run(spread, 16 * capacity + 256, 0);
+      }
     }
   }
 }
