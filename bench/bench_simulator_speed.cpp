@@ -458,10 +458,17 @@ std::vector<sim::Duration> scc_cost_deltas() {
   return deltas;
 }
 
-void bench_event_queue(benchmark::State& state) {
+// `crowded` gives ticker i the fixed step 1000 + (7919 i mod 997) ps of
+// bench/e2e's sim.probe.event_ns probes instead: while every ticker runs,
+// the co-prime steps put about 17 (depth 48) or 360 (depth 1024) events
+// into each 512 ps slot, out of order, the only traffic on which the
+// queue's slot sort runs hot.
+void bench_event_queue(benchmark::State& state, bool crowded) {
   const auto depth = static_cast<std::size_t>(state.range(0));
   const std::uint64_t per_ticker = 2'000'000 / depth;
   const std::vector<sim::Duration> deltas = scc_cost_deltas();
+  std::vector<std::vector<sim::Duration>> steps(depth);
+  for (std::size_t i = 0; i < depth; ++i) steps[i] = {1000 + (i * 7919) % 997};
   std::uint64_t events = 0;
   double seconds = 0.0;
   for (auto _ : state) {
@@ -469,7 +476,8 @@ void bench_event_queue(benchmark::State& state) {
     std::vector<QueueTicker> tickers(depth);
     for (std::size_t i = 0; i < depth; ++i) {
       // Staggered starting points, so the tickers interleave.
-      tickers[i] = {&engine, &deltas, 37 * i, per_ticker};
+      tickers[i] = crowded ? QueueTicker{&engine, &steps[i], 0, per_ticker}
+                           : QueueTicker{&engine, &deltas, 37 * i, per_ticker};
       queue_tick(&tickers[i]);
     }
     const Clock::time_point t0 = Clock::now();
@@ -481,11 +489,16 @@ void bench_event_queue(benchmark::State& state) {
   state.counters["ns_per_event"] = seconds * 1e9 / static_cast<double>(events);
   state.counters["depth"] = static_cast<double>(depth);
 }
-BENCHMARK(bench_event_queue)
+BENCHMARK_CAPTURE(bench_event_queue, scc_costs, false)
     ->Arg(48)
     ->Arg(1024)
     ->Unit(benchmark::kMillisecond)
     ->Name("simulator/event_queue");
+BENCHMARK_CAPTURE(bench_event_queue, crowded, true)
+    ->Arg(48)
+    ->Arg(1024)
+    ->Unit(benchmark::kMillisecond)
+    ->Name("simulator/event_queue_crowded");
 
 // scc::DataCache alone, as a 48-core chip drives it: 48 caches of the
 // default capacity, touched round-robin in 96-line chunks. `fill` inserts

@@ -65,7 +65,6 @@ sim::Time Mesh::reserve_path(sim::Time departure, TileCoord src, TileCoord dst) 
     Link& link = links_[static_cast<std::size_t>(tile * 4 + static_cast<int>(dir))];
     const sim::Time done = link.timeline.reserve(cursor, link.occupancy);
     const sim::Time start = done - link.occupancy;
-    link.busy += link.occupancy;
     ++link.packets;
     cursor = start + link.latency;
   };
@@ -83,7 +82,8 @@ sim::Time Mesh::reserve_path(sim::Time departure, TileCoord src, TileCoord dst) 
 sim::Duration Mesh::link_total_occupancy(LinkId link) const {
   OCB_REQUIRE(link >= 0 && link < topology_.num_link_slots(),
               "link id out of range");
-  return links_[static_cast<std::size_t>(link)].busy;
+  const Link& l = links_[static_cast<std::size_t>(link)];
+  return l.packets * l.occupancy;
 }
 
 std::uint64_t Mesh::link_packets(LinkId link) const {

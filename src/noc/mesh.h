@@ -61,7 +61,8 @@ class Mesh {
   sim::Duration l_hop() const { return l_hop_; }
   const Topology& topology() const { return topology_; }
 
-  /// Total occupancy ever reserved on a directed link (for tests/reports).
+  /// Total occupancy ever reserved on a directed link (for tests/reports):
+  /// its packets times its fixed per-packet occupancy.
   sim::Duration link_total_occupancy(LinkId link) const;
 
   /// Packets that crossed a directed link.
@@ -75,7 +76,6 @@ class Mesh {
     sim::Timeline timeline;
     sim::Duration latency = 0;
     sim::Duration occupancy = 0;
-    sim::Duration busy = 0;
     std::uint64_t packets = 0;
   };
 

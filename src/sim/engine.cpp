@@ -35,10 +35,7 @@ void Engine::push(const Event& e) {
   // e.t >= now_ (schedule checks it), so its slot is at or after cur_.
   const std::uint64_t ahead = (e.t >> kSlotBits) - cur_;
   if (ahead == 0) {
-    // Into the current run, after every event at or before e.t.
-    std::size_t i = run_.size();
-    while (i > run_head_ && run_[i - 1].t > e.t) --i;
-    run_.insert(run_.begin() + static_cast<std::ptrdiff_t>(i), e);
+    insert_current(e);
   } else if (ahead < kSlots) {
     append(e);
   } else {
@@ -48,40 +45,79 @@ void Engine::push(const Event& e) {
   if (++size_ > max_queue_depth_) max_queue_depth_ = size_;
 }
 
+std::uint32_t Engine::new_node(const Event& e) {
+  if (free_ == kNil) grow_pool();
+  const std::uint32_t n = free_;
+  free_ = pool_[n].next;
+  pool_[n].e = e;
+  return n;
+}
+
+void Engine::grow_pool() {
+  free_ = static_cast<std::uint32_t>(pool_.size());
+  pool_.push_back(Node{Event{}, kNil, kNil});
+}
+
 void Engine::append(const Event& e) {
-  std::uint32_t n = free_;
-  if (n != kNil) {
-    free_ = pool_[n].next;
-    pool_[n] = Node{e, kNil};
-  } else {
-    n = static_cast<std::uint32_t>(pool_.size());
-    pool_.push_back(Node{e, kNil});
-  }
+  const std::uint32_t n = new_node(e);
   const std::uint64_t i = (e.t >> kSlotBits) & (kSlots - 1);
   Slot& slot = slots_[i];
+  Node& node = pool_[n];
+  node.next = kNil;
+  node.prev = slot.tail;
+  const std::uint64_t bit = std::uint64_t{1} << (i & 63);
   if (slot.tail == kNil) {
     slot.head = n;
-    occupied_[i >> 6] |= std::uint64_t{1} << (i & 63);
+    occupied_[i >> 6] |= bit;
   } else {
-    pool_[slot.tail].next = n;
+    Node& tail = pool_[slot.tail];
+    tail.next = n;
+    // Branch-free: in a crowded slot filled out of order it would
+    // mispredict about every other append.
+    unsorted_[i >> 6] |= static_cast<std::uint64_t>(e.t < tail.e.t) << (i & 63);
   }
   slot.tail = n;
 }
 
-Engine::Event Engine::pop() {
-  if (run_head_ == run_.size()) advance();
-  const Event e = run_[run_head_++];
-  if (run_head_ == run_.size()) {
-    run_.clear();
-    run_head_ = 0;
+void Engine::insert_current(const Event& e) {
+  const std::uint32_t n = new_node(e);
+  Slot& slot = slots_[cur_ & (kSlots - 1)];
+  // The list is sorted: walk back from the tail past the later events.
+  std::uint32_t after = slot.tail;
+  while (after != kNil && pool_[after].e.t > e.t) {
+    after = after == slot.head ? kNil : pool_[after].prev;
   }
-  --size_;
-  return e;
+  Node& node = pool_[n];
+  node.prev = after;
+  node.next = after == kNil ? slot.head : pool_[after].next;
+  if (after == kNil) {
+    slot.head = n;
+  } else {
+    pool_[after].next = n;
+  }
+  if (node.next == kNil) {
+    slot.tail = n;
+  } else {
+    pool_[node.next].prev = n;
+  }
 }
 
-void Engine::advance() {
-  // run_ is empty, so everything queued sits in the ring or the far heap,
-  // and every far event lies beyond every ring event.
+Engine::Event Engine::pop() {
+  Slot* slot = &slots_[cur_ & (kSlots - 1)];
+  if (slot->head == kNil) slot = &advance();
+  const std::uint32_t n = slot->head;
+  Node& node = pool_[n];
+  slot->head = node.next;
+  if (node.next == kNil) slot->tail = kNil;
+  node.next = free_;
+  free_ = n;
+  --size_;
+  return node.e;
+}
+
+Engine::Slot& Engine::advance() {
+  // The current slot is empty, so everything queued sits in later ring
+  // slots or the far heap, and every far event lies beyond every ring event.
   if (size_ == far_.size()) {
     cur_ = far_.front().e.t >> kSlotBits;
   } else {
@@ -105,44 +141,49 @@ void Engine::advance() {
     far_.pop_back();
   }
   const std::uint64_t i = cur_ & (kSlots - 1);
+  const std::uint64_t bit = std::uint64_t{1} << (i & 63);
+  occupied_[i >> 6] &= ~bit;
   Slot& slot = slots_[i];
-  for (std::uint32_t n = slot.head; n != kNil;) {
-    Node& node = pool_[n];
-    run_.push_back(node.e);
-    const std::uint32_t next = node.next;
-    node.next = free_;
-    free_ = n;
-    n = next;
+  if ((unsorted_[i >> 6] & bit) != 0) {
+    unsorted_[i >> 6] &= ~bit;
+    sort_slot(slot);
   }
-  slot = Slot{kNil, kNil};
-  occupied_[i >> 6] &= ~(std::uint64_t{1} << (i & 63));
-  sort_run();
+  return slot;
 }
 
-void Engine::sort_run() {
-  const std::size_t n = run_.size();
-  if (n <= kInsertionSortMax) {
-    for (std::size_t i = 1; i < n; ++i) {
-      const Event e = run_[i];
+void Engine::sort_slot(const Slot& slot) {
+  // Gathers the events with their nodes in list order, sorts the events
+  // and stores the k-th of them into the k-th node: no link moves.
+  std::vector<Event>& buf = sort_buf_;
+  std::vector<std::uint32_t>& nodes = sort_nodes_;
+  buf.clear();
+  nodes.clear();
+  for (std::uint32_t n = slot.head; n != kNil; n = pool_[n].next) {
+    buf.push_back(pool_[n].e);
+    nodes.push_back(n);
+  }
+  const std::size_t count = buf.size();
+  if (count <= kInsertionSortMax) {
+    for (std::size_t i = 1; i < count; ++i) {
+      const Event e = buf[i];
       std::size_t j = i;
-      for (; j > 0 && run_[j - 1].t > e.t; --j) run_[j] = run_[j - 1];
-      run_[j] = e;
+      for (; j > 0 && buf[j - 1].t > e.t; --j) buf[j] = buf[j - 1];
+      buf[j] = e;
     }
+    for (std::size_t k = 0; k < count; ++k) pool_[nodes[k]].e = buf[k];
     return;
   }
   // A stable counting sort on the time's offset inside the slot.
   constexpr std::uint64_t kWidth = std::uint64_t{1} << kSlotBits;
   std::array<std::uint32_t, kWidth> first{};
-  for (const Event& e : run_) ++first[e.t & (kWidth - 1)];
+  for (const Event& e : buf) ++first[e.t & (kWidth - 1)];
   std::uint32_t sum = 0;
   for (std::uint32_t& c : first) {
-    const std::uint32_t count = c;
+    const std::uint32_t n = c;
     c = sum;
-    sum += count;
+    sum += n;
   }
-  sort_buf_.resize(n);
-  for (const Event& e : run_) sort_buf_[first[e.t & (kWidth - 1)]++] = e;
-  run_.swap(sort_buf_);
+  for (const Event& e : buf) pool_[nodes[first[e.t & (kWidth - 1)]++]].e = e;
 }
 
 void Engine::schedule(Time t, std::coroutine_handle<> h) {

@@ -10,17 +10,21 @@
 // relies on simulated time never decreasing (schedule requires t >= now).
 // A ring of 4096 slots, each 512 ps wide, covers a 2.1 us window that
 // starts at the current slot: slot s holds the events with t >> 9 == s, as
-// a FIFO list of nodes from one shared pool. A push appends to its slot's
-// list and sets the slot's bit in an occupancy bitmap. A pop takes the
-// next event of the current slot's run; when the run is empty, countr_zero
-// over the bitmap finds the next occupied slot, and its list becomes the
-// new run, sorted stably by time. A push into the current slot goes into
-// the run after every event at or before its time. Events at or beyond
-// the window wait in a far heap ordered by (time, push order), and join
-// the ring in the same step that moves the window over their slot, before
-// any later push can reach it. So every slot lists its events in insertion
-// order, and pop order is exactly the (time, insertion order) order, with
-// no sequence number stored in Event.
+// a doubly linked list of nodes from one shared pool. A push into a later
+// slot appends to its list, sets the slot's bit in an occupancy bitmap and,
+// if it lands before the time of the slot's last event, the slot's bit in
+// an out-of-order bitmap. The current slot's list is kept sorted by time
+// and pops from its head. When it is empty, countr_zero over the occupancy
+// bitmap finds the next occupied slot, which becomes current, and if its
+// out-of-order bit is set its events are sorted stably by time in place:
+// gathered, sorted and written back into the same nodes in list order. A
+// push into the current slot goes into its list after every event at or
+// before its time. Events at or beyond the window wait in a far heap
+// ordered by (time, push order), and join the ring in the same step that
+// moves the window over their slot, before any later push can reach it. So
+// every slot lists its events in insertion order until it becomes current,
+// and pop order is exactly the (time, insertion order) order, with no
+// sequence number stored in Event.
 //
 // Ownership model: Engine::spawn wraps each top-level Task in a root frame
 // the engine owns. Destroying the engine destroys every root frame, which
@@ -185,11 +189,13 @@ class Engine {
     void* describe_ctx = nullptr;
   };
 
-  /// A queued event in a slot's FIFO list; `next` indexes the pool.
+  /// A queued event in a slot's list; `next` and `prev` index the pool.
   struct Node {
     Event e;
     std::uint32_t next;
+    std::uint32_t prev;
   };
+  static_assert(sizeof(Node) == 32);
   struct Slot {
     std::uint32_t head;
     std::uint32_t tail;
@@ -212,28 +218,40 @@ class Engine {
 
   void push(const Event& e);
   Event pop();
-  /// Appends `e`, whose slot lies inside the window, to its slot's list.
+  /// Takes a node from the free list and stores `e` in it.
+  std::uint32_t new_node(const Event& e);
+  /// Adds one node to the pool, as the free list's only node.
+  void grow_pool();
+  /// Appends `e`, whose slot lies inside the window after the current one,
+  /// to its slot's list.
   void append(const Event& e);
-  /// Moves the window to the next occupied slot and drains it into run_.
-  void advance();
-  /// Sorts run_ stably by time.
-  void sort_run();
+  /// Inserts `e` into the current slot's list after every event at or
+  /// before its time.
+  void insert_current(const Event& e);
+  /// Moves the window to the next occupied slot, sorting it if it was
+  /// filled out of order, and returns it.
+  Slot& advance();
+  /// Sorts a slot's events stably by time, in place.
+  void sort_slot(const Slot& slot);
 
   void note_process_finished() { --live_; }
   void note_process_error(std::exception_ptr e) {
     if (!first_error_) first_error_ = e;
   }
 
-  /// The current slot's events in pop order, popped from `run_head_`.
-  std::vector<Event> run_;
-  std::size_t run_head_ = 0;
+  /// Scratch space for sort_slot: a slot's events and their nodes.
   std::vector<Event> sort_buf_;
+  std::vector<std::uint32_t> sort_nodes_;
   /// Absolute number (time >> kSlotBits) of the current slot; the window
   /// is [cur_, cur_ + kSlots).
   std::uint64_t cur_ = 0;
   std::vector<Slot> slots_ = std::vector<Slot>(kSlots, Slot{kNil, kNil});
-  /// Bit i set iff ring slot i's list is non-empty.
+  /// Bit i set iff ring slot i is not the current slot and its list is
+  /// non-empty.
   std::array<std::uint64_t, kSlots / 64> occupied_{};
+  /// Bit i set iff an append put an event before the time of ring slot i's
+  /// last event since the slot last became current.
+  std::array<std::uint64_t, kSlots / 64> unsorted_{};
   std::vector<Node> pool_;
   std::uint32_t free_ = kNil;
   /// Min-heap on (time, seq) of the events beyond the window.

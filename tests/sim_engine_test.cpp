@@ -355,6 +355,120 @@ TEST(Engine, CrowdedSpanPopsInTimeThenInsertionOrder) {
   }
 }
 
+// An event to push: its time, and the events it pushes when it pops.
+struct Plan {
+  Time t;
+  std::vector<Plan> then;
+};
+
+// Pushes planned events and logs each one's push number as it pops. Every
+// push lies at or after now(), so the engine must pop all of them in
+// (time, push number) order.
+class PushLog {
+ public:
+  explicit PushLog(Engine& engine) : engine_(engine) {}
+
+  void push(const Plan& plan) {
+    events_.push_back(Pushed{this, static_cast<int>(events_.size()), plan});
+    engine_.schedule_fn(plan.t, &fire, &events_.back());
+  }
+
+  const std::vector<int>& popped() const { return popped_; }
+
+  std::vector<int> expected() const {
+    std::vector<std::pair<Time, int>> order;
+    for (const Pushed& p : events_) order.emplace_back(p.plan.t, p.id);
+    std::sort(order.begin(), order.end());
+    std::vector<int> ids;
+    for (const auto& [t, id] : order) ids.push_back(id);
+    return ids;
+  }
+
+ private:
+  struct Pushed {
+    PushLog* log;
+    int id;
+    Plan plan;
+  };
+
+  static void fire(void* p) {
+    const Pushed& ev = *static_cast<const Pushed*>(p);
+    PushLog& log = *ev.log;
+    EXPECT_EQ(log.engine_.now(), ev.plan.t) << "event " << ev.id;
+    log.popped_.push_back(ev.id);
+    for (const Plan& next : ev.plan.then) log.push(next);
+  }
+
+  Engine& engine_;
+  std::deque<Pushed> events_;  // stable addresses for the callbacks
+  std::vector<int> popped_;
+};
+
+TEST(Engine, SlotFilledOutOfOrderPopsSortedAndTakesLaterPushes) {
+  // A slot 2,000 slots ahead of the window gets pairs of events at one
+  // instant, the pairs in scrambled time order: 7 pairs sort with the
+  // insertion sort, 23 with the counting sort. The first event to pop
+  // pushes, into the now current slot, one event at every pair's instant
+  // and one between every pair and the next.
+  for (const int pairs : {7, 23}) {
+    SCOPED_TRACE(std::to_string(2 * pairs) + " events in the slot");
+    Engine e;
+    PushLog log(e);
+    constexpr Time kBase = Time{512} * 2'000;
+    ASSERT_LT(1 + 12 * pairs, 512);
+    std::vector<Plan> later;
+    for (int k = 0; k < pairs; ++k) {
+      const Time t = kBase + 1 + 12 * static_cast<Time>(k);
+      later.push_back(Plan{t, {}});
+      later.push_back(Plan{t + 5, {}});
+    }
+    for (int k = 0; k < pairs; ++k) {
+      const Time t = kBase + 1 + 12 * static_cast<Time>((3 * k) % pairs);
+      log.push(Plan{t, k == 0 ? later : std::vector<Plan>{}});
+      log.push(Plan{t, {}});
+    }
+    e.run();
+    EXPECT_EQ(log.popped(), log.expected());
+  }
+}
+
+TEST(Engine, PushAtNowPopsAfterItsInstantAndBeforeTheSlotsLaterEvents) {
+  // Events 0 and 1 at T and 2 at T + 300 ps share one slot. Pushes at T
+  // from events that pop at T go after every event at T and before 2,
+  // also the one pushed when 2 is the slot's only event left.
+  constexpr Time kT = Time{512} * 10 + 100;
+  Engine e;
+  PushLog log(e);
+  log.push(Plan{kT, {Plan{kT, {Plan{kT, {Plan{kT, {}}}}}}, Plan{kT, {}}}});
+  log.push(Plan{kT, {}});
+  log.push(Plan{kT + 300, {}});
+  e.run();
+  // 0 pushes 3 and 4, 3 pushes 5, and 5, the last at T, pushes 6.
+  EXPECT_EQ(log.popped(), (std::vector<int>{0, 1, 3, 4, 5, 6, 2}));
+  EXPECT_EQ(log.popped(), log.expected());
+}
+
+TEST(Engine, RingSlotFilledOutOfOrderOnTwoTurnsOfTheWindow) {
+  // Ring slot 100 is filled out of order as absolute slot 100, and again
+  // as absolute slot 100 + 4096: two events pushed at time 0 wait beyond
+  // the window, join the ring when the window moves past slot 100, and an
+  // event in slot 200 then appends four more among and before them.
+  constexpr Time kA = Time{512} * 100;
+  constexpr Time kB = kA + Time{512} * 4096;
+  Engine e;
+  PushLog log(e);
+  log.push(Plan{kA + 300, {}});
+  log.push(Plan{kA + 100, {}});
+  log.push(Plan{kA + 200, {}});
+  log.push(Plan{kB + 250, {}});
+  log.push(Plan{kB + 400, {}});
+  log.push(Plan{Time{512} * 200,
+                {Plan{kB + 300, {}}, Plan{kB + 50, {}}, Plan{kB + 250, {}}, Plan{kB + 10, {}}}});
+  e.run();
+  EXPECT_EQ(log.popped(), (std::vector<int>{1, 2, 0, 5, 9, 7, 3, 8, 6, 4}));
+  EXPECT_EQ(log.popped(), log.expected());
+}
+
 TEST(Engine, LiveProcessCountTracksCompletion) {
   Engine e;
   std::vector<int> log;
