@@ -222,8 +222,9 @@ class Engine {
   std::uint32_t new_node(const Event& e);
   /// Adds one node to the pool, as the free list's only node.
   void grow_pool();
-  /// Appends `e`, whose slot lies inside the window after the current one,
-  /// to its slot's list.
+  /// Appends `e`, whose slot lies inside the window, to its slot's list:
+  /// a slot after the current one, or the current one while far events
+  /// join an empty ring.
   void append(const Event& e);
   /// Inserts `e` into the current slot's list after every event at or
   /// before its time.
